@@ -9,6 +9,7 @@ divergence instead of aborting, since the solver is the ground truth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,7 +108,9 @@ def make_bidding_game(spec: BiddingSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     """The auction as a normal-form game; strategy index == bid value.
 
     Dense when the profile count fits under the cap, otherwise lazily
-    evaluated through :func:`bidding_utility`.
+    evaluated through :func:`bidding_utility`. The dense table is built in
+    integers over the common denominator ``lcm(1..n) * grid_size``: a winner
+    tied with M-1 others gets ``(valuation - kth) * (lcm(1..n) / M)``.
     """
     n = spec.player_count
     counts = (spec.grid_size + 1,) * n
@@ -115,13 +118,27 @@ def make_bidding_game(spec: BiddingSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     cells_needed = (spec.grid_size + 1) ** n
     if cells_needed > dense_cap:
         return Game.from_rule(counts, lambda bids, p: bidding_utility(spec, bids, p), labels=labels)
-    import itertools
 
-    cells = [
-        tuple(bidding_utility(spec, bids, p) for p in range(n))
-        for bids in itertools.product(range(spec.grid_size + 1), repeat=n)
-    ]
-    return Game.from_cells(counts, cells, labels=labels)
+    common = math.lcm(*range(1, n + 1))
+    shares = [0] + [common // winners for winners in range(1, n + 1)]
+    kth_position = n - spec.price_rank  # in ascending order
+    values = spec.valuations
+    columns = [[0] * cells_needed for _ in range(n)]
+    profiles = itertools.product(range(spec.grid_size + 1), repeat=n)
+    for index, bids in enumerate(profiles):
+        top = max(bids)
+        winners = bids.count(top)
+        kth = sorted(bids)[kth_position]
+        share = shares[winners]
+        if winners == 1:
+            player = bids.index(top)
+            columns[player][index] = (values[player] - kth) * share
+            continue
+        for player, bid in enumerate(bids):
+            if bid == top:
+                columns[player][index] = (values[player] - kth) * share
+    scale = common * spec.grid_size
+    return Game(counts, columns=columns, scales=[scale] * n, labels=labels)
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,16 @@ def _rational_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _read_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -365,7 +375,7 @@ def _cmd_trading(args) -> int:
     if args.audit_single:
         if args.m1 is None or args.M1 is None:
             raise InputError("--audit-single needs --m1 and --M1 (and optionally --t)")
-        audit = audit_single_agent(args.M1, args.m1, args.t or 3)
+        audit = audit_single_agent(args.M1, args.m1, 3 if args.t is None else args.t)
         payload = {
             "command": "trading",
             "single_agent_audit": audit.to_json(),
@@ -526,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check the closed-form strategies against the solver")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when a verification entry diverges")
-    p.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
+    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP)
     _add_output_flags(p)
 
     p = sub.add_parser("repeated", help="verify folk strategies on sequences or pools")
@@ -534,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", metavar="FILE")
     p.add_argument("--mode", choices=("full", "rational"), default="rational")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
-    p.add_argument("--realization-cap", type=int, default=DEFAULT_REALIZATION_CAP)
+    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP)
+    p.add_argument("--realization-cap", type=_non_negative_int,
+                   default=DEFAULT_REALIZATION_CAP)
     _add_output_flags(p)
 
     p = sub.add_parser("trading", help="two-agent take-or-pass trading analysis")
@@ -547,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int)
     p.add_argument("--mode", choices=("full", "rational", "both"), default="both")
     p.add_argument("--grid-step", type=_rational_arg, default=1)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--enum-cap", type=_non_negative_int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--oracle", action="store_true",
                    help="compute worst-case regret of the closed-form strategies")
     p.add_argument("--sweep", action="store_true",
@@ -561,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="batch claim verification over a manifest")
     p.add_argument("--manifest", required=True, metavar="FILE")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
+    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP)
     _add_output_flags(p)
 
     return parser

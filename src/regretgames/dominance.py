@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -31,38 +31,28 @@ class RationalSet:
         }
 
 
-def _dominates_on(rows, s: int, s_prime: int, opponent_indices) -> bool:
+def _dominates(row_s, row_p) -> bool:
     # s weakly dominates s_prime: never worse, strictly better somewhere.
-    row_s, row_p = rows[s], rows[s_prime]
-    strict = False
-    for q in opponent_indices:
-        a, b = row_s[q], row_p[q]
-        if a < b:
-            return False
-        if a > b:
-            strict = True
-    return strict
+    return row_s != row_p and all(map(operator.ge, row_s, row_p))
 
 
 def weakly_dominates(game: Game, player: int, s: int, s_prime: int) -> bool:
     """True iff strategy ``s`` weakly dominates ``s_prime`` for ``player``."""
-    rows = game.payoff_matrix(player)
+    rows, _ = game.payoff_matrix(player)
     for idx in (s, s_prime):
         if not 0 <= idx < len(rows):
             raise InputError(f"strategy {idx} out of range for player {player}")
-    if s == s_prime:
-        return False
-    return _dominates_on(rows, s, s_prime, range(len(rows[0])))
+    return _dominates(rows[s], rows[s_prime])
 
 
-def _surviving(rows, candidates, opponent_indices):
+def _surviving(rows, candidates):
     """Split candidates into (allowed, eliminated-with-witness) by pairwise scan."""
     allowed = []
     eliminated = []
     for s in candidates:
         witness = None
         for s_prime in candidates:
-            if s_prime != s and _dominates_on(rows, s_prime, s, opponent_indices):
+            if s_prime != s and _dominates(rows[s_prime], rows[s]):
                 witness = s_prime
                 break  # candidates scan ascending, so the first hit is the lowest index
         if witness is None:
@@ -74,22 +64,9 @@ def _surviving(rows, candidates, opponent_indices):
 
 def rational_set(game: Game, player: int) -> RationalSet:
     """Single elimination round against the opponents' full profile space."""
-    rows = game.payoff_matrix(player)
-    allowed, eliminated = _surviving(
-        rows, list(range(len(rows))), range(game.opponent_profile_count(player))
-    )
+    rows, _ = game.payoff_matrix(player)
+    allowed, eliminated = _surviving(rows, range(len(rows)))
     return RationalSet(player, tuple(allowed), tuple(eliminated))
-
-
-def _opponent_indices_for(game, player, allowed_sets):
-    others = [j for j in range(game.player_count) if j != player]
-    strides = [1] * len(others)
-    for i in range(len(others) - 2, -1, -1):
-        strides[i] = strides[i + 1] * game.strategy_counts[others[i + 1]]
-    return [
-        sum(choice * stride for choice, stride in zip(combo, strides))
-        for combo in itertools.product(*(allowed_sets[j] for j in others))
-    ]
 
 
 def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
@@ -108,9 +85,11 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
         new_allowed = []
         new_eliminated = []
         for player in range(n):
-            rows = game.payoff_matrix(player)
-            indices = _opponent_indices_for(game, player, allowed)
-            kept, removed = _surviving(rows, allowed[player], indices)
+            rows, _ = game.payoff_matrix(player)
+            indices = game._opponent_indices(player, allowed)
+            kept, removed = _surviving(
+                [[row[q] for q in indices] for row in rows], allowed[player]
+            )
             new_allowed.append(kept)
             new_eliminated.append(removed)
         if new_allowed == allowed:

@@ -1,15 +1,20 @@
 """Finite normal-form games with exact rational payoffs.
 
 Games are immutable once built. Payoffs come either from a dense table or
-from a pure evaluation rule ``(profile, player) -> Fraction``; all arithmetic
-uses :class:`fractions.Fraction` end to end, so nothing ever rounds and
-repeated queries of the same profile always agree.
+from a pure evaluation rule ``(profile, player) -> Fraction``. Nothing ever
+rounds. The API takes and returns exact rationals (ints or
+:class:`fractions.Fraction`); inside, a dense game keeps each player's
+payoffs as Python ``int`` numerators over one positive common denominator per
+player, its *scale*. Regret and dominance only subtract and compare one
+player's payoffs, so the solver and the dominance scans work on those
+numerators and divide by the scale once, when they report.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -74,16 +79,49 @@ class Restriction:
                     )
 
 
-class Game:
-    """An n-player finite game (n >= 2) with exact rational utilities."""
+def _checked_counts(strategy_counts) -> tuple[int, ...]:
+    counts = tuple(int(c) for c in strategy_counts)
+    if len(counts) < 2:
+        raise InputError(f"a game needs at least 2 players, got {len(counts)}")
+    if any(c < 1 for c in counts):
+        raise InputError(f"every player needs at least one strategy, got {counts}")
+    return counts
 
-    def __init__(self, strategy_counts: Sequence[int], *, table=None, rule=None, labels=None):
-        counts = tuple(int(c) for c in strategy_counts)
-        if len(counts) < 2:
-            raise InputError(f"a game needs at least 2 players, got {len(counts)}")
-        if any(c < 1 for c in counts):
-            raise InputError(f"every player needs at least one strategy, got {counts}")
-        if (table is None) == (rule is None):
+
+def _scaled(values) -> tuple[list[int], int]:
+    """Exact rationals as (int numerators, their least common denominator)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise InputError(f"payoff {v!r} is not an exact rational (int or Fraction)")
+    scale = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _reduced(column, scale: int) -> tuple[list[int], int]:
+    """Numerators and their denominator divided by their gcd."""
+    if scale < 1:
+        raise InputError(f"payoff denominators must be positive, got {scale}")
+    divisor = math.gcd(scale, *column)
+    if divisor == 1:
+        return column, scale
+    return [v // divisor for v in column], scale // divisor
+
+
+class Game:
+    """An n-player finite game (n >= 2) with exact rational utilities.
+
+    A dense game is built from ``columns`` and ``scales``: ``columns[p]`` lists
+    player ``p``'s int numerators over all profiles in lexicographic order and
+    ``scales[p]`` is their positive denominator. Each pair is stored reduced
+    by its gcd, so equal games have equal numerators however they were built.
+    """
+
+    def __init__(
+        self, strategy_counts: Sequence[int], *, columns=None, scales=None, rule=None,
+        labels=None,
+    ):
+        counts = _checked_counts(strategy_counts)
+        if (columns is None) == (rule is None):
             raise InputError("exactly one of a dense table or an evaluation rule is required")
         self._counts = counts
         self._labels = self._check_labels(labels, counts)
@@ -92,7 +130,16 @@ class Game:
         for i in range(len(counts) - 2, -1, -1):
             strides[i] = strides[i + 1] * counts[i + 1]
         self._strides = tuple(strides)
-        self._cells = table  # flat list of per-player payoff tuples, or None
+        self._columns = self._scales = None
+        if columns is not None:
+            if len(columns) != len(counts) or any(
+                len(column) != self.profile_count for column in columns
+            ):
+                raise InputError(
+                    f"a dense game needs {len(counts)} payoff columns "
+                    f"of {self.profile_count} entries"
+                )
+            self._columns, self._scales = zip(*map(_reduced, columns, scales))
         self._rule = rule
         self._matrix_cache: dict[int, tuple] = {}
 
@@ -114,12 +161,21 @@ class Game:
 
     @classmethod
     def from_cells(cls, strategy_counts, cells, labels=None) -> "Game":
-        """Build a dense game from a flat lex-ordered list of payoff tuples."""
-        game = cls(strategy_counts, table=list(cells), labels=labels)
-        expected = game.profile_count
-        if len(game._cells) != expected:
-            raise InputError(f"expected {expected} cells, got {len(game._cells)}")
-        return game
+        """Build a dense game from a flat lex-ordered list of payoff tuples.
+
+        Payoffs are ints or Fractions; each player's are stored as numerators
+        over the least common denominator of that player's payoffs.
+        """
+        counts = _checked_counts(strategy_counts)
+        cells = list(cells)
+        expected = math.prod(counts)
+        if len(cells) != expected:
+            raise InputError(f"expected {expected} cells, got {len(cells)}")
+        n = len(counts)
+        if any(len(cell) != n for cell in cells):
+            raise InputError(f"every payoff cell must list {n} payoffs")
+        columns, scales = zip(*(_scaled(values) for values in zip(*cells)))
+        return cls(counts, columns=columns, scales=scales, labels=labels)
 
     @classmethod
     def from_rule(cls, strategy_counts, rule: PayoffRule, labels=None) -> "Game":
@@ -142,14 +198,11 @@ class Game:
 
     @property
     def is_dense(self) -> bool:
-        return self._cells is not None
+        return self._columns is not None
 
     @property
     def profile_count(self) -> int:
-        total = 1
-        for c in self._counts:
-            total *= c
-        return total
+        return math.prod(self._counts)
 
     def profiles(self) -> Iterator[tuple[int, ...]]:
         """All strategy profiles in lexicographic order."""
@@ -186,15 +239,19 @@ class Game:
         """Utility of ``player`` at ``profile``."""
         profile = self.validate_profile(profile)
         player = self._validate_player(player)
-        if self._cells is not None:
-            return self._cells[self._flat_index(profile)][player]
+        if self._columns is not None:
+            return Fraction(self._columns[player][self._flat_index(profile)], self._scales[player])
         return self._evaluate_rule(profile, player)
 
     def payoff_cell(self, profile) -> tuple[Fraction, ...]:
         """All players' utilities at ``profile``."""
         profile = self.validate_profile(profile)
-        if self._cells is not None:
-            return self._cells[self._flat_index(profile)]
+        if self._columns is not None:
+            index = self._flat_index(profile)
+            return tuple(
+                Fraction(column[index], scale)
+                for column, scale in zip(self._columns, self._scales)
+            )
         return tuple(self._evaluate_rule(profile, p) for p in range(self.player_count))
 
     def _evaluate_rule(self, profile, player) -> Fraction:
@@ -204,7 +261,7 @@ class Game:
                 f"payoff rule returned {value!r} for profile {profile}; "
                 "rules must return exact rationals"
             )
-        return Fraction(value)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     # -- enumeration and best responses -------------------------------------
 
@@ -238,31 +295,54 @@ class Game:
         return max(self.payoff(opp.combine(t), player) for t in range(self._counts[player]))
 
     def payoff_matrix(self, player: int):
-        """Rows of ``player``'s payoffs, one row per own strategy.
+        """``player``'s payoffs as int rows over one denominator.
 
-        Returns ``rows`` with ``rows[s][q]`` the payoff of own strategy ``s``
-        against the ``q``-th opponent profile in lexicographic order. The rows
-        are built once per player and cached; games are immutable so the cache
-        never invalidates.
+        Returns ``(rows, scale)``: ``rows[s][q] / scale`` is the payoff of own
+        strategy ``s`` against the ``q``-th opponent profile in lexicographic
+        order, and ``scale`` is a positive int. Regrets and dominance read off
+        the rows equal the true ones times ``scale``. The rows are built once
+        per player and cached; games are immutable so the cache never
+        invalidates. A lazy game evaluates its rule at every profile here.
         """
         player = self._validate_player(player)
         cached = self._matrix_cache.get(player)
-        if cached is not None:
-            return cached
-        own = self._counts[player]
-        rows = [[] for _ in range(own)]
-        for opp in self.opponent_profiles(player):
-            partial = list(opp.choices)
-            partial.insert(player, 0)
-            for s in range(own):
-                partial[player] = s
-                if self._cells is not None:
-                    rows[s].append(self._cells[self._flat_index(partial)][player])
-                else:
-                    rows[s].append(self._evaluate_rule(tuple(partial), player))
-        result = tuple(tuple(r) for r in rows)
-        self._matrix_cache[player] = result
-        return result
+        if cached is None:
+            column, scale = self._column(player)
+            cached = self._matrix_cache[player] = (self._split_rows(column, player), scale)
+        return cached
+
+    def _column(self, player: int) -> tuple[list[int], int]:
+        """``player``'s numerators over all profiles in lex order, and their scale."""
+        if self._columns is not None:
+            return self._columns[player], self._scales[player]
+        return _scaled([self._evaluate_rule(profile, player) for profile in self.profiles()])
+
+    def _split_rows(self, column, player: int) -> tuple[tuple, ...]:
+        # In lex order a profile's index is outer * block + s * stride + inner,
+        # and its opponent index is outer * stride + inner.
+        count, stride = self._counts[player], self._strides[player]
+        if stride == 1:
+            return tuple(tuple(column[s::count]) for s in range(count))
+        block = count * stride
+        return tuple(
+            tuple(itertools.chain.from_iterable(
+                column[outer + s * stride: outer + (s + 1) * stride]
+                for outer in range(0, len(column), block)
+            ))
+            for s in range(count)
+        )
+
+    def _opponent_indices(self, player: int, allowed) -> list[int]:
+        """Positions, in ``player``'s lexicographic opponent enumeration, of the
+        opponent profiles whose choices lie in ``allowed`` (one set per player)."""
+        others = [j for j in range(self.player_count) if j != player]
+        strides = [1] * len(others)
+        for i in range(len(others) - 2, -1, -1):
+            strides[i] = strides[i + 1] * self._counts[others[i + 1]]
+        return [
+            sum(choice * stride for choice, stride in zip(combo, strides))
+            for combo in itertools.product(*(allowed[j] for j in others))
+        ]
 
     # -- transforms ----------------------------------------------------------
 
@@ -273,12 +353,15 @@ class Game:
         shift = coerce_rational(shift, "shift")
         if scale <= 0:
             raise InputError(f"scale must be positive, got {scale}")
-        if self._cells is not None:
-            cells = [
-                tuple(scale * v + shift if i == player else v for i, v in enumerate(cell))
-                for cell in self._cells
-            ]
-            return Game.from_cells(self._counts, cells, labels=self._labels)
+        if self._columns is not None:
+            # (a/b) * (v/s) + c/d = (a*d*v + c*b*s) / (b*d*s)
+            own = self._scales[player]
+            factor = scale.numerator * shift.denominator
+            offset = shift.numerator * scale.denominator * own
+            columns, scales = list(self._columns), list(self._scales)
+            columns[player] = [factor * v + offset for v in columns[player]]
+            scales[player] = scale.denominator * shift.denominator * own
+            return Game(self._counts, columns=columns, scales=scales, labels=self._labels)
         base = self._rule
 
         def transformed(profile, p):
@@ -294,12 +377,13 @@ class Game:
     def __eq__(self, other):
         if not isinstance(other, Game):
             return NotImplemented
-        if self._cells is None or other._cells is None:
+        if self._columns is None or other._columns is None:
             return self is other
         return (
             self._counts == other._counts
             and self._labels == other._labels
-            and self._cells == other._cells
+            and self._scales == other._scales
+            and self._columns == other._columns
         )
 
     def __repr__(self):
@@ -350,11 +434,16 @@ def game_to_json(game: Game) -> dict:
                 "cannot serialize a lazy game with more profiles than the dense cap"
             )
     counts = game.strategy_counts
+    texts = []
+    for player in range(game.player_count):
+        column, scale = game._column(player)
+        texts.append([format_rational(v, scale) for v in column])
+    cells = zip(*texts)  # lex order, which is the order build() visits profiles in
 
-    def build(depth, prefix):
+    def build(depth):
         if depth == len(counts):
-            return [format_rational(v) for v in game.payoff_cell(prefix)]
-        return [build(depth + 1, prefix + (i,)) for i in range(counts[depth])]
+            return list(next(cells))
+        return [build(depth + 1) for _ in range(counts[depth])]
 
     obj = {
         "players": game.player_count,
@@ -362,7 +451,7 @@ def game_to_json(game: Game) -> dict:
     }
     if game.strategy_labels is not None:
         obj["labels"] = [list(ls) for ls in game.strategy_labels]
-    obj["payoffs"] = build(0, ())
+    obj["payoffs"] = build(0)
     return obj
 
 

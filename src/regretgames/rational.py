@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -26,11 +27,13 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"not a rational number: {value!r} (floats are not accepted)")
 
 
-def format_rational(value: Fraction):
-    """Render a rational for a game file: an int when integral, else "p/q"."""
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(numerator: int, denominator: int):
+    """Render ``numerator / denominator`` (denominator > 0) in lowest terms for
+    a game file: an int when integral, else "p/q"."""
+    divisor = math.gcd(numerator, denominator)
+    if divisor == denominator:
+        return numerator // divisor
+    return f"{numerator // divisor}/{denominator // divisor}"
 
 
 def coerce_rational(value, what: str) -> Fraction:

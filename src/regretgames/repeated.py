@@ -14,6 +14,8 @@ is consistent with the strategy under test; that is the strictest reading.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -207,25 +209,37 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
         [dict(zip(all_points[player], t)) for t in tuples[player]] for player in range(n)
     ]
 
-    stage_list = sequence.stages
-    cells = []
+    # Every stage's payoffs as numerators over one denominator per player,
+    # shared by all stages, so the payoff of a play path is a sum of ints.
+    stage_columns = [[stage._column(player) for player in range(n)] for stage in sequence.stages]
+    scales = [math.lcm(*(per_stage[player][1] for per_stage in stage_columns))
+              for player in range(n)]
+    stage_tables = []  # per stage: moves -> per-player numerators over ``scales``
+    for stage, per_stage in zip(sequence.stages, stage_columns):
+        scaled = [
+            [v * (scales[player] // scale) for v in column]
+            for player, (column, scale) in enumerate(per_stage)
+        ]
+        stage_tables.append(dict(zip(stage.profiles(), zip(*scaled))))
+
+    others = [[j for j in range(n) if j != player] for player in range(n)]
+    columns = [[] for _ in range(n)]
     for combo in itertools.product(*(range(c) for c in counts)):
         decide = [lookups[player][combo[player]] for player in range(n)]
         histories = [() for _ in range(n)]
-        totals = [Fraction(0)] * n
-        for idx in range(1, m + 1):
-            stage = stage_list[idx - 1]
-            moves = tuple(decide[player][(idx, histories[player])] for player in range(n))
-            cell = stage.payoff_cell(moves)
-            for player in range(n):
-                totals[player] += cell[player]
+        totals = [0] * n
+        for idx, table in enumerate(stage_tables, start=1):
+            moves = tuple([decide[player][(idx, histories[player])] for player in range(n)])
+            totals = list(map(operator.add, totals, table[moves]))
             if idx < m:
-                for player in range(n):
-                    others = tuple(moves[j] for j in range(n) if j != player)
-                    histories[player] = histories[player] + (others,)
-        cells.append(tuple(totals))
+                histories = [
+                    history + (tuple([moves[j] for j in others[player]]),)
+                    for player, history in enumerate(histories)
+                ]
+        for column, total in zip(columns, totals):
+            column.append(total)
 
-    game = Game.from_cells(counts, cells)
+    game = Game(counts, columns=columns, scales=scales)
     return ExpandedGame(sequence, game, all_points, tuples, index)
 
 
@@ -242,14 +256,15 @@ class PayoffExtremes:
 
 
 def payoff_extremes(game: Game, player: int) -> PayoffExtremes:
-    rows = game.payoff_matrix(player)
-    values = sorted({v for row in rows for v in row}, reverse=True)
+    rows, scale = game.payoff_matrix(player)
+    values = sorted(set(itertools.chain.from_iterable(rows)), reverse=True)
     if len(values) < 2:
         raise AssumptionError(
             f"player {player} has fewer than 2 distinct payoffs; "
             "the distinctness assumption is violated"
         )
-    return PayoffExtremes(player, values[0], values[1])
+    # exact Fractions: stages compared with each other have different scales
+    return PayoffExtremes(player, Fraction(values[0], scale), Fraction(values[1], scale))
 
 
 def folk_condition_holds(sequence: GameSequence, player: int) -> bool:
@@ -262,7 +277,8 @@ def _validate_stage_assumptions(games, n: int) -> None:
     """Non-negative payoffs, all distinct per player, in every stage game."""
     for stage_index, game in enumerate(games):
         for player in range(n):
-            values = [v for row in game.payoff_matrix(player) for v in row]
+            rows, _ = game.payoff_matrix(player)
+            values = list(itertools.chain.from_iterable(rows))
             if any(v < 0 for v in values):
                 raise AssumptionError(
                     f"stage {stage_index} has a negative payoff for player {player}"
@@ -295,22 +311,26 @@ def stage_pick(game: Game, player: int, mode: str) -> int:
     return minimax_regret(game, player, restriction).canonical_pick
 
 
-def folk_strategy(sequence: GameSequence, player: int) -> HistoryStrategy:
+def folk_strategy(
+    sequence: GameSequence, player: int, *, validate: bool = True
+) -> HistoryStrategy:
     """History-independent strategy: stage competitive picks, then the
     rationally competitive pick of the last stage.
 
     Requires the stage condition for every player; the error names the first
-    violating (stage, stage, player) triple.
+    violating (stage, stage, player) triple. ``validate=False`` skips that
+    check for callers that have made it already.
     """
     n = sequence.player_count
-    _validate_stage_assumptions(sequence.stages, n)
-    violation = _condition_violation(sequence.stages, n)
-    if violation is not None:
-        k, l, p = violation
-        raise AssumptionError(
-            f"stage condition fails: highest payoff of stage {k} is below twice "
-            f"the second highest of stage {l} for player {p}"
-        )
+    if validate:
+        _validate_stage_assumptions(sequence.stages, n)
+        violation = _condition_violation(sequence.stages, n)
+        if violation is not None:
+            k, l, p = violation
+            raise AssumptionError(
+                f"stage condition fails: highest payoff of stage {k} is below twice "
+                f"the second highest of stage {l} for player {p}"
+            )
     m = len(sequence)
     picks = {}
     for idx in range(1, m + 1):
@@ -538,7 +558,10 @@ def verify_folk_theorem(
     from the realized game of each iteration. The stage condition is a
     precondition: a violating pool raises instead of producing a verdict.
     Details record the argmin sets of both modes so their relationship can be
-    audited; the verdict uses ``mode``.
+    audited; the verdict uses ``mode``. The folk strategy is built once per
+    realization and player: its picks do not depend on history, and a
+    suffix's last stage is the sequence's last stage, so the suffix's own
+    folk strategy is the sequence's picks from the suffix start on.
     """
     if isinstance(subject, RandomGameSpec):
         base_games = subject.pool
@@ -565,16 +588,17 @@ def verify_folk_theorem(
     for tag, sequence in realizations:
         analysis = SequenceAnalysis(sequence, dense_cap)
         for player in range(n):
-            strategy = folk_strategy(sequence, player)
+            strategy = folk_strategy(sequence, player, validate=False)
             passed = is_competitive_in_all_subgames(
                 sequence, player, strategy, mode, analysis=analysis
             )
+            picks = {idx: choice for (idx, _), choice in strategy.decisions.items()}
             details = []
             for start in range(1, len(sequence) + 1):
                 expansion = analysis.expansion(start)
-                index = expansion.index_of_strategy(
-                    player, folk_strategy(sequence.suffix(start), player)
-                )
+                index = expansion.index_of_tuple(player, tuple(
+                    picks[start - 1 + idx] for idx, _ in expansion.points[player]
+                ))
                 rational = analysis.report(start, player, "rational").argmin
                 full = analysis.report(start, player, "full").argmin
                 chosen = rational if mode == "rational" else full

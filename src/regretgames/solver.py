@@ -9,7 +9,7 @@ rather than rely on tie-breaking.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,19 +53,15 @@ def regret(game: Game, player: int, profile) -> Fraction:
     return game.best_response_value(player, OpponentProfile(player, opponents)) - achieved
 
 
-def _selected_opponent_indices(game: Game, player: int, restriction: Restriction | None):
-    """Indices into the lexicographic opponent enumeration chosen by a restriction."""
-    if restriction is None:
-        return range(game.opponent_profile_count(player))
-    restriction.validate_for(game)
-    others = [j for j in range(game.player_count) if j != player]
-    strides = [1] * len(others)
-    for i in range(len(others) - 2, -1, -1):
-        strides[i] = strides[i + 1] * game.strategy_counts[others[i + 1]]
-    return [
-        sum(choice * stride for choice, stride in zip(combo, strides))
-        for combo in itertools.product(*(restriction.allowed[j] for j in others))
-    ]
+def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
+    """Worst-case regret of every own strategy, times the payoff scale, and the scale."""
+    rows, scale = game.payoff_matrix(player)
+    if restriction is not None:
+        restriction.validate_for(game)
+        selected = game._opponent_indices(player, restriction.allowed)
+        rows = [[row[q] for q in selected] for row in rows]
+    best = list(map(max, zip(*rows)))
+    return [max(map(operator.sub, best, row)) for row in rows], scale
 
 
 def worst_case_regret(
@@ -76,12 +72,10 @@ def worst_case_regret(
     The inner best response always ranges over the player's full strategy
     set; only the opponents are restricted.
     """
-    rows = game.payoff_matrix(player)
-    if not 0 <= own_strategy < len(rows):
+    worst, scale = _worst_regrets(game, player, restriction)
+    if not 0 <= own_strategy < len(worst):
         raise InputError(f"strategy {own_strategy} out of range for player {player}")
-    selected = _selected_opponent_indices(game, player, restriction)
-    own_row = rows[own_strategy]
-    return max(max(row[q] for row in rows) - own_row[q] for q in selected)
+    return Fraction(worst[own_strategy], scale)
 
 
 def minimax_regret(
@@ -91,18 +85,17 @@ def minimax_regret(
 
     Candidate strategies range over the player's full set regardless of any
     restriction; best-response values are computed once per opponent profile
-    and reused across candidates.
+    and reused across candidates. The scan runs on the game's scaled int
+    payoffs; only the report divides by the scale.
     """
-    rows = game.payoff_matrix(player)
-    selected = _selected_opponent_indices(game, player, restriction)
-    best = [max(row[q] for row in rows) for q in selected]
-    worst = tuple(
-        max(b - row[q] for b, q in zip(best, selected)) for row in rows
-    )
+    worst, scale = _worst_regrets(game, player, restriction)
     minimax = min(worst)
     argmin = tuple(s for s, w in enumerate(worst) if w == minimax)
     label = "full" if restriction is None else restriction.label
-    return RegretReport(player, label, minimax, argmin, worst)
+    return RegretReport(
+        player, label, Fraction(minimax, scale), argmin,
+        tuple(Fraction(w, scale) for w in worst),
+    )
 
 
 def all_player_reports(game: Game, mode: str = "full") -> list[RegretReport]:

@@ -6,6 +6,7 @@ import pytest
 from regretgames import (
     AssumptionError,
     BiddingSpec,
+    Game,
     InputError,
     bidding_utility,
     closed_form_competitive,
@@ -75,6 +76,25 @@ def test_game_construction_matches_utility():
     assert game.strategy_counts == (11, 11)
     assert game.payoff((5, 3), 0) == bidding_utility(spec, (5, 3), 0)
     assert game.is_dense
+
+
+@pytest.mark.parametrize("valuations, grid", [((3, 2), 4), ((4, 2, 3), 5), ((5, 2, 4, 3), 6)])
+def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
+    n = len(valuations)
+    for k in range(1, n + 1):
+        spec = BiddingSpec(valuations, grid, k)
+        game = make_bidding_game(spec)
+        assert game.is_dense
+        cells = [tuple(bidding_utility(spec, bids, p) for p in range(n))
+                 for bids in game.profiles()]
+        assert [game.payoff_cell(bids) for bids in game.profiles()] == cells
+        assert game == Game.from_cells(game.strategy_counts, cells,
+                                       labels=game.strategy_labels)
+        tied_losses = [
+            bids for bids, cell in zip(game.profiles(), cells)
+            if bids.count(max(bids)) > 1 and min(cell) < 0
+        ]
+        assert tied_losses, (valuations, k)  # tied winners sharing a negative surplus
 
 
 def test_lazy_fallback_above_cap():

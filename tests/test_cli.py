@@ -109,6 +109,30 @@ def test_unknown_flag_exit_two(capsys):
     assert "usage" in err
 
 
+def test_audit_single_rejects_zero_iterations(capsys):
+    # an explicit --t 0 must reach the audit's own check, not fall back to t=3
+    code, out, err = run_capture(
+        capsys, ["trading", "--audit-single", "--m1", "2", "--M1", "10", "--t", "0"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least 2 iterations, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bidding", "--l", "3,2", "--T", "4", "--k", "1", "--dense-cap", "-5"],
+    ["repeated", "--sequence", "unused.json", "--realization-cap", "-1"],
+    ["trading", "--m1", "1", "--M1", "4", "--m2", "1", "--M2", "4", "--t", "2",
+     "--K", "1", "--oracle", "--enum-cap", "-3"],
+])
+def test_negative_caps_exit_two(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: must be a non-negative integer" in err
+    assert "Traceback" not in err
+
+
 def test_schema_flag(capsys):
     code, out, _ = run_capture(capsys, ["--schema"])
     assert code == 0

@@ -136,6 +136,15 @@ def test_json_round_trip_bit_exact(tmp_path):
     assert obj["payoffs"][0][0] == ["1/3", 1]
 
 
+def test_equality_is_by_value_however_the_game_was_built():
+    # player 0's numerators 2, 4, 6, 8 over 4 are 1/2, 1, 3/2, 2
+    scaled = Game((2, 2), columns=[[2, 4, 6, 8], [0, 3, 6, 9]], scales=[4, 3])
+    assert scaled.payoff((1, 0), 0) == Fraction(3, 2)
+    assert game_from_json(game_to_json(scaled)) == scaled
+    assert scaled == make_dense_game((2, 2), [[["1/2", 0], [1, 1]], [["3/2", 2], [2, 3]]])
+    assert scaled != make_dense_game((2, 2), [[["1/2", 0], [1, 1]], [["3/2", 2], [2, 4]]])
+
+
 def test_game_from_json_validation():
     with pytest.raises(InputError, match="missing keys"):
         game_from_json({"players": 2})

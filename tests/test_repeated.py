@@ -258,6 +258,22 @@ def test_verify_folk_theorem_pool():
     assert report.to_json()["all_pass"] is True
 
 
+def test_folk_details_index_each_suffix_own_folk_strategy():
+    """The verifier builds the folk strategy once and reads each suffix's
+    strategy off its picks; that must be the suffix's own folk strategy."""
+    # the stage picks differ: a gives (1, 1) full and (0, 1) rational for the
+    # two players, b gives (0, 0) full and (1, 0) rational
+    a = make_dense_game((2, 2), [[[0, 2], [9, 5]], [[25, 3], [4, 27]]])
+    b = make_dense_game((2, 2), [[[1, 13], [22, 4]], [[2, 28], [4, 3]]])
+    for sequence in (GameSequence((a, b)), GameSequence((b, a))):
+        for entry in verify_folk_theorem(sequence).entries:
+            for detail in entry.details:
+                suffix = sequence.suffix(detail.start_iteration)
+                own = folk_strategy(suffix, entry.player)
+                assert detail.strategy_index == \
+                    expand_sequence(suffix).index_of_strategy(entry.player, own)
+
+
 def test_verify_folk_theorem_condition_violation_is_an_error():
     bad = extremes_game((7, 1, 2, 4), (10, 1, 2, 4))
     with pytest.raises(AssumptionError):
