@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import AssumptionError, InputError
 from .game import DEFAULT_DENSE_CAP, Game
+from .rational import strict_int
 from .solver import RegretReport, all_player_reports
 
 CLAIM_SOURCES = {
@@ -43,7 +44,13 @@ class BiddingSpec:
     price_rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "valuations", tuple(int(v) for v in self.valuations))
+        if not isinstance(self.valuations, (list, tuple)):
+            raise InputError(f"valuations (l) must be a list, got {self.valuations!r}")
+        object.__setattr__(
+            self, "valuations", tuple(strict_int(v, "valuation (l)") for v in self.valuations)
+        )
+        strict_int(self.grid_size, "grid size (T)")
+        strict_int(self.price_rank, "price rank (k)")
         n = len(self.valuations)
         if n < 2:
             raise AssumptionError(f"at least 2 players required, got {n}")

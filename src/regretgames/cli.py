@@ -176,7 +176,7 @@ def _load_random_spec(path) -> RandomGameSpec:
         mode=obj["mode"],
         seed=obj.get("seed"),
         samples=obj.get("samples", 1),
-        realization=tuple(obj["realization"]) if "realization" in obj else None,
+        realization=obj.get("realization"),
     )
 
 
@@ -194,6 +194,10 @@ def _emit(args, payload: dict, rows=None) -> None:
         text = buffer.getvalue()
     else:
         text = _render_text(payload) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -375,7 +379,9 @@ def _cmd_trading(args) -> int:
     if args.audit_single:
         if args.m1 is None or args.M1 is None:
             raise InputError("--audit-single needs --m1 and --M1 (and optionally --t)")
-        audit = audit_single_agent(args.M1, args.m1, 3 if args.t is None else args.t)
+        audit = audit_single_agent(
+            args.M1, args.m1, 3 if args.t is None else args.t, args.enum_cap
+        )
         payload = {
             "command": "trading",
             "single_agent_audit": audit.to_json(),
@@ -409,8 +415,8 @@ def _cmd_trading(args) -> int:
         payload["outcome"] = outcome.to_json()
         payload["trace"] = trace
         if args.format == "text":
-            lines = [json.dumps(row) for row in trace]
-            _write_lines(args, lines + [json.dumps({"outcome": outcome.to_json()})])
+            records = trace + [{"outcome": outcome.to_json()}]
+            _write(args, "".join(json.dumps(row) + "\n" for row in records))
             return EXIT_OK
         header = ["iteration", "announcement_1", "announcement_2", "action_1", "action_2",
                   "payoff_1", "payoff_2"]
@@ -457,14 +463,6 @@ def _cmd_trading(args) -> int:
     return EXIT_OK
 
 
-def _write_lines(args, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_verify(args) -> int:
     manifest = _read_json(args.manifest)
     if not isinstance(manifest, dict) or "specs" not in manifest:
@@ -474,7 +472,7 @@ def _cmd_verify(args) -> int:
     for i, entry in enumerate(manifest["specs"]):
         if not isinstance(entry, dict) or not {"l", "T", "k"} <= set(entry):
             raise InputError(f"manifest spec {i} needs keys l, T, k")
-        spec = BiddingSpec(tuple(entry["l"]), entry["T"], entry["k"])
+        spec = BiddingSpec(entry["l"], entry["T"], entry["k"])
         report = verify_claims(spec, args.dense_cap)
         mismatch_count += len(report.mismatches())
         reports.append(report.to_json())

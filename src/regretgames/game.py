@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
-from .rational import coerce_rational, format_rational, parse_rational
+from .rational import coerce_rational, format_rational, parse_rational, strict_int
 
 #: Largest profile count for which builders materialize a dense payoff table.
 DEFAULT_DENSE_CAP = 10**6
@@ -80,7 +80,7 @@ class Restriction:
 
 
 def _checked_counts(strategy_counts) -> tuple[int, ...]:
-    counts = tuple(int(c) for c in strategy_counts)
+    counts = tuple(strict_int(c, "strategy count") for c in strategy_counts)
     if len(counts) < 2:
         raise InputError(f"a game needs at least 2 players, got {len(counts)}")
     if any(c < 1 for c in counts):
@@ -398,7 +398,7 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
     hold one exact rational per player ("p/q" strings or integers). Dimension
     errors name the offending axis.
     """
-    counts = tuple(int(c) for c in strategy_counts)
+    counts = _checked_counts(strategy_counts)
     n = len(counts)
     cells: list[tuple[Fraction, ...]] = []
 
@@ -464,7 +464,7 @@ def game_from_json(obj) -> Game:
     counts = obj["strategy_counts"]
     if not isinstance(counts, list):
         raise InputError("strategy_counts must be a list")
-    if obj["players"] != len(counts):
+    if strict_int(obj["players"], "players") != len(counts):
         raise InputError(
             f"players={obj['players']} but strategy_counts lists {len(counts)} players"
         )

@@ -36,6 +36,13 @@ def format_rational(numerator: int, denominator: int):
     return f"{numerator // divisor}/{denominator // divisor}"
 
 
+def strict_int(value, what: str) -> int:
+    """Accept an int; reject bool, float, str and everything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def coerce_rational(value, what: str) -> Fraction:
     """Accept an int or Fraction, reject anything inexact."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import AssumptionError, InputError, SizeError
 from .game import DEFAULT_DENSE_CAP, Game
+from .rational import strict_int
 from .dominance import rational_restriction
 from .solver import RegretReport, minimax_regret
 
@@ -160,11 +161,6 @@ class ExpandedGame:
             strategy.decision(idx, history) for idx, history in self.points[player]
         )
         return self.index_of_tuple(player, decisions)
-
-    def history_strategy(self, player: int, index: int) -> HistoryStrategy:
-        return HistoryStrategy(
-            player, dict(zip(self.points[player], self._tuples[player][index]))
-        )
 
 
 def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) -> ExpandedGame:
@@ -433,6 +429,10 @@ class RandomGameSpec:
         for i, g in enumerate(self.pool):
             if g.player_count != n:
                 raise InputError(f"pool game {i} has {g.player_count} players, game 0 has {n}")
+        strict_int(self.length, "length")
+        strict_int(self.samples, "samples")
+        if self.seed is not None:
+            strict_int(self.seed, "seed")
         if self.length < 1:
             raise InputError(f"length must be >= 1, got {self.length}")
         if self.mode not in ("exhaustive", "sampled"):
@@ -440,7 +440,9 @@ class RandomGameSpec:
         if self.samples < 1:
             raise InputError(f"samples must be >= 1, got {self.samples}")
         if self.realization is not None:
-            realization = tuple(self.realization)
+            if not isinstance(self.realization, (list, tuple)):
+                raise InputError(f"realization must be a list, got {self.realization!r}")
+            realization = tuple(strict_int(i, "realization index") for i in self.realization)
             object.__setattr__(self, "realization", realization)
             if len(realization) != self.length:
                 raise InputError(

@@ -23,12 +23,13 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ContractError, InputError, SizeError
-from .rational import coerce_rational
+from .rational import coerce_rational, format_rational
 
 TAKE = "take"
 PASS = "pass"
 
-#: Cap on the number of announcement sequences the oracle will enumerate.
+#: Cap on every trading enumeration: oracle and sweep records, sweep
+#: candidates, and the single-agent audit's sequences and profiles.
 DEFAULT_ENUM_CAP = 250_000
 
 
@@ -343,17 +344,29 @@ class SingleAgentAudit:
         }
 
 
-def audit_single_agent(cap: int, floor: int, iterations: int) -> SingleAgentAudit:
+def audit_single_agent(
+    cap: int, floor: int, iterations: int, enum_cap: int = DEFAULT_ENUM_CAP
+) -> SingleAgentAudit:
     """Exhaustively score every deterministic threshold rule on the grid.
 
     A rule accepts at the first early iteration whose announcement reaches
     that iteration's threshold and is forced to accept at the last iteration.
-    Scores both stationary thresholds and per-iteration threshold profiles.
+    Scores both stationary thresholds and per-iteration threshold profiles;
+    both the sequences and the profiles are checked against ``enum_cap``.
     """
     if iterations < 2:
         raise InputError(f"need at least 2 iterations, got {iterations}")
     closed_form = single_agent_threshold(cap, floor)
     values = list(range(floor, cap + 1))
+    options = [None] + values
+    for what, count in (
+        ("announcement sequences", len(values) ** iterations),
+        ("threshold profiles", len(options) ** (iterations - 1)),
+    ):
+        if count > enum_cap:
+            raise SizeError(
+                f"the audit would enumerate {count} {what} (cap {enum_cap})", count=count
+            )
     sequences = [
         (seq, max(seq)) for seq in itertools.product(values, repeat=iterations)
     ]
@@ -374,7 +387,6 @@ def audit_single_agent(cap: int, floor: int, iterations: int) -> SingleAgentAudi
         return worst
 
     early = iterations - 1
-    options = [None] + values
     stationary = tuple(
         (threshold, worst_regret((threshold,) * early)) for threshold in options
     )
@@ -423,122 +435,101 @@ def _grid(floor: int, cap: int, step) -> list:
     return [int(v) if Fraction(v).denominator == 1 else Fraction(v) for v in values]
 
 
-def _tau_tables(own, peaks, t, never):
-    """Hindsight tables in half-supply units, per opponent stop sentinel.
+def _steps(spec: TradingSpec, player: int, grid_step, signature: bool) -> list:
+    """Builder steps ``(own value, other at cap, pair)``: one per announcement
+    pair on the grid, or, for the ``signature`` quotient, with the other
+    agent only at its floor or its cap.
 
-    ``taus_full[i] = (tau, hindsight)``; the rational table is the prefix up
-    to the first iteration the opponent is forced to take (own announcement
-    at its cap before the last iteration, or the last iteration itself).
-    """
-    prefix = 0
-    taus_full = []
-    for j in range(t):
-        taus_full.append((j + 1, max(2 * prefix, own[j])))
-        prefix = own[j] if own[j] > prefix else prefix
-    taus_full.append((never, 2 * prefix))
-    first_forced = t
-    for j in range(t - 1):
-        if peaks[j]:
-            first_forced = j + 1
-            break
-    return tuple(taus_full), tuple(taus_full[:first_forced])
-
-
-def _scenario_records(spec: TradingSpec, player: int, grid_step, enum_cap):
-    """Full enumeration: one record per announcement sequence on the grid.
-
-    Each record is ``(pairs, own, taus_full, taus_rational)`` with hindsight
-    values in half-supply units; exact for arbitrary strategies.
+    Regret is measurable with respect to (own value, other at cap) for any
+    rule that reads only those, so maxima over the quotient equal maxima over
+    the full grid for such rules; the representative pairs keep the ordinary
+    (iteration, pair) interface.
     """
     other = 1 - player
-    grid0 = _grid(*(spec.bounds(0)), grid_step)
-    grid1 = _grid(*(spec.bounds(1)), grid_step)
-    pairs = list(itertools.product(grid0, grid1))
-    t = spec.iterations
-    count = len(pairs) ** t
+    grids = [None, None]
+    grids[player] = _grid(*spec.bounds(player), grid_step)
+    grids[other] = list(spec.bounds(other)) if signature else _grid(*spec.bounds(other), grid_step)
+    other_cap = spec.price_caps[other]
+    return [(pair[player], pair[other] == other_cap, pair) for pair in itertools.product(*grids)]
+
+
+def _records(steps, t: int, mode: str, enum_cap: int) -> list:
+    """One record per length-``t`` sequence of steps ``(own value, other at
+    cap, pair)``, checked against ``enum_cap`` before anything is built.
+
+    A record is ``(indices, own, taus)``: the step index and own value at each
+    iteration, and one ``(tau, hindsight)`` per admissible opponent stop, the
+    hindsight value in half-supply units (``tau = t + 1`` means never). In
+    rational mode the opponent stops at the latest at its first forced take:
+    the other announcement at its cap before the last iteration, or the last
+    iteration itself.
+    """
+    if mode not in ("full", "rational"):
+        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
+    count = len(steps) ** t
     if count > enum_cap:
         raise SizeError(
             f"the oracle would enumerate {count} announcement sequences (cap {enum_cap})",
             count=count,
         )
-    other_cap = spec.price_caps[other]
-    never = t + 1
+    rational = mode == "rational"
     records = []
-    for seq in itertools.product(pairs, repeat=t):
-        own = tuple(p[player] for p in seq)
-        peaks = tuple(p[other] == other_cap for p in seq)
-        taus_full, taus_rational = _tau_tables(own, peaks, t, never)
-        records.append((seq, own, taus_full, taus_rational))
-    return records, never
+    for indices in itertools.product(range(len(steps)), repeat=t):
+        own = tuple(steps[s][0] for s in indices)
+        taus = []
+        prefix = 0
+        for j, value in enumerate(own, start=1):
+            taus.append((j, max(2 * prefix, value)))
+            if rational and j < t and steps[indices[j - 1]][1]:
+                break
+            prefix = max(prefix, value)
+        if not rational:
+            taus.append((t + 1, 2 * prefix))
+        records.append((indices, own, tuple(taus)))
+    return records
 
 
-def _collapsed_records(spec: TradingSpec, player: int, grid_step):
-    """Quotient of the sequence space by (own value, opponent-at-cap) signatures.
+def _strategy_takes(strategy: TradingStrategy, steps, t: int) -> tuple:
+    """The stop rule of ``strategy`` as a take table: row j - 1, column s
+    says whether it takes at iteration j on step s when nobody has taken."""
+    return tuple(
+        tuple(strategy.action(j, pair, False) == TAKE for _, _, pair in steps)
+        for j in range(1, t + 1)
+    )
 
-    Regret is measurable with respect to that signature for any rule that
-    reads only the own announcement and whether the other agent's
-    announcement sits at its cap, so maxima over this space equal maxima over
-    the full space for such rules. Representative pairs are attached so rules
-    can still be consulted through the ordinary (iteration, pair) interface.
+
+def _worst_regret(records, takes, bound=None):
+    """Worst regret, in half-supply units, of the rule that takes at
+    iteration j on step s iff ``takes[j - 1][s]``.
+
+    Returns the worst value and ``(record, own stop, opponent stop)`` for
+    the first scenario reaching it (``None`` while no regret is positive);
+    stop ``t + 1`` means never. With a ``bound``, returns as soon as the
+    worst reaches it.
     """
-    other = 1 - player
-    own_values = _grid(*(spec.bounds(player)), grid_step)
-    other_floor, other_cap = spec.bounds(other)
-    t = spec.iterations
-    never = t + 1
-    steps = []
-    for value in own_values:
-        for peak in (False, True):
-            pair = [None, None]
-            pair[player] = value
-            pair[other] = other_cap if peak else other_floor
-            steps.append((value, peak, tuple(pair)))
-    records = []
-    for combo in itertools.product(steps, repeat=t):
-        own = tuple(c[0] for c in combo)
-        peaks = tuple(c[1] for c in combo)
-        pairs = tuple(c[2] for c in combo)
-        taus_full, taus_rational = _tau_tables(own, peaks, t, never)
-        records.append((pairs, own, taus_full, taus_rational))
-    return records, never
-
-
-def _mode_taus_index(mode: str) -> int:
-    if mode == "full":
-        return 2
-    if mode == "rational":
-        return 3
-    raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
-
-
-def _scan_strategy(records, never, half, mode_index, strategy: TradingStrategy):
-    """Exact worst-case regret of a strategy over the records (exact rational)."""
+    never = len(takes) + 1
     worst = 0
     witness = None
-    for seq, own, taus_full, taus_rational in records:
-        taus = taus_full if mode_index == 2 else taus_rational
+    for record in records:
+        indices, own, taus = record
         stop = never
-        for j, pair in enumerate(seq, start=1):
-            if strategy.action(j, pair, False) == TAKE:
-                stop = j
+        for j, s in enumerate(indices):
+            if takes[j][s]:
+                stop = j + 1
                 break
         for tau, hindsight in taus:
             if stop == never or tau < stop:
-                realized = 0
+                regret = hindsight
             elif stop < tau:
-                realized = 2 * own[stop - 1]
+                regret = hindsight - 2 * own[stop - 1]
             else:
-                realized = own[stop - 1]
-            regret = hindsight - realized
+                regret = hindsight - own[stop - 1]
             if regret > worst:
                 worst = regret
-                witness = {
-                    "announcements": [list(p) for p in seq],
-                    "strategy_take_iteration": None if stop == never else stop,
-                    "opponent_take_iteration": None if tau == never else tau,
-                    "regret": str(half * Fraction(regret)),
-                }
-    return half * Fraction(worst), witness
+                witness = (record, stop, tau)
+        if bound is not None and worst >= bound:
+            break
+    return worst, witness
 
 
 def trading_oracle(
@@ -549,16 +540,9 @@ def trading_oracle(
     grid_step=1,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> Fraction:
-    """Worst-case regret of ``strategy`` by exhaustive enumeration.
-
-    Maximizes, over every announcement sequence on the grid and every
-    admissible opponent stopping behavior, the hindsight-best own payoff
-    (against that same opponent behavior) minus the realized payoff.
-    """
-    mode_index = _mode_taus_index(mode)
-    records, never = _scenario_records(spec, player, grid_step, enum_cap)
-    value, _ = _scan_strategy(records, never, spec.half_supply, mode_index, strategy)
-    return value
+    """Worst-case regret of ``strategy``: the value of :func:`trading_oracle_report`."""
+    return Fraction(trading_oracle_report(
+        spec, player, strategy, mode, grid_step, enum_cap)["worst_case_regret"])
 
 
 def trading_oracle_report(
@@ -569,12 +553,30 @@ def trading_oracle_report(
     grid_step=1,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> dict:
-    """Oracle value plus a worst-case witness scenario, JSON-ready."""
-    mode_index = _mode_taus_index(mode)
-    records, never = _scenario_records(spec, player, grid_step, enum_cap)
-    value, witness = _scan_strategy(
-        records, never, spec.half_supply, mode_index, strategy
+    """Worst-case regret of ``strategy`` by exhaustive enumeration, with a
+    worst-case witness scenario, JSON-ready.
+
+    Maximizes, over every announcement sequence on the grid and every
+    admissible opponent stopping behavior, the hindsight-best own payoff
+    (against that same opponent behavior) minus the realized payoff.
+    """
+    steps = _steps(spec, player, grid_step, signature=False)
+    t = spec.iterations
+    worst, witness = _worst_regret(
+        _records(steps, t, mode, enum_cap), _strategy_takes(strategy, steps, t)
     )
+    value = spec.half_supply * Fraction(worst)
+    if witness is not None:
+        (indices, _, _), stop, tau = witness
+        witness = {
+            "announcements": [
+                [format_rational(v.numerator, v.denominator) for v in steps[s][2]]
+                for s in indices
+            ],
+            "strategy_take_iteration": None if stop > t else stop,
+            "opponent_take_iteration": None if tau > t else tau,
+            "regret": str(value),
+        }
     return {
         "player": player,
         "mode": mode,
@@ -639,92 +641,69 @@ def minimal_regret_sweep(
     mode: str = "full",
     grid_step=1,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    reference: TradingStrategy | None = None,
 ) -> SweepResult:
     """Check the closed-form strategy against every reduced deterministic rule.
 
     The enumeration runs over the signature quotient of the sequence space
     (own announcement plus opponent-at-cap flags), which is exact for every
-    candidate and for the built-in reference strategies; a custom
-    ``reference`` must likewise read only that signature. Candidates are
+    candidate and for the built-in reference strategies. Both the records
+    and the candidates are checked against ``enum_cap``. Candidates are
     scanned worst-scenario-first and dismissed as soon as they match the
     reference's worst case, so only genuinely better rules reach a full
     evaluation.
     """
-    mode_index = _mode_taus_index(mode)
-    if reference is None:
-        reference = (
-            competitive_trading_strategy(spec, player)
-            if mode == "full"
-            else rational_trading_strategy(spec, player)
-        )
-    records, never = _collapsed_records(spec, player, grid_step)
-    half = spec.half_supply
-    reference_regret, _ = _scan_strategy(records, never, half, mode_index, reference)
-    reference_units = reference_regret / half  # internal tables are in half-supply units
-
-    # worst scenarios first makes suboptimal candidates fail fast
-    scan = sorted(
-        ((rec[1], rec[mode_index], rec[0]) for rec in records),
-        key=lambda item: -max(h for _, h in item[1]),
+    reference = (
+        competitive_trading_strategy(spec, player)
+        if mode == "full"
+        else rational_trading_strategy(spec, player)
     )
+    steps = _steps(spec, player, grid_step, signature=True)
+    t = spec.iterations
+    # worst scenarios first makes suboptimal candidates fail fast
+    records = sorted(
+        _records(steps, t, mode, enum_cap), key=lambda r: -max(h for _, h in r[2])
+    )
+    reference_worst, _ = _worst_regret(records, _strategy_takes(reference, steps, t))
 
-    other = 1 - player
-    other_cap = spec.price_caps[other]
-    own_values = _grid(*(spec.bounds(player)), grid_step)
-    sentinel = spec.price_caps[player] + 1  # a threshold no announcement reaches
     options = [
         (threshold, trigger)
-        for threshold in own_values + [sentinel]
+        for threshold in _grid(*spec.bounds(player), grid_step) + [None]
         for trigger in (False, True)
     ]
-    t = spec.iterations
     candidate_count = len(options) ** t
+    if candidate_count > enum_cap:
+        raise SizeError(
+            f"the sweep would score {candidate_count} candidate rules (cap {enum_cap})",
+            count=candidate_count,
+        )
+    # the take row of each per-iteration option; None never reaches
+    rows = {
+        (threshold, trigger): tuple(
+            (trigger and peak) or (threshold is not None and value >= threshold)
+            for value, peak, _ in steps
+        )
+        for threshold, trigger in options
+    }
 
+    half = spec.half_supply
     violations = []
-    best_regret = reference_regret
     for candidate in itertools.product(options, repeat=t):
-        thresholds = tuple(c[0] for c in candidate)
-        triggers = tuple(c[1] for c in candidate)
-        worst = 0
-        beaten = False
-        for own, taus, pairs in scan:
-            stop = never
-            for j in range(t):
-                if (triggers[j] and pairs[j][other] == other_cap) or own[j] >= thresholds[j]:
-                    stop = j + 1
-                    break
-            for tau, hindsight in taus:
-                if stop == never or tau < stop:
-                    realized = 0
-                elif stop < tau:
-                    realized = 2 * own[stop - 1]
-                else:
-                    realized = own[stop - 1]
-                regret = hindsight - realized
-                if regret > worst:
-                    worst = regret
-            if worst >= reference_units:
-                beaten = True
-                break
-        if not beaten and worst < reference_units:
-            value = half * Fraction(worst)
+        worst, _ = _worst_regret(records, tuple(rows[c] for c in candidate), reference_worst)
+        if worst < reference_worst:
             violations.append(
                 SweepViolation(
-                    tuple(None if v == sentinel else v for v in thresholds),
-                    triggers,
-                    value,
+                    tuple(c[0] for c in candidate),
+                    tuple(c[1] for c in candidate),
+                    half * Fraction(worst),
                 )
             )
-            if value < best_regret:
-                best_regret = value
-
+    reference_regret = half * Fraction(reference_worst)
     return SweepResult(
         player=player,
         mode=mode,
         reference_kind=reference.kind,
         reference_regret=reference_regret,
         candidate_count=candidate_count,
-        best_regret=best_regret,
+        best_regret=min([reference_regret] + [v.worst_regret for v in violations]),
         violations=tuple(violations),
     )

@@ -8,11 +8,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from regretgames import (
+    PASS,
+    TAKE,
     BiddingSpec,
     Game,
     GameSequence,
     RandomGameSpec,
     make_dense_game,
+    trading_payoff,
 )
 
 
@@ -230,3 +233,77 @@ def folk_reference(sequence: GameSequence, player: int) -> FolkCheck:
             )
             return FolkCheck(start, tuple(worst), folk_regret, witness)
     return FolkCheck()
+
+
+# -- stop-time reference for two-agent trading ---------------------------------
+#
+# Built only from the public payoff rule: every announcement sequence on the
+# grid is played out with explicit stop times through ``trading_payoff``,
+# without the library's record builder, hindsight tables or regret evaluator.
+
+
+def trading_grid(floor: int, cap: int, step) -> list:
+    values = (floor + k * Fraction(step) for k in range(int((cap - floor) / step) + 1))
+    return [int(v) if v.denominator == 1 else v for v in values]
+
+
+def strategy_stop(strategy, announcements):
+    """The first iteration at which ``strategy`` takes while nobody has
+    taken, or None."""
+    return next(
+        (j for j, pair in enumerate(announcements, start=1)
+         if strategy.action(j, pair, False) == TAKE),
+        None,
+    )
+
+
+def opponent_stops(spec, player: int, announcements, mode: str) -> list:
+    """Admissible opponent stop times: any iteration or never in full mode;
+    in rational mode any iteration up to its first forced take (its
+    announcement at its cap before the last iteration, or the last one)."""
+    t = spec.iterations
+    if mode == "full":
+        return list(range(1, t + 1)) + [None]
+    other = 1 - player
+    forced = next(
+        (j for j, pair in enumerate(announcements[:-1], start=1)
+         if pair[other] == spec.price_caps[other]),
+        t,
+    )
+    return list(range(1, forced + 1))
+
+
+def stop_payoff(spec, player: int, announcements, own_stop, opponent_stop) -> Fraction:
+    """``player``'s payoff when it stops at ``own_stop`` and the other agent
+    at ``opponent_stop`` (None: never), scored by ``trading_payoff``."""
+    stops = {player: own_stop, 1 - player: opponent_stop}
+    first = min((s for s in stops.values() if s is not None), default=None)
+    actions = [
+        tuple(TAKE if j == first and stops[i] == j else PASS for i in (0, 1))
+        for j in range(1, spec.iterations + 1)
+    ]
+    return trading_payoff(spec, announcements, actions).payoffs[player]
+
+
+def stop_regret(spec, player: int, announcements, own_stop, opponent_stop) -> Fraction:
+    """Best own stop in hindsight against ``opponent_stop`` minus the payoff
+    of stopping at ``own_stop``."""
+    payoffs = {
+        s: stop_payoff(spec, player, announcements, s, opponent_stop)
+        for s in list(range(1, spec.iterations + 1)) + [None]
+    }
+    return max(payoffs.values()) - payoffs[own_stop]
+
+
+def trading_reference(spec, player: int, strategy, mode: str, grid_step) -> Fraction:
+    """Worst-case regret of ``strategy`` over every announcement sequence on
+    the grid and every admissible opponent stop time."""
+    pairs = list(itertools.product(
+        *(trading_grid(spec.price_floors[i], spec.price_caps[i], grid_step) for i in (0, 1))
+    ))
+    worst = Fraction(0)
+    for announcements in itertools.product(pairs, repeat=spec.iterations):
+        own_stop = strategy_stop(strategy, announcements)
+        for opponent_stop in opponent_stops(spec, player, announcements, mode):
+            worst = max(worst, stop_regret(spec, player, announcements, own_stop, opponent_stop))
+    return worst

@@ -246,6 +246,48 @@ def test_trading_enum_cap_exit_three(capsys):
     assert code == 3
 
 
+def test_trading_simulate_text_to_output_file(tmp_path, capsys):
+    ann_path = tmp_path / "ann.json"
+    ann_path.write_text(json.dumps([[3, 2], [5, 6], [4, 3]]))
+    argv = ["trading", "--m1", "2", "--M1", "6", "--m2", "2", "--M2", "6", "--t", "3",
+            "--K", "1", "--mode", "full", "--simulate", str(ann_path), "--format", "text"]
+    _, stdout, _ = run_capture(capsys, argv)
+    out_path = tmp_path / "trace.jsonl"
+    code, written, _ = run_capture(capsys, argv + ["--output", str(out_path)])
+    assert code == 0 and written == ""
+    assert out_path.read_bytes() == stdout.encode("utf-8")
+
+
+def test_trading_fractional_grid_witness_is_json(capsys):
+    code, out, _ = run_capture(
+        capsys,
+        ["trading", "--m1", "1", "--M1", "2", "--m2", "1", "--M2", "3", "--t", "3",
+         "--K", "1", "--grid-step", "1/2", "--mode", "full", "--oracle"],
+    )
+    assert code == 0
+    witness = json.loads(out)["oracle"][1]["witness"]
+    assert witness["announcements"][0] == [1, "3/2"]
+
+
+def test_trading_sweep_candidate_cap_exit_three(capsys):
+    code, out, err = run_capture(
+        capsys,
+        ["trading", "--m1", "1", "--M1", "4", "--m2", "1", "--M2", "2", "--t", "3",
+         "--K", "1", "--mode", "full", "--oracle", "--sweep", "--enum-cap", "600"],
+    )
+    assert code == 3 and out == ""
+    assert "1000 candidate rules (cap 600)" in err
+
+
+def test_trading_audit_single_cap_exit_three(capsys):
+    code, _, err = run_capture(
+        capsys,
+        ["trading", "--audit-single", "--m1", "2", "--M1", "10", "--t", "3", "--enum-cap", "700"],
+    )
+    assert code == 3
+    assert "729 announcement sequences (cap 700)" in err
+
+
 def test_trading_audit_single(capsys):
     code, out, _ = run_capture(
         capsys, ["trading", "--audit-single", "--m1", "2", "--M1", "10", "--t", "3"]
@@ -280,3 +322,54 @@ def test_text_format_renders(game_file, capsys):
     code, out, _ = run_capture(capsys, ["solve", "--game", str(game_file), "--format", "text"])
     assert code == 0
     assert "minimax_regret: 1" in out
+
+
+def assert_one_line_input_error(capsys, argv, fragment):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+
+
+def test_game_file_rejects_non_integer_strategy_counts(tmp_path, capsys):
+    obj = game_to_json(anchor_game())
+    obj["strategy_counts"] = [2.7, True]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    assert_one_line_input_error(capsys, ["solve", "--game", str(path)],
+                                "strategy count must be an integer, got 2.7")
+
+
+def test_pool_file_rejects_string_length(tmp_path, capsys):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps(
+        {"pool": [game_to_json(anchor_game())], "length": "2", "mode": "exhaustive"}
+    ))
+    assert_one_line_input_error(capsys, ["repeated", "--random", str(path)],
+                                "length must be an integer, got '2'")
+
+
+def test_manifest_rejects_string_grid_size(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"specs": [{"l": [6, 4], "T": "10", "k": 2}]}))
+    assert_one_line_input_error(capsys, ["verify", "--manifest", str(path)],
+                                "grid size (T) must be an integer, got '10'")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "7"), ("samples", 1.0), ("realization", [0, True]), ("realization", 0),
+])
+def test_pool_file_rejects_other_non_integers(tmp_path, capsys, key, value):
+    obj = {"pool": [game_to_json(anchor_game())], "length": 2, "mode": "sampled", "seed": 1,
+           key: value}
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps(obj))
+    assert_one_line_input_error(capsys, ["repeated", "--random", str(path)], "must be")
+
+
+@pytest.mark.parametrize("entry", [
+    {"l": [6, 4.0], "T": 10, "k": 2}, {"l": 6, "T": 10, "k": 2}, {"l": [6, 4], "T": 10, "k": True},
+])
+def test_manifest_rejects_other_non_integers(tmp_path, capsys, entry):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"specs": [entry]}))
+    assert_one_line_input_error(capsys, ["verify", "--manifest", str(path)], "must be")

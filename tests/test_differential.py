@@ -3,18 +3,28 @@
 Payoffs are "p/q" rationals with unrelated prime denominators, so every
 player's payoffs are stored over a scale larger than one; the reference
 below works on the drawn Fractions directly and imports neither the solver
-nor the dominance module.
+nor the dominance module. The trading oracle is checked against the
+stop-time reference in ``support``, which scores explicit stop times with
+``trading_payoff`` only.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretgames import (
+    PASS,
+    TAKE,
     Game,
     GameSequence,
+    TradingSpec,
+    TradingStrategy,
+    competitive_trading_strategy,
+    minimal_regret_sweep,
     expand_sequence,
     game_from_json,
     game_to_json,
@@ -22,8 +32,19 @@ from regretgames import (
     minimax_regret,
     rational_restriction,
     rational_set,
+    rational_trading_strategy,
+    trading_oracle,
+    trading_oracle_report,
 )
-from support import replay
+from regretgames.rational import parse_rational
+from support import (
+    opponent_stops,
+    replay,
+    stop_regret,
+    strategy_stop,
+    trading_grid,
+    trading_reference,
+)
 
 COMMON = settings(max_examples=100, derandomize=True, deadline=None)
 DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
@@ -147,3 +168,117 @@ def test_expansion_sums_stages_over_unrelated_scales(stages):
         ]
         assert game.payoff_cell(profile) == replay(sequence, decisions)
     assert game_from_json(game_to_json(game)) == game
+
+
+# -- trading oracle against the stop-time reference -----------------------------
+
+
+def threshold_strategy(spec, player, thresholds, triggers):
+    """Take at iteration j when the own announcement reaches thresholds[j - 1]
+    (None: never) or, if triggers[j - 1], when the other agent is at its cap."""
+    other_cap = spec.price_caps[1 - player]
+
+    def rule(iteration, pair, taken):
+        if taken:
+            return PASS
+        threshold = thresholds[iteration - 1]
+        if threshold is not None and pair[player] >= threshold:
+            return TAKE
+        return TAKE if triggers[iteration - 1] and pair[1 - player] == other_cap else PASS
+
+    return TradingStrategy(player, "random-thresholds", rule)
+
+
+@st.composite
+def trading_cases(draw):
+    """Bands of width 1-3 on the unit grid, or of width 1 on the half grid,
+    with at most 9 announcement pairs to keep the reference fast; t = 3; a
+    built-in or a random per-iteration threshold strategy."""
+    step = Fraction(1, 2) if draw(st.integers(0, 3)) == 3 else 1
+    first = draw(st.integers(1, 3 if step == 1 else 1))
+    widths = [first, draw(st.integers(1, 3 // first if step == 1 else 1))]
+    if draw(st.booleans()):
+        widths.reverse()
+    floors = [draw(st.integers(1, 3)) for _ in range(2)]
+    spec = TradingSpec(tuple(floors), tuple(f + w for f, w in zip(floors, widths)), 3,
+                       draw(st.integers(1, 2)))
+    player = draw(st.integers(0, 1))
+    mode = draw(st.sampled_from(("full", "rational")))
+    kind = draw(st.sampled_from(("competitive", "rational", "thresholds")))
+    if kind == "competitive":
+        strategy = competitive_trading_strategy(spec, player)
+    elif kind == "rational":
+        strategy = rational_trading_strategy(spec, player)
+    else:
+        grid = trading_grid(floors[player], spec.price_caps[player], step)
+        thresholds = [draw(st.sampled_from([None] + grid)) for _ in range(3)]
+        triggers = [draw(st.booleans()) for _ in range(3)]
+        strategy = threshold_strategy(spec, player, thresholds, triggers)
+    return spec, player, strategy, mode, step
+
+
+def assert_witness_replays(spec, player, strategy, mode, step, report):
+    """The report's witness replays to its stated regret through the public
+    payoff rule: grid announcements, the strategy's own stop, an admissible
+    opponent stop."""
+    value = Fraction(report["worst_case_regret"])
+    witness = report["witness"]
+    if value == 0:
+        assert witness is None
+        return
+    announcements = [tuple(parse_rational(v) for v in pair) for pair in witness["announcements"]]
+    for pair in announcements:
+        for i, v in enumerate(pair):
+            assert v in trading_grid(spec.price_floors[i], spec.price_caps[i], step)
+    own_stop = witness["strategy_take_iteration"]
+    opponent_stop = witness["opponent_take_iteration"]
+    assert own_stop == strategy_stop(strategy, announcements)
+    assert opponent_stop in opponent_stops(spec, player, announcements, mode)
+    assert stop_regret(spec, player, announcements, own_stop, opponent_stop) \
+        == Fraction(witness["regret"]) == value
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(trading_cases())
+def test_trading_oracle_matches_stop_time_reference(case):
+    spec, player, strategy, mode, step = case
+    report = trading_oracle_report(spec, player, strategy, mode, grid_step=step)
+    assert Fraction(report["worst_case_regret"]) \
+        == trading_reference(spec, player, strategy, mode, step)
+    assert_witness_replays(spec, player, strategy, mode, step, report)
+
+
+@pytest.mark.parametrize("mode", ("full", "rational"))
+def test_trading_witnesses_replay_on_fixed_bands(mode):
+    """Every witness kind, including opponents that stop only at the last
+    iteration and strategies that never take."""
+    for floors, caps in (((2, 2), (3, 3)), ((1, 1), (3, 4)), ((1, 2), (4, 3))):
+        spec = TradingSpec(floors, caps, 3, 2)
+        for player in (0, 1):
+            for strategy in (competitive_trading_strategy(spec, player),
+                             rational_trading_strategy(spec, player),
+                             threshold_strategy(spec, player, [None] * 3, [False] * 3)):
+                report = trading_oracle_report(spec, player, strategy, mode)
+                assert_witness_replays(spec, player, strategy, mode, 1, report)
+
+
+def test_sweep_agrees_with_the_full_grid_oracle():
+    """Every candidate the sweep reports as beating the reference, and a
+    seeded sample of the others, played as an ordinary strategy, has the
+    regret the sweep implies on the full grid."""
+    rng = random.Random(7)
+    for spec in (TradingSpec((1, 1), (4, 2), 3, 1), TradingSpec((1, 2), (4, 3), 3, 2)):
+        result = minimal_regret_sweep(spec, 0, "rational")
+        found = {(v.thresholds, v.peak_triggers): v.worst_regret for v in result.violations}
+        assert found
+        options = [(threshold, trigger)
+                   for threshold in trading_grid(1, spec.price_caps[0], 1) + [None]
+                   for trigger in (False, True)]
+        sample = [tuple(zip(*(rng.choice(options) for _ in range(3)))) for _ in range(60)]
+        for thresholds, triggers in list(found) + sample:
+            strategy = threshold_strategy(spec, 0, thresholds, triggers)
+            value = trading_oracle(spec, 0, strategy, "rational")
+            if (thresholds, triggers) in found:
+                assert value == found[thresholds, triggers] < result.reference_regret
+            else:
+                assert value >= result.reference_regret

@@ -22,7 +22,7 @@ from regretgames import (
     trading_oracle_report,
     trading_payoff,
 )
-from regretgames.trading import _collapsed_records, _scenario_records
+from regretgames.trading import _records, _steps, _strategy_takes, _worst_regret
 
 
 def spec26(t=3, k=1):
@@ -216,6 +216,28 @@ def test_oracle_enum_cap():
     assert info.value.count == (5 * 5) ** 3
 
 
+def test_sweep_checks_records_then_candidates_against_the_cap():
+    with pytest.raises(SizeError) as info:
+        minimal_regret_sweep(TradingSpec((1, 1), (4, 4), 3, 1), 0, enum_cap=1)
+    assert info.value.count == (4 * 2) ** 3  # signature records
+    spec = TradingSpec((1, 1), (4, 2), 3, 1)
+    with pytest.raises(SizeError, match="candidate") as info:
+        minimal_regret_sweep(spec, 0, "full", enum_cap=600)
+    assert info.value.count == (2 * 4 + 2) ** 3
+    assert minimal_regret_sweep(spec, 0, "full", enum_cap=1000).candidate_count == 1000
+
+
+def test_audit_checks_sequences_and_profiles_against_the_cap():
+    with pytest.raises(SizeError) as info:
+        audit_single_agent(10, 2, 3, enum_cap=700)
+    assert info.value.count == 9 ** 3
+    # two values over six iterations: 64 sequences but 3 ** 5 profiles
+    with pytest.raises(SizeError, match="profiles") as info:
+        audit_single_agent(2, 1, 6, enum_cap=100)
+    assert info.value.count == 3 ** 5
+    assert audit_single_agent(10, 2, 3, enum_cap=729).best_profile_regret == 4
+
+
 def test_oracle_report_witness():
     spec = TradingSpec((1, 1), (4, 4), 3, 1)
     report = trading_oracle_report(spec, 0, competitive_trading_strategy(spec, 0), "full")
@@ -269,14 +291,15 @@ def test_sweep_finds_known_rational_grid_divergence():
 
 def test_collapsed_records_agree_with_full_enumeration():
     spec = TradingSpec((1, 2), (3, 4), 3, 1)
-    for mode_index in (2, 3):
-        from regretgames.trading import _scan_strategy
-
-        full, never = _scenario_records(spec, 0, 1, 10**6)
-        collapsed, never2 = _collapsed_records(spec, 0, 1)
+    for mode in ("full", "rational"):
         strategy = rational_trading_strategy(spec, 0)
-        value_full, _ = _scan_strategy(full, never, 1, mode_index, strategy)
-        value_collapsed, _ = _scan_strategy(collapsed, never2, 1, mode_index, strategy)
+        values = []
+        for signature in (False, True):
+            steps = _steps(spec, 0, 1, signature)
+            records = _records(steps, 3, mode, 10**6)
+            value, _ = _worst_regret(records, _strategy_takes(strategy, steps, 3))
+            values.append(value)
+        value_full, value_collapsed = values
         assert value_full == value_collapsed
 
 
@@ -284,7 +307,8 @@ def test_sweep_matches_full_markov_enumeration_tiny():
     """The per-iteration threshold/trigger class attains the same minimum as
     the full space of (iteration, own value, other-at-cap) -> action rules."""
     spec = TradingSpec((1, 1), (2, 2), 3, 1)
-    records, never = _collapsed_records(spec, 0, 1)
+    steps = _steps(spec, 0, 1, signature=True)
+    never = 4
     own_values = (1, 2)
     states = [
         (j, v, peak)
@@ -292,13 +316,14 @@ def test_sweep_matches_full_markov_enumeration_tiny():
         for v in own_values
         for peak in (False, True)
     ]
-    for mode, index in (("full", 2), ("rational", 3)):
+    for mode in ("full", "rational"):
+        records = _records(steps, 3, mode, 10**6)
         best = None
         for bits in itertools.product((0, 1), repeat=len(states)):
             rule = dict(zip(states, bits))
             worst = 0
-            for pairs, own, tf, tr in records:
-                taus = tf if index == 2 else tr
+            for indices, own, taus in records:
+                pairs = [steps[s][2] for s in indices]
                 stop = never
                 for j in range(3):
                     if rule[(j + 1, own[j], pairs[j][1] == 2)]:
