@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AssumptionError, InputError
-from .game import DEFAULT_DENSE_CAP, Game
+from .game import Game
 from .rational import strict_int
 from .solver import RegretReport, all_player_reports
 
@@ -111,21 +111,17 @@ def bidding_utility(spec: BiddingSpec, bids, player: int) -> Fraction:
     return Fraction(spec.valuations[player] - kth, winners * spec.grid_size)
 
 
-def make_bidding_game(spec: BiddingSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> Game:
+def make_bidding_game(spec: BiddingSpec) -> Game:
     """The auction as a normal-form game; strategy index == bid value.
 
-    Dense when the profile count fits under the cap, otherwise lazily
-    evaluated through :func:`bidding_utility`. The dense table is built in
-    integers over the common denominator ``lcm(1..n) * grid_size``: a winner
-    tied with M-1 others gets ``(valuation - kth) * (lcm(1..n) / M)``.
+    The payoff table is built in integers over the common denominator
+    ``lcm(1..n) * grid_size``, with the same values as :func:`bidding_utility`:
+    a winner tied with M-1 others gets ``(valuation - kth) * (lcm(1..n) / M)``.
     """
     n = spec.player_count
     counts = (spec.grid_size + 1,) * n
     labels = [[str(b) for b in range(spec.grid_size + 1)]] * n
     cells_needed = (spec.grid_size + 1) ** n
-    if cells_needed > dense_cap:
-        return Game.from_rule(counts, lambda bids, p: bidding_utility(spec, bids, p), labels=labels)
-
     common = math.lcm(*range(1, n + 1))
     shares = [0] + [common // winners for winners in range(1, n + 1)]
     kth_position = n - spec.price_rank  # in ascending order
@@ -309,7 +305,7 @@ def _entry_matches(prediction: ClaimPrediction, report: RegretReport) -> bool:
     return ok
 
 
-def verify_claims(spec: BiddingSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> DivergenceReport:
+def verify_claims(spec: BiddingSpec) -> DivergenceReport:
     """Compare every closed-form prediction with the exact solver.
 
     Divergences do not raise; they are recorded entry by entry. The report is
@@ -320,7 +316,7 @@ def verify_claims(spec: BiddingSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> Dive
             f"no closed forms exist for price rank {spec.price_rank}; "
             "run the solver directly instead"
         )
-    game = make_bidding_game(spec, dense_cap)
+    game = make_bidding_game(spec)
     entries = []
     for mode, closed_form in (
         ("full", closed_form_competitive),

@@ -145,12 +145,18 @@ def _read_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_game_entry(entry, base_dir: Path) -> Game:
-    if isinstance(entry, str):
-        return load_game(base_dir / entry)
-    if isinstance(entry, dict):
-        return game_from_json(entry)
-    raise InputError(f"game entry must be an object or a file path, got {entry!r}")
+def _load_games(entries, base_dir: Path, what: str) -> tuple[Game, ...]:
+    if not isinstance(entries, list):
+        raise InputError(f"{what} must be an array of games, got {entries!r}")
+    games = []
+    for entry in entries:
+        if isinstance(entry, str):
+            games.append(load_game(base_dir / entry))
+        elif isinstance(entry, dict):
+            games.append(game_from_json(entry))
+        else:
+            raise InputError(f"game entry must be an object or a file path, got {entry!r}")
+    return tuple(games)
 
 
 def _load_sequence(path) -> GameSequence:
@@ -158,7 +164,7 @@ def _load_sequence(path) -> GameSequence:
     if not isinstance(obj, dict) or "stages" not in obj:
         raise InputError(f"{path}: sequence files need a 'stages' array")
     base = Path(path).parent
-    return GameSequence(tuple(_load_game_entry(e, base) for e in obj["stages"]))
+    return GameSequence(_load_games(obj["stages"], base, "stages"))
 
 
 def _load_random_spec(path) -> RandomGameSpec:
@@ -169,7 +175,7 @@ def _load_random_spec(path) -> RandomGameSpec:
     if missing:
         raise InputError(f"{path}: missing keys {sorted(missing)}")
     base = Path(path).parent
-    pool = tuple(_load_game_entry(e, base) for e in obj["pool"])
+    pool = _load_games(obj["pool"], base, "pool")
     return RandomGameSpec(
         pool=pool,
         length=obj["length"],
@@ -199,7 +205,10 @@ def _emit(args, payload: dict, rows=None) -> None:
 
 def _write(args, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -232,7 +241,9 @@ def _render_text(payload, indent=0) -> str:
 
 def _cmd_solve(args) -> int:
     game = load_game(args.game)
-    players = range(game.player_count) if args.player is None else [args.player]
+    players = range(game.player_count) if args.player is None else [
+        game._validate_player(args.player)
+    ]
     modes = ("full", "rational") if args.mode == "both" else (args.mode,)
     reports = []
     picks = []
@@ -297,7 +308,7 @@ def _cmd_bidding(args) -> int:
     rows = None
     exit_code = EXIT_OK
     if args.verify:
-        report = verify_claims(spec, args.dense_cap)
+        report = verify_claims(spec)
         payload["verification"] = report.to_json()
         if args.format == "text":
             payload["verification_table"] = report.to_text().splitlines()
@@ -316,7 +327,7 @@ def _cmd_bidding(args) -> int:
     else:
         from .bidding import make_bidding_game
 
-        game = make_bidding_game(spec, args.dense_cap)
+        game = make_bidding_game(spec)
         modes = ("full", "rational") if args.mode == "both" else (args.mode,)
         payload["reports"] = [
             r.to_json() for mode in modes for r in all_player_reports(game, mode)
@@ -465,7 +476,7 @@ def _cmd_trading(args) -> int:
 
 def _cmd_verify(args) -> int:
     manifest = _read_json(args.manifest)
-    if not isinstance(manifest, dict) or "specs" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("specs"), list):
         raise InputError(f"{args.manifest}: manifest files need a 'specs' array")
     reports = []
     mismatch_count = 0
@@ -473,7 +484,7 @@ def _cmd_verify(args) -> int:
         if not isinstance(entry, dict) or not {"l", "T", "k"} <= set(entry):
             raise InputError(f"manifest spec {i} needs keys l, T, k")
         spec = BiddingSpec(entry["l"], entry["T"], entry["k"])
-        report = verify_claims(spec, args.dense_cap)
+        report = verify_claims(spec)
         mismatch_count += len(report.mismatches())
         reports.append(report.to_json())
     payload = {
@@ -502,6 +513,12 @@ def _add_output_flags(parser) -> None:
                         help="output format (default: json)")
     parser.add_argument("--output", metavar="PATH", default=None,
                         help="write to a file instead of stdout")
+
+
+_IGNORED_DENSE_CAP = (
+    "ignored: bidding games are always built dense; the flag is accepted only "
+    "until the benchmark's bid-lazy job stops passing it"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check the closed-form strategies against the solver")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when a verification entry diverges")
-    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP)
+    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP,
+                   help=_IGNORED_DENSE_CAP)
     _add_output_flags(p)
 
     p = sub.add_parser("repeated", help="verify folk strategies on sequences or pools")
@@ -542,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", metavar="FILE")
     p.add_argument("--mode", choices=("full", "rational"), default="rational")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP)
+    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP,
+                   help="largest expanded game (profiles) to build; above it, exit 3")
     p.add_argument("--realization-cap", type=_non_negative_int,
                    default=DEFAULT_REALIZATION_CAP)
     _add_output_flags(p)
@@ -570,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="batch claim verification over a manifest")
     p.add_argument("--manifest", required=True, metavar="FILE")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP)
+    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP,
+                   help=_IGNORED_DENSE_CAP)
     _add_output_flags(p)
 
     return parser

@@ -1,9 +1,8 @@
 """Finite normal-form games with exact rational payoffs.
 
-Games are immutable once built. Payoffs come either from a dense table or
-from a pure evaluation rule ``(profile, player) -> Fraction``. Nothing ever
+Games are immutable once built and hold a dense payoff table. Nothing ever
 rounds. The API takes and returns exact rationals (ints or
-:class:`fractions.Fraction`); inside, a dense game keeps each player's
+:class:`fractions.Fraction`); inside, a game keeps each player's
 payoffs as Python ``int`` numerators over one positive common denominator per
 player, its *scale*. Regret and dominance only subtract and compare one
 player's payoffs, so the solver and the dominance scans work on those
@@ -18,15 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .rational import coerce_rational, format_rational, parse_rational, strict_int
 
-#: Largest profile count for which builders materialize a dense payoff table.
+#: Largest profile count of the game ``expand_sequence`` builds; above it, it raises.
 DEFAULT_DENSE_CAP = 10**6
-
-PayoffRule = Callable[[tuple[int, ...], int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -110,19 +107,14 @@ def _reduced(column, scale: int) -> tuple[list[int], int]:
 class Game:
     """An n-player finite game (n >= 2) with exact rational utilities.
 
-    A dense game is built from ``columns`` and ``scales``: ``columns[p]`` lists
+    A game is built from ``columns`` and ``scales``: ``columns[p]`` lists
     player ``p``'s int numerators over all profiles in lexicographic order and
     ``scales[p]`` is their positive denominator. Each pair is stored reduced
     by its gcd, so equal games have equal numerators however they were built.
     """
 
-    def __init__(
-        self, strategy_counts: Sequence[int], *, columns=None, scales=None, rule=None,
-        labels=None,
-    ):
+    def __init__(self, strategy_counts: Sequence[int], *, columns, scales, labels=None):
         counts = _checked_counts(strategy_counts)
-        if (columns is None) == (rule is None):
-            raise InputError("exactly one of a dense table or an evaluation rule is required")
         self._counts = counts
         self._labels = self._check_labels(labels, counts)
         # strides for flattening profiles in lexicographic order
@@ -130,28 +122,29 @@ class Game:
         for i in range(len(counts) - 2, -1, -1):
             strides[i] = strides[i + 1] * counts[i + 1]
         self._strides = tuple(strides)
-        self._columns = self._scales = None
-        if columns is not None:
-            if len(columns) != len(counts) or any(
-                len(column) != self.profile_count for column in columns
-            ):
-                raise InputError(
-                    f"a dense game needs {len(counts)} payoff columns "
-                    f"of {self.profile_count} entries"
-                )
-            self._columns, self._scales = zip(*map(_reduced, columns, scales))
-        self._rule = rule
+        if len(columns) != len(counts) or len(scales) != len(counts) or any(
+            len(column) != self.profile_count for column in columns
+        ):
+            raise InputError(
+                f"a game needs {len(counts)} payoff columns of {self.profile_count} entries "
+                f"and {len(counts)} scales"
+            )
+        self._columns, self._scales = zip(*map(_reduced, columns, scales))
         self._matrix_cache: dict[int, tuple] = {}
 
     @staticmethod
     def _check_labels(labels, counts):
         if labels is None:
             return None
-        if len(labels) != len(counts):
+        if not isinstance(labels, (list, tuple)) or len(labels) != len(counts):
             raise InputError("labels must list one label set per player")
         out = []
         for i, per_player in enumerate(labels):
-            per_player = tuple(str(x) for x in per_player)
+            if not isinstance(per_player, (list, tuple)) or not all(
+                isinstance(x, str) for x in per_player
+            ):
+                raise InputError(f"labels of player {i} must be a list of strings")
+            per_player = tuple(per_player)
             if len(per_player) != counts[i]:
                 raise InputError(
                     f"player {i} has {counts[i]} strategies but {len(per_player)} labels"
@@ -177,11 +170,6 @@ class Game:
         columns, scales = zip(*(_scaled(values) for values in zip(*cells)))
         return cls(counts, columns=columns, scales=scales, labels=labels)
 
-    @classmethod
-    def from_rule(cls, strategy_counts, rule: PayoffRule, labels=None) -> "Game":
-        """Build a lazily evaluated game from a pure payoff rule."""
-        return cls(strategy_counts, rule=rule, labels=labels)
-
     # -- basic shape -------------------------------------------------------
 
     @property
@@ -195,10 +183,6 @@ class Game:
     @property
     def strategy_labels(self):
         return self._labels
-
-    @property
-    def is_dense(self) -> bool:
-        return self._columns is not None
 
     @property
     def profile_count(self) -> int:
@@ -239,29 +223,14 @@ class Game:
         """Utility of ``player`` at ``profile``."""
         profile = self.validate_profile(profile)
         player = self._validate_player(player)
-        if self._columns is not None:
-            return Fraction(self._columns[player][self._flat_index(profile)], self._scales[player])
-        return self._evaluate_rule(profile, player)
+        return Fraction(self._columns[player][self._flat_index(profile)], self._scales[player])
 
     def payoff_cell(self, profile) -> tuple[Fraction, ...]:
         """All players' utilities at ``profile``."""
-        profile = self.validate_profile(profile)
-        if self._columns is not None:
-            index = self._flat_index(profile)
-            return tuple(
-                Fraction(column[index], scale)
-                for column, scale in zip(self._columns, self._scales)
-            )
-        return tuple(self._evaluate_rule(profile, p) for p in range(self.player_count))
-
-    def _evaluate_rule(self, profile, player) -> Fraction:
-        value = self._rule(profile, player)
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise InputError(
-                f"payoff rule returned {value!r} for profile {profile}; "
-                "rules must return exact rationals"
-            )
-        return value if isinstance(value, Fraction) else Fraction(value)
+        index = self._flat_index(self.validate_profile(profile))
+        return tuple(
+            Fraction(column[index], scale) for column, scale in zip(self._columns, self._scales)
+        )
 
     # -- enumeration and best responses -------------------------------------
 
@@ -302,7 +271,7 @@ class Game:
         order, and ``scale`` is a positive int. Regrets and dominance read off
         the rows equal the true ones times ``scale``. The rows are built once
         per player and cached; games are immutable so the cache never
-        invalidates. A lazy game evaluates its rule at every profile here.
+        invalidates.
         """
         player = self._validate_player(player)
         cached = self._matrix_cache.get(player)
@@ -313,9 +282,7 @@ class Game:
 
     def _column(self, player: int) -> tuple[list[int], int]:
         """``player``'s numerators over all profiles in lex order, and their scale."""
-        if self._columns is not None:
-            return self._columns[player], self._scales[player]
-        return _scaled([self._evaluate_rule(profile, player) for profile in self.profiles()])
+        return self._columns[player], self._scales[player]
 
     def _split_rows(self, column, player: int) -> tuple[tuple, ...]:
         # In lex order a profile's index is outer * block + s * stride + inner,
@@ -353,32 +320,20 @@ class Game:
         shift = coerce_rational(shift, "shift")
         if scale <= 0:
             raise InputError(f"scale must be positive, got {scale}")
-        if self._columns is not None:
-            # (a/b) * (v/s) + c/d = (a*d*v + c*b*s) / (b*d*s)
-            own = self._scales[player]
-            factor = scale.numerator * shift.denominator
-            offset = shift.numerator * scale.denominator * own
-            columns, scales = list(self._columns), list(self._scales)
-            columns[player] = [factor * v + offset for v in columns[player]]
-            scales[player] = scale.denominator * shift.denominator * own
-            return Game(self._counts, columns=columns, scales=scales, labels=self._labels)
-        base = self._rule
+        # (a/b) * (v/s) + c/d = (a*d*v + c*b*s) / (b*d*s)
+        own = self._scales[player]
+        factor = scale.numerator * shift.denominator
+        offset = shift.numerator * scale.denominator * own
+        columns, scales = list(self._columns), list(self._scales)
+        columns[player] = [factor * v + offset for v in columns[player]]
+        scales[player] = scale.denominator * shift.denominator * own
+        return Game(self._counts, columns=columns, scales=scales, labels=self._labels)
 
-        def transformed(profile, p):
-            value = base(profile, p)
-            if p == player:
-                return scale * Fraction(value) + shift
-            return value
-
-        return Game.from_rule(self._counts, transformed, labels=self._labels)
-
-    # -- equality (dense only) ----------------------------------------------
+    # -- equality ------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Game):
             return NotImplemented
-        if self._columns is None or other._columns is None:
-            return self is other
         return (
             self._counts == other._counts
             and self._labels == other._labels
@@ -387,8 +342,7 @@ class Game:
         )
 
     def __repr__(self):
-        source = "dense" if self.is_dense else "lazy"
-        return f"Game(players={self.player_count}, strategies={self._counts}, {source})"
+        return f"Game(players={self.player_count}, strategies={self._counts})"
 
 
 def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
@@ -428,11 +382,6 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
 
 def game_to_json(game: Game) -> dict:
     """Serialize a game to the dense JSON form (bit-exact round trip)."""
-    if not game.is_dense:
-        if game.profile_count > DEFAULT_DENSE_CAP:
-            raise InputError(
-                "cannot serialize a lazy game with more profiles than the dense cap"
-            )
     counts = game.strategy_counts
     texts = []
     for player in range(game.player_count):

@@ -457,10 +457,11 @@ class RandomGameSpec:
         return self.pool[0].player_count
 
 
-def _indexed_realizations(
+def random_realizations(
     spec: RandomGameSpec, realization_cap: int = DEFAULT_REALIZATION_CAP
-):
-    """(pool index tuple, GameSequence) pairs for the spec's realizations."""
+) -> list[tuple[tuple[int, ...], GameSequence]]:
+    """``(draw, GameSequence)`` pairs, ``draw`` being the pool index of each stage:
+    the pinned realization, all draws in lex order, or seeded samples."""
     if spec.realization is not None:
         draws = [spec.realization]
     elif spec.mode == "exhaustive":
@@ -482,13 +483,6 @@ def _indexed_realizations(
     return [
         (draw, GameSequence(tuple(spec.pool[i] for i in draw))) for draw in draws
     ]
-
-
-def random_realizations(
-    spec: RandomGameSpec, realization_cap: int = DEFAULT_REALIZATION_CAP
-) -> list[GameSequence]:
-    """Realized stage sequences: exhaustive in lex order, or seeded samples."""
-    return [seq for _, seq in _indexed_realizations(spec, realization_cap)]
 
 
 # -- folk verification ----------------------------------------------------------
@@ -568,7 +562,7 @@ def verify_folk_theorem(
     if isinstance(subject, RandomGameSpec):
         base_games = subject.pool
         n = subject.player_count
-        realizations = _indexed_realizations(subject, realization_cap)
+        realizations = random_realizations(subject, realization_cap)
     elif isinstance(subject, GameSequence):
         base_games = subject.stages
         n = subject.player_count

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ContractError, InputError, SizeError
-from .rational import coerce_rational, format_rational
+from .rational import coerce_rational, format_rational, strict_int
 
 TAKE = "take"
 PASS = "pass"
@@ -48,10 +48,13 @@ class TradingSpec:
     half_supply: int
 
     def __post_init__(self):
-        object.__setattr__(self, "price_floors", tuple(int(v) for v in self.price_floors))
-        object.__setattr__(self, "price_caps", tuple(int(v) for v in self.price_caps))
-        if len(self.price_floors) != 2 or len(self.price_caps) != 2:
-            raise InputError("exactly two agents are supported")
+        for name, what in (("price_floors", "price floor"), ("price_caps", "price cap")):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or len(values) != 2:
+                raise InputError("exactly two agents are supported")
+            object.__setattr__(self, name, tuple(strict_int(v, what) for v in values))
+        strict_int(self.iterations, "iterations")
+        strict_int(self.half_supply, "half supply")
         for i in range(2):
             if self.price_floors[i] <= 0:
                 raise InputError(f"price floor of agent {i} must be positive")

@@ -75,7 +75,6 @@ def test_game_construction_matches_utility():
     game = make_bidding_game(spec)
     assert game.strategy_counts == (11, 11)
     assert game.payoff((5, 3), 0) == bidding_utility(spec, (5, 3), 0)
-    assert game.is_dense
 
 
 @pytest.mark.parametrize("valuations, grid", [((3, 2), 4), ((4, 2, 3), 5), ((5, 2, 4, 3), 6)])
@@ -84,7 +83,6 @@ def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
     for k in range(1, n + 1):
         spec = BiddingSpec(valuations, grid, k)
         game = make_bidding_game(spec)
-        assert game.is_dense
         cells = [tuple(bidding_utility(spec, bids, p) for p in range(n))
                  for bids in game.profiles()]
         assert [game.payoff_cell(bids) for bids in game.profiles()] == cells
@@ -95,16 +93,6 @@ def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
             if bids.count(max(bids)) > 1 and min(cell) < 0
         ]
         assert tied_losses, (valuations, k)  # tied winners sharing a negative surplus
-
-
-def test_lazy_fallback_above_cap():
-    spec = BiddingSpec((6, 4), 10, 1)
-    lazy = make_bidding_game(spec, dense_cap=50)
-    assert not lazy.is_dense
-    dense = make_bidding_game(spec)
-    for bids in ((0, 0), (5, 3), (10, 10), (4, 4)):
-        for p in (0, 1):
-            assert lazy.payoff(bids, p) == dense.payoff(bids, p)
 
 
 def test_closed_forms_first_price():

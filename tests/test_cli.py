@@ -357,6 +357,7 @@ def test_manifest_rejects_string_grid_size(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", "7"), ("samples", 1.0), ("realization", [0, True]), ("realization", 0),
+    ("pool", 5),
 ])
 def test_pool_file_rejects_other_non_integers(tmp_path, capsys, key, value):
     obj = {"pool": [game_to_json(anchor_game())], "length": 2, "mode": "sampled", "seed": 1,
@@ -373,3 +374,38 @@ def test_manifest_rejects_other_non_integers(tmp_path, capsys, entry):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"specs": [entry]}))
     assert_one_line_input_error(capsys, ["verify", "--manifest", str(path)], "must be")
+
+
+@pytest.mark.parametrize("player", ["5", "-1"])
+def test_solve_rejects_out_of_range_player(game_file, capsys, player):
+    # -1 used to index from the end and report player 1 as "player": -1
+    assert_one_line_input_error(capsys, ["solve", "--game", str(game_file), "--player", player],
+                                f"player {player} out of range 0..1")
+
+
+def test_game_file_rejects_non_list_labels(tmp_path, capsys):
+    obj = game_to_json(anchor_game())
+    obj["labels"] = [5, 6]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    assert_one_line_input_error(capsys, ["solve", "--game", str(path)],
+                                "labels of player 0 must be a list of strings")
+
+
+def test_manifest_rejects_non_list_specs(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"specs": 5}))
+    assert_one_line_input_error(capsys, ["verify", "--manifest", str(path)],
+                                "manifest files need a 'specs' array")
+
+
+def test_unwritable_output_exit_two(game_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert_one_line_input_error(
+        capsys, ["solve", "--game", str(game_file), "--output", str(target)], "cannot write"
+    )
+
+
+def test_bidding_dense_cap_changes_nothing(capsys):
+    argv = ["bidding", "--l", "5,11,16", "--T", "20", "--k", "1"]
+    assert run_capture(capsys, argv + ["--dense-cap", "9260"]) == run_capture(capsys, argv)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -38,6 +39,10 @@ def test_asymmetric_counts():
 def test_cell_must_list_one_payoff_per_player():
     with pytest.raises(InputError, match="cell"):
         make_dense_game((2, 2), [[[4], [0, 3]], [[3, 1], [3, 2]]])
+    with pytest.raises(InputError, match="exact rational"):
+        Game.from_cells((2, 2), [(0.5, 0), (0, 0), (0, 0), (0, 0)])
+    with pytest.raises(InputError, match="2 scales"):
+        Game((2, 2), columns=[[1, 2, 3, 4], [1, 2, 3, 4]], scales=[1])
 
 
 def test_payoff_validates_ranges():
@@ -55,7 +60,9 @@ def test_opponent_profiles_enumeration():
     profiles = list(g.opponent_profiles(0))
     assert [p.choices for p in profiles] == [(0,), (1,)]
 
-    g3 = Game.from_rule((2, 2, 2), lambda prof, p: Fraction(sum(prof)))
+    g3 = Game.from_cells(
+        (2, 2, 2), [(sum(prof),) * 3 for prof in itertools.product(range(2), repeat=3)]
+    )
     profiles = list(g3.opponent_profiles(1))
     assert len(profiles) == 4
     assert [p.choices for p in profiles] == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -73,22 +80,6 @@ def test_best_response_value():
 def test_best_response_singleton_player():
     g = make_dense_game((1, 2), [[[7, 0], [5, 1]]])
     assert g.best_response_value(0, (1,)) == 5
-
-
-def test_rule_game_purity_and_exactness():
-    calls = []
-
-    def rule(profile, player):
-        calls.append(profile)
-        return Fraction(profile[player], 3)
-
-    g = Game.from_rule((2, 2), rule)
-    assert g.payoff((1, 0), 0) == Fraction(1, 3)
-    assert g.payoff((1, 0), 0) == Fraction(1, 3)
-
-    bad = Game.from_rule((2, 2), lambda prof, p: 0.5)
-    with pytest.raises(InputError, match="exact rationals"):
-        bad.payoff((0, 0), 0)
 
 
 def test_affine_transform():

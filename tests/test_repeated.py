@@ -212,8 +212,9 @@ def test_reactive_strategies_can_beat_folk_at_l3():
 def test_random_realizations_exhaustive_lex():
     a, b = condition_game(), anchor_game()
     spec = RandomGameSpec((a, b), 2, "exhaustive")
-    seqs = random_realizations(spec)
-    assert [tuple(s.stages) for s in seqs] == [(a, a), (a, b), (b, a), (b, b)]
+    pairs = random_realizations(spec)
+    assert [tuple(s.stages) for _, s in pairs] == [(a, a), (a, b), (b, a), (b, b)]
+    assert [draw for draw, _ in pairs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_random_realizations_singleton_pool():
@@ -224,9 +225,11 @@ def test_random_realizations_singleton_pool():
 def test_random_realizations_sampled_reproducible():
     a, b = condition_game(), anchor_game()
     spec = RandomGameSpec((a, b), 4, "sampled", seed=99, samples=3)
-    first = [tuple(id(g) for g in s.stages) for s in random_realizations(spec)]
-    second = [tuple(id(g) for g in s.stages) for s in random_realizations(spec)]
+    first = [(draw, tuple(id(g) for g in s.stages)) for draw, s in random_realizations(spec)]
+    second = [(draw, tuple(id(g) for g in s.stages)) for draw, s in random_realizations(spec)]
     assert first == second
+    assert all(s.stages == tuple(spec.pool[i] for i in draw)
+               for draw, s in random_realizations(spec))
 
 
 def test_sampled_requires_seed():
@@ -244,8 +247,8 @@ def test_realization_cap():
 def test_pinned_realization():
     a, b = condition_game(), anchor_game()
     spec = RandomGameSpec((a, b), 2, realization=(1, 0))
-    seqs = random_realizations(spec)
-    assert len(seqs) == 1 and tuple(seqs[0].stages) == (b, a)
+    pairs = random_realizations(spec)
+    assert len(pairs) == 1 and pairs[0][0] == (1, 0) and tuple(pairs[0][1].stages) == (b, a)
 
 
 def test_verify_folk_theorem_pool():

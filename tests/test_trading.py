@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,19 @@ def test_spec_validation():
         TradingSpec((2, 2), (6, 6), 2, 1)
     with pytest.raises(InputError):
         TradingSpec((2, 2), (6, 6), 3, 0)
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (((1.9, 1), (4, 4), 3, 1), "price floor must be an integer, got 1.9"),
+    (((1, 1), (4, True), 3, 1), "price cap must be an integer, got True"),
+    (((1, 1), (4, 4), 3.0, 1), "iterations must be an integer, got 3.0"),
+    (((1, 1), (4, 4), 3, True), "half supply must be an integer, got True"),
+    (((1, 1), 4, 3, 1), "exactly two agents"),
+], ids=["float-floor", "bool-cap", "float-iterations", "bool-supply", "scalar-caps"])
+def test_spec_rejects_non_integers(args, fragment):
+    # int() would have read (1.9, 1) as floors (1, 1)
+    with pytest.raises(InputError, match=re.escape(fragment)):
+        TradingSpec(*args)
 
 
 def test_payoff_solo_take():
