@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AssumptionError, InputError
-from .game import Game
+from .errors import AssumptionError, InputError, SizeError
+from .game import DEFAULT_DENSE_CAP, Game
 from .rational import strict_int
 from .solver import RegretReport, all_player_reports
 
@@ -117,11 +117,18 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
     The payoff table is built in integers over the common denominator
     ``lcm(1..n) * grid_size``, with the same values as :func:`bidding_utility`:
     a winner tied with M-1 others gets ``(valuation - kth) * (lcm(1..n) / M)``.
+    Raises :class:`SizeError` before allocating when the ``(grid_size + 1) **
+    n`` cells exceed ``DEFAULT_DENSE_CAP``.
     """
     n = spec.player_count
+    cells_needed = (spec.grid_size + 1) ** n
+    if cells_needed > DEFAULT_DENSE_CAP:
+        raise SizeError(
+            f"the auction would need {cells_needed} payoff cells (cap {DEFAULT_DENSE_CAP})",
+            count=cells_needed,
+        )
     counts = (spec.grid_size + 1,) * n
     labels = [[str(b) for b in range(spec.grid_size + 1)]] * n
-    cells_needed = (spec.grid_size + 1) ** n
     common = math.lcm(*range(1, n + 1))
     shares = [0] + [common // winners for winners in range(1, n + 1)]
     kth_position = n - spec.price_rank  # in ascending order

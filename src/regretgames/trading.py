@@ -6,13 +6,20 @@ forced passes and pay nothing. A lone taker at iteration j earns its
 announcement times the full supply; simultaneous takers split the supply and
 each earns announcement times half of it.
 
-The oracle enumerates every announcement sequence on a grid together with
-every admissible opponent stopping behavior, and measures regret against the
-best own stopping rule in hindsight with the opponent's strategy held fixed.
-In RATIONAL mode the opponent universe drops weakly dominated behavior: an
-agent must take whenever its own announcement sits at its cap (before the
-last iteration) and must take at the last iteration. Everything else stays
-admissible.
+The oracle measures regret against the best own stopping rule in hindsight,
+with the opponent's stop held fixed, over every announcement sequence on a
+grid and every admissible opponent stop. In RATIONAL mode the opponent
+universe drops weakly dominated behavior: an agent must take whenever its own
+announcement sits at its cap (before the last iteration) and must take at the
+last iteration. Everything else stays admissible.
+
+The maximum is exact but enumerates no sequence. A rule reads only
+(iteration, announcement pair), and the regret of a scenario depends on the
+sequence only through the running own maximum, the own stop value and, in
+rational mode, whether the other agent has peaked. So the worst case is a
+recurrence over those reachable states, advanced one iteration at a time
+(``_Reach``); the optimality sweep and the single-agent audit are searches
+over rules on the same recurrence.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from .rational import coerce_rational, format_rational, strict_int
 TAKE = "take"
 PASS = "pass"
 
-#: Cap on every trading enumeration: oracle and sweep records, sweep
-#: candidates, and the single-agent audit's sequences and profiles.
+#: Cap on the size of every trading search, counted as the enumeration the
+#: recurrence replaces: the announcement sequences of the oracle, the sweep
+#: and the single-agent audit, the sweep's candidates and the audit's profiles.
 DEFAULT_ENUM_CAP = 250_000
 
 
@@ -295,7 +303,7 @@ def simulate(spec: TradingSpec, strategies, announcements):
 def single_agent_threshold(cap: int, floor: int) -> Fraction:
     """The stated closed-form acceptance threshold (cap - floor) / 2.
 
-    Reported verbatim; the brute-force audit may disagree, and reports print
+    Reported verbatim; the exact audit may disagree, and reports print
     the two side by side without taking a side.
     """
     if not floor > 0 or not cap > floor:
@@ -305,7 +313,7 @@ def single_agent_threshold(cap: int, floor: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SingleAgentAudit:
-    """Brute-force audit of single-agent thresholds on an integer grid.
+    """Exact audit of every single-agent threshold rule on an integer grid.
 
     Regrets are in announcement units (supply scale cancels). ``None`` as a
     threshold means "never accept before the forced final acceptance".
@@ -350,12 +358,14 @@ class SingleAgentAudit:
 def audit_single_agent(
     cap: int, floor: int, iterations: int, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> SingleAgentAudit:
-    """Exhaustively score every deterministic threshold rule on the grid.
+    """Score every deterministic threshold rule on the grid, exactly.
 
     A rule accepts at the first early iteration whose announcement reaches
     that iteration's threshold and is forced to accept at the last iteration.
-    Scores both stationary thresholds and per-iteration threshold profiles;
-    both the sequences and the profiles are checked against ``enum_cap``.
+    Scores both stationary thresholds and per-iteration threshold profiles,
+    each as the two-agent recurrence with no opponent stop; the profile
+    search cuts every prefix already worse than the best profile so far.
+    The sequence and profile counts are still checked against ``enum_cap``.
     """
     if iterations < 2:
         raise InputError(f"need at least 2 iterations, got {iterations}")
@@ -370,24 +380,15 @@ def audit_single_agent(
             raise SizeError(
                 f"the audit would enumerate {count} {what} (cap {enum_cap})", count=count
             )
-    sequences = [
-        (seq, max(seq)) for seq in itertools.product(values, repeat=iterations)
-    ]
+    reach = _Reach([(value, False, None) for value in values], iterations, "single")
+    forced = (True,) * len(values)
+
+    def row(threshold) -> tuple:
+        return tuple(threshold is not None and value >= threshold for value in values)
 
     def worst_regret(profile) -> Fraction:
-        worst = Fraction(0)
-        for seq, best in sequences:
-            realized = None
-            for j, threshold in enumerate(profile):
-                if threshold is not None and seq[j] >= threshold:
-                    realized = seq[j]
-                    break
-            if realized is None:
-                realized = seq[-1]
-            regret = best - realized
-            if regret > worst:
-                worst = Fraction(regret)
-        return worst
+        # the recurrence counts regret twice, as in half-supply units
+        return Fraction(reach.worst([row(x) for x in profile] + [forced]), 2)
 
     early = iterations - 1
     stationary = tuple(
@@ -396,14 +397,15 @@ def audit_single_agent(
     best_stationary = min(r for _, r in stationary)
     best_stationary_thresholds = tuple(t for t, r in stationary if r == best_stationary)
 
-    best_profile_regret = None
+    best = None
     best_profiles = []
-    for profile in itertools.product(options, repeat=early):
-        value = worst_regret(profile)
-        if best_profile_regret is None or value < best_profile_regret:
-            best_profile_regret = value
+    rows = [[row(x) for x in options]] * early + [[forced]]
+    for choice, worst in reach.search(rows, lambda worst: best is None or worst <= best):
+        profile = tuple(options[k] for k in choice[:early])
+        if best is None or worst < best:
+            best = worst
             best_profiles = [profile]
-        elif value == best_profile_regret:
+        else:
             best_profiles.append(profile)
 
     return SingleAgentAudit(
@@ -415,7 +417,7 @@ def audit_single_agent(
         stationary_table=stationary,
         best_stationary_regret=best_stationary,
         best_stationary_thresholds=best_stationary_thresholds,
-        best_profile_regret=best_profile_regret,
+        best_profile_regret=Fraction(best, 2),
         best_profile_count=len(best_profiles),
         best_profiles_sample=tuple(best_profiles[:8]),
     )
@@ -456,17 +458,137 @@ def _steps(spec: TradingSpec, player: int, grid_step, signature: bool) -> list:
     return [(pair[player], pair[other] == other_cap, pair) for pair in itertools.product(*grids)]
 
 
-def _records(steps, t: int, mode: str, enum_cap: int) -> list:
-    """One record per length-``t`` sequence of steps ``(own value, other at
-    cap, pair)``, checked against ``enum_cap`` before anything is built.
+class _Reach:
+    """Worst-case regret by reachability, in half-supply units, over the
+    states ``(running own max, own stop value or None)`` before each
+    iteration, advanced one iteration at a time over the steps ``(own value,
+    other at cap, pair)``.
 
-    A record is ``(indices, own, taus)``: the step index and own value at each
-    iteration, and one ``(tau, hindsight)`` per admissible opponent stop, the
-    hindsight value in half-supply units (``tau = t + 1`` means never). In
-    rational mode the opponent stops at the latest at its first forced take:
-    the other announcement at its cap before the last iteration, or the last
-    iteration itself.
+    A rule is a take table: ``takes[j - 1][s]`` says whether it takes at
+    iteration j on step s while nobody has taken. Against an opponent stop
+    at tau the hindsight value is ``max(2 * running max before tau, own value
+    at tau)`` (``2 * overall max`` if it never stops), and the rule earns
+    twice its stop value if it stopped before tau, its stop value if at tau,
+    and nothing if later. The admissible opponent stops are set by ``mode``:
+    every iteration or never ("full"); every iteration up to the first forced
+    take, the other agent at its cap before the last iteration or the last
+    iteration itself ("rational"); or only never ("single", the one-agent
+    problem). Stop ``t + 1`` means never.
     """
+
+    def __init__(self, steps, t: int, mode: str):
+        self.steps, self.t, self.mode = steps, t, mode
+        # the tails of states after the own take do not depend on the rule
+        self._taken = {}
+
+    def edge(self, j, high, stop_value, s, take):
+        """Iteration j on step s from the state ``(high, stop_value)``: the
+        ``(tau, regret)`` of each opponent stop decided there, and the next
+        state, or None once no opponent stop is left."""
+        value, peak, _ = self.steps[s]
+        hindsight = max(2 * high, value)
+        if stop_value is not None:
+            regret = hindsight - 2 * stop_value
+        elif take:
+            regret, stop_value = hindsight - value, value
+        else:
+            regret = hindsight
+        high = max(high, value)
+        taus = [] if self.mode == "single" else [(j, regret)]
+        if j == self.t:
+            if self.mode != "rational":
+                taus.append((j + 1, 2 * high - (0 if stop_value is None else 2 * stop_value)))
+            return taus, None
+        return taus, None if peak and self.mode == "rational" else (high, stop_value)
+
+    def tail(self, j, state, takes, memo) -> int:
+        """The worst regret over the opponent stops at iteration j or later,
+        from ``state`` before iteration j (0 if none is left)."""
+        if state is None:
+            return 0
+        high, stop_value = state
+        if stop_value is not None:
+            memo = self._taken
+        key = (j, high, stop_value)
+        worst = memo.get(key)
+        if worst is None:
+            worst = 0
+            for s in range(len(self.steps)):
+                taus, after = self.edge(j, high, stop_value, s,
+                                        stop_value is None and takes[j - 1][s])
+                worst = max(worst, self.tail(j + 1, after, takes, memo), *(r for _, r in taus))
+            memo[key] = worst
+        return worst
+
+    def worst(self, takes) -> int:
+        return self.tail(1, (0, None), takes, {})
+
+    def witness(self, takes, worst) -> tuple:
+        """The first step sequence in lex order with a scenario of regret
+        ``worst`` (> 0), the rule's stop on it and the first opponent stop
+        reaching ``worst``: at each iteration, the smallest step whose
+        subtree still reaches it."""
+        memo = {}
+        indices, state, tau = [], (0, None), None
+        for j in range(1, self.t + 1):
+            if tau is not None:
+                indices.append(0)
+                continue
+            high, stop_value = state
+            for s in range(len(self.steps)):
+                taus, state = self.edge(j, high, stop_value, s,
+                                        stop_value is None and takes[j - 1][s])
+                tau = next((at for at, regret in taus if regret == worst), None)
+                if tau is not None or self.tail(j + 1, state, takes, memo) >= worst:
+                    break
+            indices.append(s)
+        stop = next((j for j, s in enumerate(indices, start=1) if takes[j - 1][s]), self.t + 1)
+        return indices, stop, tau
+
+    def advance(self, j, highs, row) -> tuple:
+        """From the running maxima ``highs`` of the paths on which the rule
+        has not taken before iteration j, taking at j on the steps ``row``
+        marks: the worst regret that iteration settles (every later stop
+        included on the paths that take) and the running maxima passed on."""
+        worst, passed = 0, set()
+        for high in highs:
+            for s, take in enumerate(row):
+                taus, after = self.edge(j, high, None, s, take)
+                worst = max([worst, *(r for _, r in taus)])
+                if after is None:
+                    continue
+                if take:
+                    worst = max(worst, self.tail(j + 1, after, None, None))
+                else:
+                    passed.add(after[0])
+        return worst, frozenset(passed)
+
+    def search(self, rows, keep):
+        """``(choice, worst)`` for each rule built from one take row per
+        iteration, ``choice[j - 1]`` indexing ``rows[j - 1]``, in product
+        order. A prefix is cut with all its completions once its regret so
+        far fails ``keep``, so ``keep`` must fail on every value above one it
+        fails on."""
+        moves = {}
+
+        def grow(j, highs, worst, choice):
+            if j > self.t:
+                yield choice, worst
+                return
+            for k, row in enumerate(rows[j - 1]):
+                if (j, highs, k) not in moves:
+                    moves[j, highs, k] = self.advance(j, highs, row)
+                now, after = moves[j, highs, k]
+                now = max(worst, now)
+                if keep(now):
+                    yield from grow(j + 1, after, now, choice + (k,))
+
+        return grow(1, frozenset((0,)), 0, ())
+
+
+def _reach(steps, t: int, mode: str, enum_cap: int) -> _Reach:
+    """The two-agent kernel, once ``mode`` is valid and the ``len(steps) **
+    t`` announcement sequences it stands for are within ``enum_cap``."""
     if mode not in ("full", "rational"):
         raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
     count = len(steps) ** t
@@ -475,21 +597,7 @@ def _records(steps, t: int, mode: str, enum_cap: int) -> list:
             f"the oracle would enumerate {count} announcement sequences (cap {enum_cap})",
             count=count,
         )
-    rational = mode == "rational"
-    records = []
-    for indices in itertools.product(range(len(steps)), repeat=t):
-        own = tuple(steps[s][0] for s in indices)
-        taus = []
-        prefix = 0
-        for j, value in enumerate(own, start=1):
-            taus.append((j, max(2 * prefix, value)))
-            if rational and j < t and steps[indices[j - 1]][1]:
-                break
-            prefix = max(prefix, value)
-        if not rational:
-            taus.append((t + 1, 2 * prefix))
-        records.append((indices, own, tuple(taus)))
-    return records
+    return _Reach(steps, t, mode)
 
 
 def _strategy_takes(strategy: TradingStrategy, steps, t: int) -> tuple:
@@ -499,40 +607,6 @@ def _strategy_takes(strategy: TradingStrategy, steps, t: int) -> tuple:
         tuple(strategy.action(j, pair, False) == TAKE for _, _, pair in steps)
         for j in range(1, t + 1)
     )
-
-
-def _worst_regret(records, takes, bound=None):
-    """Worst regret, in half-supply units, of the rule that takes at
-    iteration j on step s iff ``takes[j - 1][s]``.
-
-    Returns the worst value and ``(record, own stop, opponent stop)`` for
-    the first scenario reaching it (``None`` while no regret is positive);
-    stop ``t + 1`` means never. With a ``bound``, returns as soon as the
-    worst reaches it.
-    """
-    never = len(takes) + 1
-    worst = 0
-    witness = None
-    for record in records:
-        indices, own, taus = record
-        stop = never
-        for j, s in enumerate(indices):
-            if takes[j][s]:
-                stop = j + 1
-                break
-        for tau, hindsight in taus:
-            if stop == never or tau < stop:
-                regret = hindsight
-            elif stop < tau:
-                regret = hindsight - 2 * own[stop - 1]
-            else:
-                regret = hindsight - own[stop - 1]
-            if regret > worst:
-                worst = regret
-                witness = (record, stop, tau)
-        if bound is not None and worst >= bound:
-            break
-    return worst, witness
 
 
 def trading_oracle(
@@ -556,21 +630,25 @@ def trading_oracle_report(
     grid_step=1,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> dict:
-    """Worst-case regret of ``strategy`` by exhaustive enumeration, with a
-    worst-case witness scenario, JSON-ready.
+    """Worst-case regret of ``strategy``, with a worst-case witness
+    scenario, JSON-ready.
 
     Maximizes, over every announcement sequence on the grid and every
     admissible opponent stopping behavior, the hindsight-best own payoff
-    (against that same opponent behavior) minus the realized payoff.
+    (against that same opponent behavior) minus the realized payoff. The
+    maximum comes from the reachability recurrence; the witness is the first
+    sequence in lex order that reaches it, with its first maximizing
+    opponent stop.
     """
     steps = _steps(spec, player, grid_step, signature=False)
     t = spec.iterations
-    worst, witness = _worst_regret(
-        _records(steps, t, mode, enum_cap), _strategy_takes(strategy, steps, t)
-    )
+    reach = _reach(steps, t, mode, enum_cap)
+    takes = _strategy_takes(strategy, steps, t)
+    worst = reach.worst(takes)
     value = spec.half_supply * Fraction(worst)
-    if witness is not None:
-        (indices, _, _), stop, tau = witness
+    witness = None
+    if worst > 0:
+        indices, stop, tau = reach.witness(takes, worst)
         witness = {
             "announcements": [
                 [format_rational(v.numerator, v.denominator) for v in steps[s][2]]
@@ -647,13 +725,14 @@ def minimal_regret_sweep(
 ) -> SweepResult:
     """Check the closed-form strategy against every reduced deterministic rule.
 
-    The enumeration runs over the signature quotient of the sequence space
-    (own announcement plus opponent-at-cap flags), which is exact for every
-    candidate and for the built-in reference strategies. Both the records
-    and the candidates are checked against ``enum_cap``. Candidates are
-    scanned worst-scenario-first and dismissed as soon as they match the
-    reference's worst case, so only genuinely better rules reach a full
-    evaluation.
+    The rules run over the signature quotient of the sequence space (own
+    announcement plus opponent-at-cap flags), which is exact for every
+    candidate and for the built-in reference strategies. Candidates are
+    built iteration by iteration on the reachability recurrence, and a
+    prefix is dropped with all its completions once its regret so far
+    reaches the reference's worst case, so only rules that beat the
+    reference are scored in full. The sequence and candidate counts are
+    still checked against ``enum_cap``.
     """
     reference = (
         competitive_trading_strategy(spec, player)
@@ -662,11 +741,8 @@ def minimal_regret_sweep(
     )
     steps = _steps(spec, player, grid_step, signature=True)
     t = spec.iterations
-    # worst scenarios first makes suboptimal candidates fail fast
-    records = sorted(
-        _records(steps, t, mode, enum_cap), key=lambda r: -max(h for _, h in r[2])
-    )
-    reference_worst, _ = _worst_regret(records, _strategy_takes(reference, steps, t))
+    reach = _reach(steps, t, mode, enum_cap)
+    reference_worst = reach.worst(_strategy_takes(reference, steps, t))
 
     options = [
         (threshold, trigger)
@@ -680,26 +756,23 @@ def minimal_regret_sweep(
             count=candidate_count,
         )
     # the take row of each per-iteration option; None never reaches
-    rows = {
-        (threshold, trigger): tuple(
+    rows = [
+        tuple(
             (trigger and peak) or (threshold is not None and value >= threshold)
             for value, peak, _ in steps
         )
         for threshold, trigger in options
-    }
+    ]
 
     half = spec.half_supply
-    violations = []
-    for candidate in itertools.product(options, repeat=t):
-        worst, _ = _worst_regret(records, tuple(rows[c] for c in candidate), reference_worst)
-        if worst < reference_worst:
-            violations.append(
-                SweepViolation(
-                    tuple(c[0] for c in candidate),
-                    tuple(c[1] for c in candidate),
-                    half * Fraction(worst),
-                )
-            )
+    violations = [
+        SweepViolation(
+            tuple(options[k][0] for k in choice),
+            tuple(options[k][1] for k in choice),
+            half * Fraction(worst),
+        )
+        for choice, worst in reach.search([rows] * t, lambda worst: worst < reference_worst)
+    ]
     reference_regret = half * Fraction(reference_worst)
     return SweepResult(
         player=player,

@@ -13,10 +13,20 @@ from regretgames import (
     BiddingSpec,
     Game,
     GameSequence,
+    InputError,
     RandomGameSpec,
+    SingleAgentAudit,
+    SizeError,
+    SweepResult,
+    TradingSpec,
+    competitive_trading_strategy,
     make_dense_game,
+    minimal_regret_sweep,
+    rational_trading_strategy,
+    single_agent_threshold,
     trading_payoff,
 )
+from regretgames.trading import SweepViolation, _grid, _steps, _strategy_takes
 
 
 def anchor_game() -> Game:
@@ -307,3 +317,209 @@ def trading_reference(spec, player: int, strategy, mode: str, grid_step) -> Frac
         for opponent_stop in opponent_stops(spec, player, announcements, mode):
             worst = max(worst, stop_regret(spec, player, announcements, own_stop, opponent_stop))
     return worst
+
+
+# -- criterion 7 ----------------------------------------------------------------
+
+#: The criterion-7 bands (m1, M1, m2, M2): floors 1-2, caps 4-6.
+CRITERION7_BANDS = tuple(itertools.product((1, 2), (4, 5, 6), (1, 2), (4, 5, 6)))
+
+
+def criterion7_horizon_rows(horizons=(4, 5), enum_cap=10**6) -> list[dict]:
+    """tests/data/criterion7_horizon.json: the sweep's verdict for player 0
+    on every criterion-7 band and mode at each horizon. At t = 5 the sweep
+    has 14 ** 5 candidates, past the default cap, hence ``enum_cap``."""
+    rows = []
+    for t in horizons:
+        for m1, cap1, m2, cap2 in CRITERION7_BANDS:
+            spec = TradingSpec((m1, m2), (cap1, cap2), t, 1)
+            for mode in ("full", "rational"):
+                result = minimal_regret_sweep(spec, 0, mode, enum_cap=enum_cap)
+                rows.append({
+                    "m1": m1,
+                    "M1": cap1,
+                    "m2": m2,
+                    "M2": cap2,
+                    "t": t,
+                    "mode": mode,
+                    "reference_regret": str(result.reference_regret),
+                    "best_regret": str(result.best_regret),
+                    "violations": len(result.violations),
+                })
+    return rows
+
+
+# -- enumerating references for the trading kernel -----------------------------
+#
+# The record builder and regret evaluator the library used before its
+# reachability recurrence: one record per announcement sequence, scanned in
+# lex order. Exponential in the horizon, so only for small bands.
+
+
+def _records(steps, t: int, mode: str, enum_cap: int) -> list:
+    """One record per length-``t`` sequence of steps ``(own value, other at
+    cap, pair)``, checked against ``enum_cap`` before anything is built.
+
+    A record is ``(indices, own, taus)``: the step index and own value at each
+    iteration, and one ``(tau, hindsight)`` per admissible opponent stop, the
+    hindsight value in half-supply units (``tau = t + 1`` means never). In
+    rational mode the opponent stops at the latest at its first forced take:
+    the other announcement at its cap before the last iteration, or the last
+    iteration itself.
+    """
+    if mode not in ("full", "rational"):
+        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
+    count = len(steps) ** t
+    if count > enum_cap:
+        raise SizeError(
+            f"the oracle would enumerate {count} announcement sequences (cap {enum_cap})",
+            count=count,
+        )
+    rational = mode == "rational"
+    records = []
+    for indices in itertools.product(range(len(steps)), repeat=t):
+        own = tuple(steps[s][0] for s in indices)
+        taus = []
+        prefix = 0
+        for j, value in enumerate(own, start=1):
+            taus.append((j, max(2 * prefix, value)))
+            if rational and j < t and steps[indices[j - 1]][1]:
+                break
+            prefix = max(prefix, value)
+        if not rational:
+            taus.append((t + 1, 2 * prefix))
+        records.append((indices, own, tuple(taus)))
+    return records
+
+
+def _worst_regret(records, takes, bound=None):
+    """Worst regret, in half-supply units, of the rule that takes at
+    iteration j on step s iff ``takes[j - 1][s]``.
+
+    Returns the worst value and ``(record, own stop, opponent stop)`` for
+    the first scenario reaching it (``None`` while no regret is positive);
+    stop ``t + 1`` means never. With a ``bound``, returns as soon as the
+    worst reaches it.
+    """
+    never = len(takes) + 1
+    worst = 0
+    witness = None
+    for record in records:
+        indices, own, taus = record
+        stop = never
+        for j, s in enumerate(indices):
+            if takes[j][s]:
+                stop = j + 1
+                break
+        for tau, hindsight in taus:
+            if stop == never or tau < stop:
+                regret = hindsight
+            elif stop < tau:
+                regret = hindsight - 2 * own[stop - 1]
+            else:
+                regret = hindsight - own[stop - 1]
+            if regret > worst:
+                worst = regret
+                witness = (record, stop, tau)
+        if bound is not None and worst >= bound:
+            break
+    return worst, witness
+
+
+def sweep_reference(spec, player: int, mode: str = "full", grid_step=1) -> SweepResult:
+    """The optimality sweep as a plain loop: every candidate rule, in
+    product order, scored in full over every signature record."""
+    reference = (
+        competitive_trading_strategy(spec, player)
+        if mode == "full"
+        else rational_trading_strategy(spec, player)
+    )
+    steps = _steps(spec, player, grid_step, signature=True)
+    t = spec.iterations
+    records = _records(steps, t, mode, float("inf"))
+    reference_worst, _ = _worst_regret(records, _strategy_takes(reference, steps, t))
+    options = [
+        (threshold, trigger)
+        for threshold in _grid(*spec.bounds(player), grid_step) + [None]
+        for trigger in (False, True)
+    ]
+    half = spec.half_supply
+    violations = []
+    for candidate in itertools.product(options, repeat=t):
+        takes = tuple(
+            tuple((trigger and peak) or (threshold is not None and value >= threshold)
+                  for value, peak, _ in steps)
+            for threshold, trigger in candidate
+        )
+        worst, _ = _worst_regret(records, takes)
+        if worst < reference_worst:
+            violations.append(SweepViolation(
+                tuple(c[0] for c in candidate), tuple(c[1] for c in candidate),
+                half * Fraction(worst)))
+    reference_regret = half * Fraction(reference_worst)
+    return SweepResult(
+        player=player,
+        mode=mode,
+        reference_kind=reference.kind,
+        reference_regret=reference_regret,
+        candidate_count=len(options) ** t,
+        best_regret=min([reference_regret] + [v.worst_regret for v in violations]),
+        violations=tuple(violations),
+    )
+
+
+def audit_reference(cap: int, floor: int, iterations: int) -> SingleAgentAudit:
+    """The single-agent audit by scoring every threshold profile against
+    every announcement sequence."""
+    closed_form = single_agent_threshold(cap, floor)
+    values = list(range(floor, cap + 1))
+    options = [None] + values
+    sequences = [
+        (seq, max(seq)) for seq in itertools.product(values, repeat=iterations)
+    ]
+
+    def worst_regret(profile) -> Fraction:
+        worst = Fraction(0)
+        for seq, best in sequences:
+            realized = None
+            for j, threshold in enumerate(profile):
+                if threshold is not None and seq[j] >= threshold:
+                    realized = seq[j]
+                    break
+            if realized is None:
+                realized = seq[-1]
+            regret = best - realized
+            if regret > worst:
+                worst = Fraction(regret)
+        return worst
+
+    early = iterations - 1
+    stationary = tuple(
+        (threshold, worst_regret((threshold,) * early)) for threshold in options
+    )
+    best_stationary = min(r for _, r in stationary)
+    best_stationary_thresholds = tuple(t for t, r in stationary if r == best_stationary)
+
+    best_profile_regret = None
+    best_profiles = []
+    for profile in itertools.product(options, repeat=early):
+        value = worst_regret(profile)
+        if best_profile_regret is None or value < best_profile_regret:
+            best_profile_regret = value
+            best_profiles = [profile]
+        elif value == best_profile_regret:
+            best_profiles.append(profile)
+
+    return SingleAgentAudit(
+        floor=floor,
+        cap=cap,
+        iterations=iterations,
+        closed_form_threshold=closed_form,
+        closed_form_regret=worst_regret((closed_form,) * early),
+        stationary_table=stationary,
+        best_stationary_regret=best_stationary,
+        best_stationary_thresholds=best_stationary_thresholds,
+        best_profile_regret=best_profile_regret,
+        best_profile_count=len(best_profiles),
+        best_profiles_sample=tuple(best_profiles[:8]),
+    )

@@ -36,6 +36,7 @@ from regretgames import (
 )
 from support import (
     criterion6_subjects,
+    criterion7_horizon_rows,
     folk_failure_row,
     folk_reference,
     random_bidding_spec,
@@ -224,6 +225,18 @@ def test_criterion_7_trading_threshold_optimality_or_pinned_divergence():
     _report(7, ok, f"{len(rows)} pinned divergences, {elapsed:.1f}s")
     assert ok, "trading divergences changed; see tests/data/criterion7_divergences.json"
     assert elapsed < 120
+
+
+def test_criterion_7_horizon_study():
+    """The criterion-7 grid at t = 4 and t = 5, pinned in full: the
+    reference's regret, the best regret and the number of rules beating it."""
+    started = time.monotonic()
+    rows = criterion7_horizon_rows(horizons=(4, 5), enum_cap=10**6)
+    ok = rows == _load_golden("criterion7_horizon.json")
+    elapsed = time.monotonic() - started
+    beaten = sum(1 for row in rows if row["violations"])
+    _report(7, ok, f"t = 4-5: {len(rows)} verdicts, reference beaten in {beaten}, {elapsed:.1f}s")
+    assert ok, "trading horizon verdicts changed; see tests/data/criterion7_horizon.json"
 
 
 def test_criterion_8_single_agent_threshold_audit():

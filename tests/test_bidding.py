@@ -8,6 +8,7 @@ from regretgames import (
     BiddingSpec,
     Game,
     InputError,
+    SizeError,
     bidding_utility,
     closed_form_competitive,
     closed_form_rational,
@@ -93,6 +94,16 @@ def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
             if bids.count(max(bids)) > 1 and min(cell) < 0
         ]
         assert tied_losses, (valuations, k)  # tied winners sharing a negative surplus
+
+
+def test_builder_checks_the_cell_count_before_allocating():
+    # 32 ** 4 cells, past DEFAULT_DENSE_CAP
+    with pytest.raises(SizeError, match="1048576 payoff cells") as info:
+        make_bidding_game(BiddingSpec((2, 3, 4, 5), 31, 1))
+    assert info.value.count == 32 ** 4
+    # 11 ** 6 cells; verify_claims builds through the same check
+    with pytest.raises(SizeError):
+        verify_claims(BiddingSpec((2, 3, 4, 5, 6, 7), 10, 1))
 
 
 def test_closed_forms_first_price():

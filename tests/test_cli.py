@@ -246,6 +246,13 @@ def test_trading_enum_cap_exit_three(capsys):
     assert code == 3
 
 
+def test_bidding_cell_cap_exit_three(capsys):
+    code, out, err = run_capture(capsys, ["bidding", "--l", "2,3,4,5", "--T", "31", "--k", "1"])
+    assert code == 3 and out == ""
+    assert "1048576 payoff cells (cap 1000000)" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_trading_simulate_text_to_output_file(tmp_path, capsys):
     ann_path = tmp_path / "ann.json"
     ann_path.write_text(json.dumps([[3, 2], [5, 6], [4, 3]]))

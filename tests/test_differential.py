@@ -5,7 +5,8 @@ player's payoffs are stored over a scale larger than one; the reference
 below works on the drawn Fractions directly and imports neither the solver
 nor the dominance module. The trading oracle is checked against the
 stop-time reference in ``support``, which scores explicit stop times with
-``trading_payoff`` only.
+``trading_payoff`` only, and its reachability kernel, sweep and audit against
+the enumerating references there.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from regretgames import (
     GameSequence,
     TradingSpec,
     TradingStrategy,
+    audit_single_agent,
     competitive_trading_strategy,
     minimal_regret_sweep,
     expand_sequence,
@@ -37,11 +39,16 @@ from regretgames import (
     trading_oracle_report,
 )
 from regretgames.rational import parse_rational
+from regretgames.trading import _reach, _steps
 from support import (
+    _records,
+    _worst_regret,
+    audit_reference,
     opponent_stops,
     replay,
     stop_regret,
     strategy_stop,
+    sweep_reference,
     trading_grid,
     trading_reference,
 )
@@ -282,3 +289,77 @@ def test_sweep_agrees_with_the_full_grid_oracle():
                 assert value == found[thresholds, triggers] < result.reference_regret
             else:
                 assert value >= result.reference_regret
+
+
+# -- the reachability kernel against the enumerating reference -----------------
+
+
+@st.composite
+def take_tables(draw):
+    """t = 3-4; bands of width 1-3 on the unit grid, or of width 1 on the
+    half grid; the full grid or the signature quotient; a random take table.
+    At t = 4 the full grid keeps at most 9 pairs, so the reference
+    enumerates at most 6,561 sequences."""
+    t = draw(st.integers(3, 4))
+    step = Fraction(1, 2) if draw(st.integers(0, 3)) == 3 else 1
+    signature = draw(st.booleans())
+    limit = 3 if step == 1 else 1
+    first = draw(st.integers(1, limit))
+    second = draw(st.integers(1, limit if t == 3 or signature else 9 // (first + 1) - 1))
+    floors = [draw(st.integers(1, 3)) for _ in range(2)]
+    spec = TradingSpec(tuple(floors), (floors[0] + first, floors[1] + second), t, 1)
+    player = draw(st.integers(0, 1))
+    mode = draw(st.sampled_from(("full", "rational")))
+    steps = _steps(spec, player, step, signature)
+    density = draw(st.sampled_from((0.1, 0.3, 0.6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    takes = tuple(tuple(rng.random() < density for _ in steps) for _ in range(t))
+    return steps, t, mode, takes
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(take_tables())
+def test_kernel_matches_the_enumerating_reference(case):
+    steps, t, mode, takes = case
+    expected, witness = _worst_regret(_records(steps, t, mode, 10**6), takes)
+    reach = _reach(steps, t, mode, 10**6)
+    worst = reach.worst(takes)
+    assert worst == expected
+    if witness is None:
+        assert worst == 0
+    else:
+        (indices, _, _), stop, tau = witness
+        indices_found, stop_found, tau_found = reach.witness(takes, worst)
+        assert (tuple(indices_found), stop_found, tau_found) == (indices, stop, tau)
+
+
+@pytest.mark.parametrize("spec, player, step", [
+    (TradingSpec((1, 1), (4, 2), 3, 1), 0, 1),
+    (TradingSpec((1, 2), (4, 3), 3, 2), 0, 1),
+    (TradingSpec((1, 1), (4, 4), 3, 1), 1, 1),
+    (TradingSpec((2, 2), (4, 4), 3, 1), 0, 1),
+    (TradingSpec((1, 1), (2, 2), 3, 1), 0, Fraction(1, 2)),
+    (TradingSpec((1, 1), (2, 3), 4, 1), 0, 1),
+    (TradingSpec((2, 1), (3, 2), 4, 3), 1, 1),
+], ids=["4-2", "4-3", "4-4-p1", "2-4", "half", "t4", "t4-p1"])
+@pytest.mark.parametrize("mode", ("full", "rational"))
+def test_sweep_matches_a_full_scan(spec, player, step, mode):
+    """The pruned search reports every candidate that beats the reference,
+    in product order with exact values, as scoring each one in full does."""
+    assert minimal_regret_sweep(spec, player, mode, step) \
+        == sweep_reference(spec, player, mode, step)
+
+
+def test_audit_matches_the_sequence_scan():
+    """Caps 3-10 at t = 2-4, every floor where the reference scans at most
+    about 200,000 (sequence, profile) pairs."""
+    checked = 0
+    for cap in range(3, 11):
+        for t in (2, 3, 4):
+            for floor in range(1, cap):
+                n = cap - floor + 1
+                if n ** t * (n + 1) ** (t - 1) <= 200_000:
+                    assert audit_single_agent(cap, floor, t).to_json() \
+                        == audit_reference(cap, floor, t).to_json()
+                    checked += 1
+    assert checked > 100

@@ -23,7 +23,8 @@ from regretgames import (
     trading_oracle_report,
     trading_payoff,
 )
-from regretgames.trading import _records, _steps, _strategy_takes, _worst_regret
+from regretgames.trading import _steps, _strategy_takes
+from support import _records, _worst_regret
 
 
 def spec26(t=3, k=1):
