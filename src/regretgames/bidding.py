@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AssumptionError, InputError, SizeError
+from .errors import AssumptionError, InputError, check_size
 from .game import DEFAULT_DENSE_CAP, Game
 from .rational import strict_int
 from .solver import RegretReport, all_player_reports
@@ -121,12 +121,9 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
     n`` cells exceed ``DEFAULT_DENSE_CAP``.
     """
     n = spec.player_count
-    cells_needed = (spec.grid_size + 1) ** n
-    if cells_needed > DEFAULT_DENSE_CAP:
-        raise SizeError(
-            f"the auction would need {cells_needed} payoff cells (cap {DEFAULT_DENSE_CAP})",
-            count=cells_needed,
-        )
+    cells_needed = check_size(
+        "the auction would need {} payoff cells", DEFAULT_DENSE_CAP, (spec.grid_size + 1, n)
+    )
     counts = (spec.grid_size + 1,) * n
     labels = [[str(b) for b in range(spec.grid_size + 1)]] * n
     common = math.lcm(*range(1, n + 1))

@@ -415,9 +415,10 @@ def _cmd_trading(args) -> int:
         return rational_trading_strategy(spec, player)
 
     if args.simulate:
-        announcements = [
-            [parse_rational(v) for v in pair] for pair in _read_json(args.simulate)
-        ]
+        pairs = _read_json(args.simulate)
+        if not isinstance(pairs, list) or not all(isinstance(pair, list) for pair in pairs):
+            raise InputError(f"{args.simulate}: announcements must be a list of pairs")
+        announcements = [[parse_rational(v) for v in pair] for pair in pairs]
         mode = modes[0]
         outcome, trace = simulate(
             spec, (strategy_for(mode, 0), strategy_for(mode, 1)), announcements

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size check."""
+
+#: How far past its cap a count is multiplied out before only a power-of-two
+#: lower bound on it is kept, so that no check builds or prints a huge number.
+_MARGIN_BITS = 64
 
 
 class RegretGamesError(Exception):
@@ -18,8 +22,36 @@ class ContractError(InputError):
 
 
 class SizeError(RegretGamesError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed its size cap.
+
+    ``count`` is the exact size when it was computed, and ``None`` when the
+    size is so far past the cap that the message names only a lower bound.
+    """
 
     def __init__(self, message, count=None):
         super().__init__(message)
         self.count = count
+
+
+def check_size(what: str, cap: int, *powers) -> int:
+    """The product of ``base ** exponent`` over ``powers`` (positive bases),
+    if it is at most ``cap``; else :class:`SizeError` with the message
+    ``what.format(count) + " (cap N)"``.
+
+    Once the partial product passes the cap by ``2 ** _MARGIN_BITS`` it stops:
+    the message then names ``at least 2**k`` and ``count`` is ``None``, so a
+    huge exponent costs no time or memory.
+    """
+    limit = max(cap, 1) << _MARGIN_BITS
+    count = 1
+    for base, exponent in powers:
+        bits = count.bit_length() - 1 + exponent * (base.bit_length() - 1)
+        if bits <= limit.bit_length():  # else count * base ** exponent >= 2 ** bits
+            count *= base**exponent
+            if count <= limit:
+                continue
+            bits = count.bit_length() - 1
+        raise SizeError(f"{what.format(f'at least 2**{bits}')} (cap {cap})")
+    if count > cap:
+        raise SizeError(f"{what.format(count)} (cap {cap})", count=count)
+    return count

@@ -22,7 +22,10 @@ from typing import Iterator, Sequence
 from .errors import InputError
 from .rational import coerce_rational, format_rational, parse_rational, strict_int
 
-#: Largest profile count of the game ``expand_sequence`` builds; above it, it raises.
+#: Cap on the payoff cells of the games the package builds: the auction of
+#: ``make_bidding_game`` and the expansion of ``expand_sequence``, which also
+#: holds each player's history strategies to it. Both raise ``SizeError``
+#: above it before allocating.
 DEFAULT_DENSE_CAP = 10**6
 
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import AssumptionError, InputError, SizeError
+from .errors import AssumptionError, InputError, check_size
 from .game import DEFAULT_DENSE_CAP, Game
 from .rational import strict_int
 from .dominance import rational_restriction
@@ -121,15 +121,14 @@ def decision_points(sequence: GameSequence, player: int) -> tuple[HistoryKey, ..
     return tuple(points)
 
 
-def strategy_space_size(sequence: GameSequence, player: int) -> int:
-    """How many history strategies the player has in the expanded game."""
-    total = 1
-    history_count = 1
-    for idx in range(1, len(sequence) + 1):
-        stage = sequence.stages[idx - 1]
-        total *= stage.strategy_counts[player] ** history_count
-        history_count *= len(others_choice_tuples(stage, player))
-    return total
+def _strategy_factors(sequence: GameSequence, player: int) -> list[tuple[int, int]]:
+    """``(stage strategies, opponent histories)`` per iteration: the player's
+    history strategies number the product of ``strategies ** histories``."""
+    factors, histories = [], 1
+    for stage in sequence.stages:
+        factors.append((stage.strategy_counts[player], histories))
+        histories *= len(others_choice_tuples(stage, player))
+    return factors
 
 
 @dataclass
@@ -167,28 +166,18 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     """Build the normal-form game over history strategies.
 
     Payoff of a strategy tuple is the sum of stage payoffs along the induced
-    play path. Raises :class:`SizeError` (reporting the would-be count) when
-    a player's strategy space or the joint profile space exceeds the cap.
+    play path. Raises :class:`SizeError` before allocating when a player's
+    strategy space or the joint profile space exceeds the cap.
     """
     n = sequence.player_count
     m = len(sequence)
-    for player in range(n):
-        size = strategy_space_size(sequence, player)
-        if size > dense_cap:
-            raise SizeError(
-                f"player {player} would have {size} history strategies "
-                f"(cap {dense_cap})",
-                count=size,
-            )
-    counts = tuple(strategy_space_size(sequence, player) for player in range(n))
-    cells_needed = 1
-    for c in counts:
-        cells_needed *= c
-    if cells_needed > dense_cap:
-        raise SizeError(
-            f"expansion would need {cells_needed} payoff cells (cap {dense_cap})",
-            count=cells_needed,
-        )
+    factors = [_strategy_factors(sequence, player) for player in range(n)]
+    counts = tuple(
+        check_size(f"player {player} would have {{}} history strategies", dense_cap,
+                   *factors[player])
+        for player in range(n)
+    )
+    check_size("expansion would need {} payoff cells", dense_cap, *itertools.chain(*factors))
 
     all_points = tuple(decision_points(sequence, player) for player in range(n))
     point_counts = tuple(
@@ -269,8 +258,9 @@ def folk_condition_holds(sequence: GameSequence, player: int) -> bool:
     return min(e.highest for e in extremes) >= 2 * max(e.second_highest for e in extremes)
 
 
-def _validate_stage_assumptions(games, n: int) -> None:
-    """Non-negative payoffs, all distinct per player, in every stage game."""
+def _check_stage_condition(games, n: int, noun: str) -> None:
+    """Non-negative payoffs, all distinct per player, in every stage game, and
+    the stage condition; a violation of it names the games by ``noun``."""
     for stage_index, game in enumerate(games):
         for player in range(n):
             rows, _ = game.payoff_matrix(player)
@@ -283,10 +273,6 @@ def _validate_stage_assumptions(games, n: int) -> None:
                 raise AssumptionError(
                     f"stage {stage_index} payoffs are not all distinct for player {player}"
                 )
-
-
-def _condition_violation(games, n: int):
-    """First (stage_k, stage_l, player) with highest(k) < 2 * second_highest(l)."""
     extremes = [
         [payoff_extremes(game, player) for player in range(n)] for game in games
     ]
@@ -294,8 +280,10 @@ def _condition_violation(games, n: int):
         for k, row_k in enumerate(extremes):
             for l, row_l in enumerate(extremes):
                 if row_k[player].highest < 2 * row_l[player].second_highest:
-                    return (k, l, player)
-    return None
+                    raise AssumptionError(
+                        f"stage condition fails: highest payoff of {noun} {k} is below "
+                        f"twice the second highest of {noun} {l} for player {player}"
+                    )
 
 
 # -- the folk construction ----------------------------------------------------
@@ -307,26 +295,14 @@ def stage_pick(game: Game, player: int, mode: str) -> int:
     return minimax_regret(game, player, restriction).canonical_pick
 
 
-def folk_strategy(
-    sequence: GameSequence, player: int, *, validate: bool = True
-) -> HistoryStrategy:
+def folk_strategy(sequence: GameSequence, player: int) -> HistoryStrategy:
     """History-independent strategy: stage competitive picks, then the
     rationally competitive pick of the last stage.
 
     Requires the stage condition for every player; the error names the first
-    violating (stage, stage, player) triple. ``validate=False`` skips that
-    check for callers that have made it already.
+    violating (stage, stage, player) triple.
     """
-    n = sequence.player_count
-    if validate:
-        _validate_stage_assumptions(sequence.stages, n)
-        violation = _condition_violation(sequence.stages, n)
-        if violation is not None:
-            k, l, p = violation
-            raise AssumptionError(
-                f"stage condition fails: highest payoff of stage {k} is below twice "
-                f"the second highest of stage {l} for player {p}"
-            )
+    _check_stage_condition(sequence.stages, sequence.player_count, "stage")
     m = len(sequence)
     picks = {}
     for idx in range(1, m + 1):
@@ -377,18 +353,18 @@ def is_competitive_in_all_subgames(
     player: int,
     strategy: HistoryStrategy,
     mode: str = "full",
-    analysis: SequenceAnalysis | None = None,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> bool:
     """Check the strategy's continuation at every suffix and opponent history.
 
     The continuation after history ``h`` must land in the argmin set of the
-    expanded suffix game solved under ``mode``.
+    expanded suffix game solved under ``mode``. This is the reference for the
+    verdicts of :func:`verify_folk_theorem`, which reads them off the folk
+    strategy's picks alone.
     """
     if mode not in ("full", "rational"):
         raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
-    if analysis is None:
-        analysis = SequenceAnalysis(sequence, dense_cap)
+    analysis = SequenceAnalysis(sequence, dense_cap)
     m = len(sequence)
     for start in range(1, m + 1):
         expansion = analysis.expansion(start)
@@ -465,16 +441,14 @@ def random_realizations(
     if spec.realization is not None:
         draws = [spec.realization]
     elif spec.mode == "exhaustive":
-        count = len(spec.pool) ** spec.length
-        if count > realization_cap:
-            raise SizeError(
-                f"exhaustive enumeration needs {count} realizations (cap {realization_cap})",
-                count=count,
-            )
+        check_size("exhaustive enumeration needs {} realizations", realization_cap,
+                   (len(spec.pool), spec.length))
         draws = list(itertools.product(range(len(spec.pool)), repeat=spec.length))
     else:
         if spec.seed is None:
             raise InputError("sampled mode requires a seed for reproducibility")
+        check_size("sampled verification needs {} realizations", realization_cap,
+                   (spec.samples, 1))
         rng = random.Random(spec.seed)
         draws = [
             tuple(rng.randrange(len(spec.pool)) for _ in range(spec.length))
@@ -554,11 +528,15 @@ def verify_folk_theorem(
     from the realized game of each iteration. The stage condition is a
     precondition: a violating pool raises instead of producing a verdict.
     Details record the argmin sets of both modes so their relationship can be
-    audited; the verdict uses ``mode``. The folk strategy is built once per
-    realization and player: its picks do not depend on history, and a
-    suffix's last stage is the sequence's last stage, so the suffix's own
-    folk strategy is the sequence's picks from the suffix start on.
+    audited; the verdict is that every detail is a member under ``mode``.
+    The folk strategy is built once per realization and player, after the
+    largest expansion has passed its size check: its picks do not depend on
+    history, and a suffix's last stage is the sequence's last stage, so the
+    suffix's own folk strategy is the sequence's picks from the suffix start
+    on, after every history alike.
     """
+    if mode not in ("full", "rational"):
+        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
     if isinstance(subject, RandomGameSpec):
         base_games = subject.pool
         n = subject.player_count
@@ -571,23 +549,14 @@ def verify_folk_theorem(
         raise InputError(
             f"subject must be a GameSequence or RandomGameSpec, got {type(subject).__name__}"
         )
-    _validate_stage_assumptions(base_games, n)
-    violation = _condition_violation(base_games, n)
-    if violation is not None:
-        k, l, p = violation
-        raise AssumptionError(
-            f"stage condition fails: highest payoff of game {k} is below twice "
-            f"the second highest of game {l} for player {p}"
-        )
+    _check_stage_condition(base_games, n, "game")
 
     entries = []
     for tag, sequence in realizations:
         analysis = SequenceAnalysis(sequence, dense_cap)
+        analysis.expansion(1)
         for player in range(n):
-            strategy = folk_strategy(sequence, player, validate=False)
-            passed = is_competitive_in_all_subgames(
-                sequence, player, strategy, mode, analysis=analysis
-            )
+            strategy = folk_strategy(sequence, player)
             picks = {idx: choice for (idx, _), choice in strategy.decisions.items()}
             details = []
             for start in range(1, len(sequence) + 1):
@@ -601,5 +570,6 @@ def verify_folk_theorem(
                 details.append(
                     SubgameDetail(start, index, full, rational, index in chosen)
                 )
-            entries.append(FolkEntry(tag, player, passed, tuple(details)))
+            entries.append(FolkEntry(tag, player, all(d.member for d in details),
+                                     tuple(details)))
     return FolkReport(mode, tuple(entries))

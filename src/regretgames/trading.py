@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ContractError, InputError, SizeError
+from .errors import ContractError, InputError, check_size
 from .rational import coerce_rational, format_rational, strict_int
 
 TAKE = "take"
@@ -38,6 +38,8 @@ PASS = "pass"
 #: Cap on the size of every trading search, counted as the enumeration the
 #: recurrence replaces: the announcement sequences of the oracle, the sweep
 #: and the single-agent audit, the sweep's candidates and the audit's profiles.
+#: Each count is checked before any work; one far past the cap, such as the
+#: sequences of a long horizon, is reported as a power-of-two lower bound.
 DEFAULT_ENUM_CAP = 250_000
 
 
@@ -372,14 +374,10 @@ def audit_single_agent(
     closed_form = single_agent_threshold(cap, floor)
     values = list(range(floor, cap + 1))
     options = [None] + values
-    for what, count in (
-        ("announcement sequences", len(values) ** iterations),
-        ("threshold profiles", len(options) ** (iterations - 1)),
-    ):
-        if count > enum_cap:
-            raise SizeError(
-                f"the audit would enumerate {count} {what} (cap {enum_cap})", count=count
-            )
+    check_size("the audit would enumerate {} announcement sequences", enum_cap,
+               (len(values), iterations))
+    check_size("the audit would enumerate {} threshold profiles", enum_cap,
+               (len(options), iterations - 1))
     reach = _Reach([(value, False, None) for value in values], iterations, "single")
     forced = (True,) * len(values)
 
@@ -591,12 +589,7 @@ def _reach(steps, t: int, mode: str, enum_cap: int) -> _Reach:
     t`` announcement sequences it stands for are within ``enum_cap``."""
     if mode not in ("full", "rational"):
         raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
-    count = len(steps) ** t
-    if count > enum_cap:
-        raise SizeError(
-            f"the oracle would enumerate {count} announcement sequences (cap {enum_cap})",
-            count=count,
-        )
+    check_size("the oracle would enumerate {} announcement sequences", enum_cap, (len(steps), t))
     return _Reach(steps, t, mode)
 
 
@@ -749,12 +742,9 @@ def minimal_regret_sweep(
         for threshold in _grid(*spec.bounds(player), grid_step) + [None]
         for trigger in (False, True)
     ]
-    candidate_count = len(options) ** t
-    if candidate_count > enum_cap:
-        raise SizeError(
-            f"the sweep would score {candidate_count} candidate rules (cap {enum_cap})",
-            count=candidate_count,
-        )
+    candidate_count = check_size(
+        "the sweep would score {} candidate rules", enum_cap, (len(options), t)
+    )
     # the take row of each per-iteration option; None never reaches
     rows = [
         tuple(

@@ -416,3 +416,41 @@ def test_unwritable_output_exit_two(game_file, tmp_path, capsys):
 def test_bidding_dense_cap_changes_nothing(capsys):
     argv = ["bidding", "--l", "5,11,16", "--T", "20", "--k", "1"]
     assert run_capture(capsys, argv + ["--dense-cap", "9260"]) == run_capture(capsys, argv)
+
+
+@pytest.mark.parametrize("announcements", [5, [5], [None]])
+def test_simulate_rejects_non_pair_announcements(tmp_path, capsys, announcements):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps(announcements))
+    argv = ["trading", "--m1", "2", "--M1", "6", "--m2", "2", "--M2", "6", "--t", "3",
+            "--K", "1", "--simulate", str(path)]
+    assert_one_line_input_error(capsys, argv, "announcements must be a list of pairs")
+
+
+_STAGE = {"players": 2, "strategy_counts": [2, 2],
+          "payoffs": [[[10, 9], [0, 0]], [[1, 3], [2, 1]]]}
+_TRADING = ["trading", "--m1", "1", "--M1", "2"]
+
+
+@pytest.mark.parametrize("argv, file", [
+    (_TRADING + ["--m2", "1", "--M2", "2", "--t", "10000", "--K", "1", "--oracle"], None),
+    (_TRADING + ["--t", "20000", "--audit-single"], None),
+    (["repeated", "--sequence"], {"stages": [_STAGE] * 14}),
+    (["repeated", "--sequence"], {"stages": [_STAGE] * 18}),
+    (["repeated", "--sequence"], {"stages": [_STAGE] * 40}),
+    (["repeated", "--random"], {"pool": [_STAGE, _STAGE], "length": 10**12,
+                                "mode": "exhaustive"}),
+    (["repeated", "--realization-cap", "10", "--random"],
+     {"pool": [_STAGE], "length": 2, "mode": "sampled", "seed": 1, "samples": 11}),
+], ids=["oracle-t10000", "audit-t20000", "sequence-14", "sequence-18", "sequence-40",
+        "exhaustive-length-1e12", "sampled-over-cap"])
+def test_sizes_far_past_the_cap_exit_three_at_once(tmp_path, capsys, argv, file):
+    # each of these counts has thousands of digits or more, or its inputs
+    # would be built before the check; all must fail fast with one line
+    if file is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(file))
+        argv = argv + [str(path)]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "(cap " in err

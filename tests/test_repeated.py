@@ -20,7 +20,9 @@ from regretgames import (
     subgames,
     verify_folk_theorem,
 )
-from support import anchor_game, folk_reference, random_stage_game, replay
+from support import (
+    anchor_game, criterion6_subjects, folk_reference, random_stage_game, realized, replay,
+)
 
 
 def extremes_game(values0, values1):
@@ -242,6 +244,11 @@ def test_realization_cap():
     spec = RandomGameSpec((condition_game(), anchor_game()), 10, "exhaustive")
     with pytest.raises(SizeError):
         random_realizations(spec, realization_cap=100)
+    sampled = RandomGameSpec((condition_game(),), 2, "sampled", seed=1, samples=11)
+    assert len(random_realizations(sampled, realization_cap=11)) == 11
+    with pytest.raises(SizeError, match="needs 11 realizations") as info:
+        random_realizations(sampled, realization_cap=10)
+    assert info.value.count == 11
 
 
 def test_pinned_realization():
@@ -281,3 +288,20 @@ def test_verify_folk_theorem_condition_violation_is_an_error():
     bad = extremes_game((7, 1, 2, 4), (10, 1, 2, 4))
     with pytest.raises(AssumptionError):
         verify_folk_theorem(RandomGameSpec((bad,), 2, "exhaustive"))
+
+
+@pytest.mark.parametrize("mode", ["full", "rational"])
+def test_folk_verdicts_match_the_all_histories_check(mode):
+    """A verdict read off the folk picks, one history per suffix, is the
+    check over every opponent history."""
+    pool = RandomGameSpec((condition_game(), extremes_game((12, 1, 0, 3), (11, 0, 2, 4))),
+                          2, "exhaustive")
+    subjects = [subject for _, _, subject in criterion6_subjects()] + [pool]
+    for subject in subjects:
+        for entry in verify_folk_theorem(subject, mode).entries:
+            sequence = realized(subject, entry.realization)
+            strategy = folk_strategy(sequence, entry.player)
+            assert entry.passed == is_competitive_in_all_subgames(
+                sequence, entry.player, strategy, mode
+            ), (entry.realization, entry.player)
+
