@@ -70,6 +70,7 @@ from .trading import (
     competitive_trading_strategy,
     minimal_regret_sweep,
     rational_trading_strategy,
+    reference_strategy,
     simulate,
     single_agent_threshold,
     trading_oracle,

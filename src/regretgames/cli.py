@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from .bidding import BiddingSpec, closed_form_competitive, closed_form_rational, verify_claims
-from .dominance import iterated_rational_sets, rational_set
+from .dominance import iterated_rational_sets
 from .errors import InputError, SizeError
-from .game import DEFAULT_DENSE_CAP, Game, game_from_json, game_to_json, load_game
+from .game import DEFAULT_DENSE_CAP, Game, game_from_json, game_to_json, load_game, read_json
 from .rational import parse_rational
 from .repeated import (
     DEFAULT_REALIZATION_CAP,
@@ -30,9 +30,8 @@ from .trading import (
     DEFAULT_ENUM_CAP,
     TradingSpec,
     audit_single_agent,
-    competitive_trading_strategy,
     minimal_regret_sweep,
-    rational_trading_strategy,
+    reference_strategy,
     simulate,
     single_agent_threshold,
     trading_oracle_report,
@@ -134,17 +133,6 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _read_json(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _load_games(entries, base_dir: Path, what: str) -> tuple[Game, ...]:
     if not isinstance(entries, list):
         raise InputError(f"{what} must be an array of games, got {entries!r}")
@@ -160,7 +148,7 @@ def _load_games(entries, base_dir: Path, what: str) -> tuple[Game, ...]:
 
 
 def _load_sequence(path) -> GameSequence:
-    obj = _read_json(path)
+    obj = read_json(path)
     if not isinstance(obj, dict) or "stages" not in obj:
         raise InputError(f"{path}: sequence files need a 'stages' array")
     base = Path(path).parent
@@ -168,7 +156,7 @@ def _load_sequence(path) -> GameSequence:
 
 
 def _load_random_spec(path) -> RandomGameSpec:
-    obj = _read_json(path)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: random game files must hold an object")
     missing = {"pool", "length", "mode"} - set(obj)
@@ -275,10 +263,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dominance(args) -> int:
     game = load_game(args.game)
-    if args.rounds == 1:
-        sets = [rational_set(game, p) for p in range(game.player_count)]
-    else:
-        sets = iterated_rational_sets(game, args.rounds)
+    sets = iterated_rational_sets(game, args.rounds)
     payload = {
         "command": "dominance",
         "input": {"game": game_to_json(game), "rounds": args.rounds},
@@ -408,21 +393,14 @@ def _cmd_trading(args) -> int:
     modes = ("full", "rational") if args.mode == "both" else (args.mode,)
     payload = {"command": "trading", "input": spec.to_json()}
     rows = None
-
-    def strategy_for(mode, player):
-        if mode == "full":
-            return competitive_trading_strategy(spec, player)
-        return rational_trading_strategy(spec, player)
-
     if args.simulate:
-        pairs = _read_json(args.simulate)
+        pairs = read_json(args.simulate)
         if not isinstance(pairs, list) or not all(isinstance(pair, list) for pair in pairs):
             raise InputError(f"{args.simulate}: announcements must be a list of pairs")
         announcements = [[parse_rational(v) for v in pair] for pair in pairs]
         mode = modes[0]
-        outcome, trace = simulate(
-            spec, (strategy_for(mode, 0), strategy_for(mode, 1)), announcements
-        )
+        strategies = [reference_strategy(spec, player, mode) for player in (0, 1)]
+        outcome, trace = simulate(spec, strategies, announcements)
         payload["mode"] = mode
         payload["outcome"] = outcome.to_json()
         payload["trace"] = trace
@@ -444,7 +422,7 @@ def _cmd_trading(args) -> int:
         for mode in modes:
             for player in (0, 1):
                 entry = trading_oracle_report(
-                    spec, player, strategy_for(mode, player), mode,
+                    spec, player, reference_strategy(spec, player, mode), mode,
                     grid_step=args.grid_step, enum_cap=args.enum_cap,
                 )
                 if args.sweep:
@@ -461,7 +439,8 @@ def _cmd_trading(args) -> int:
         rows = (["player", "mode", "strategy", "worst_case_regret", "optimal"], oracle_rows)
     else:
         payload["strategies"] = [
-            strategy_for(mode, player).describe() for mode in modes for player in (0, 1)
+            reference_strategy(spec, player, mode).describe()
+            for mode in modes for player in (0, 1)
         ]
         payload["single_agent_thresholds"] = [
             str(single_agent_threshold(spec.price_caps[i], spec.price_floors[i]))
@@ -476,7 +455,7 @@ def _cmd_trading(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    manifest = _read_json(args.manifest)
+    manifest = read_json(args.manifest)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("specs"), list):
         raise InputError(f"{args.manifest}: manifest files need a 'specs' array")
     reports = []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one size check."""
+"""Exception types shared across the package, and the one size and mode checks."""
 
 #: How far past its cap a count is multiplied out before only a power-of-two
 #: lower bound on it is kept, so that no check builds or prints a huge number.
@@ -55,3 +55,13 @@ def check_size(what: str, cap: int, *powers) -> int:
     if count > cap:
         raise SizeError(f"{what.format(count)} (cap {cap})", count=count)
     return count
+
+
+def check_mode(mode: str) -> None:
+    """:class:`InputError` unless ``mode`` names a solve mode.
+
+    A solve ranges over arbitrary opponents ("full") or over opponents who
+    play no weakly dominated strategy ("rational").
+    """
+    if mode not in ("full", "rational"):
+        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")

@@ -244,14 +244,6 @@ class Game:
         for choices in itertools.product(*(range(c) for c in others)):
             yield OpponentProfile(player, choices)
 
-    def opponent_profile_count(self, player: int) -> int:
-        player = self._validate_player(player)
-        total = 1
-        for i, c in enumerate(self._counts):
-            if i != player:
-                total *= c
-        return total
-
     def best_response_value(self, player: int, opponents) -> Fraction:
         """Highest utility ``player`` can get against fixed opponent choices."""
         player = self._validate_player(player)
@@ -427,13 +419,17 @@ def save_game(game: Game, path) -> None:
     Path(path).write_text(json.dumps(game_to_json(game), indent=2) + "\n", encoding="utf-8")
 
 
-def load_game(path) -> Game:
+def read_json(path):
+    """The parsed JSON of a file; :class:`InputError` if it cannot be read or parsed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read game file {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"game file {path} is not valid JSON: {exc}") from exc
-    return game_from_json(obj)
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_game(path) -> Game:
+    return game_from_json(read_json(path))

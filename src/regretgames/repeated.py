@@ -20,11 +20,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import AssumptionError, InputError, check_size
+from .errors import AssumptionError, InputError, check_mode, check_size
 from .game import DEFAULT_DENSE_CAP, Game
 from .rational import strict_int
-from .dominance import rational_restriction
-from .solver import RegretReport, minimax_regret
+from .solver import RegretReport, all_player_reports, minimax_regret, mode_restriction
 
 #: Cap on how many pool realizations exhaustive verification will enumerate.
 DEFAULT_REALIZATION_CAP = 4096
@@ -291,8 +290,7 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
 
 def stage_pick(game: Game, player: int, mode: str) -> int:
     """Canonical (lowest-index) minimizer of the stage game in the given mode."""
-    restriction = rational_restriction(game) if mode == "rational" else None
-    return minimax_regret(game, player, restriction).canonical_pick
+    return minimax_regret(game, player, mode_restriction(game, mode)).canonical_pick
 
 
 def folk_strategy(sequence: GameSequence, player: int) -> HistoryStrategy:
@@ -322,8 +320,7 @@ class SequenceAnalysis:
         self.sequence = sequence
         self.dense_cap = dense_cap
         self._expansions: dict[int, ExpandedGame] = {}
-        self._restrictions: dict[int, object] = {}
-        self._reports: dict[tuple, RegretReport] = {}
+        self._reports: dict[tuple, list[RegretReport]] = {}
 
     def expansion(self, start: int) -> ExpandedGame:
         if start not in self._expansions:
@@ -333,19 +330,13 @@ class SequenceAnalysis:
         return self._expansions[start]
 
     def report(self, start: int, player: int, mode: str) -> RegretReport:
-        key = (start, player, mode)
-        if key not in self._reports:
-            game = self.expansion(start).game
-            if mode == "rational":
-                if start not in self._restrictions:
-                    self._restrictions[start] = rational_restriction(game)
-                restriction = self._restrictions[start]
-            elif mode == "full":
-                restriction = None
-            else:
-                raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
-            self._reports[key] = minimax_regret(game, player, restriction)
-        return self._reports[key]
+        """``player``'s report on the suffix from ``start``, solved under
+        ``mode``; every player's report is solved and kept at once."""
+        game = self.expansion(start).game
+        player = game._validate_player(player)
+        if (start, mode) not in self._reports:
+            self._reports[start, mode] = all_player_reports(game, mode)
+        return self._reports[start, mode][player]
 
 
 def is_competitive_in_all_subgames(
@@ -362,8 +353,7 @@ def is_competitive_in_all_subgames(
     verdicts of :func:`verify_folk_theorem`, which reads them off the folk
     strategy's picks alone.
     """
-    if mode not in ("full", "rational"):
-        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
+    check_mode(mode)
     analysis = SequenceAnalysis(sequence, dense_cap)
     m = len(sequence)
     for start in range(1, m + 1):
@@ -529,27 +519,33 @@ def verify_folk_theorem(
     precondition: a violating pool raises instead of producing a verdict.
     Details record the argmin sets of both modes so their relationship can be
     audited; the verdict is that every detail is a member under ``mode``.
-    The folk strategy is built once per realization and player, after the
-    largest expansion has passed its size check: its picks do not depend on
-    history, and a suffix's last stage is the sequence's last stage, so the
-    suffix's own folk strategy is the sequence's picks from the suffix start
-    on, after every history alike.
+
+    The order is: the stage condition, then the size, then the draws. A pool
+    is sized before any realization is drawn: each of its games passing the
+    stage condition has two profiles or more, and an expansion has at least
+    the product of its stages' profile counts, so the smallest pool profile
+    count to the power ``length`` bounds every realization's expansion from
+    below. The folk strategy is built once per realization and player, after
+    the largest expansion has passed its size check: its picks do not depend
+    on history, and a suffix's last stage is the sequence's last stage, so
+    the suffix's own folk strategy is the sequence's picks from the suffix
+    start on, after every history alike.
     """
-    if mode not in ("full", "rational"):
-        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
-    if isinstance(subject, RandomGameSpec):
-        base_games = subject.pool
-        n = subject.player_count
-        realizations = random_realizations(subject, realization_cap)
-    elif isinstance(subject, GameSequence):
-        base_games = subject.stages
-        n = subject.player_count
-        realizations = [(None, subject)]
-    else:
+    check_mode(mode)
+    if not isinstance(subject, (GameSequence, RandomGameSpec)):
         raise InputError(
             f"subject must be a GameSequence or RandomGameSpec, got {type(subject).__name__}"
         )
-    _check_stage_condition(base_games, n, "game")
+    pool = isinstance(subject, RandomGameSpec)
+    n = subject.player_count
+    _check_stage_condition(subject.pool if pool else subject.stages, n, "game")
+    if pool:
+        check_size(f"the expansion of a pool sequence of length {subject.length} has a "
+                   "lower bound of {} payoff cells", dense_cap,
+                   (min(game.profile_count for game in subject.pool), subject.length))
+        realizations = random_realizations(subject, realization_cap)
+    else:
+        realizations = [(None, subject)]
 
     entries = []
     for tag, sequence in realizations:
@@ -566,10 +562,8 @@ def verify_folk_theorem(
                 ))
                 rational = analysis.report(start, player, "rational").argmin
                 full = analysis.report(start, player, "full").argmin
-                chosen = rational if mode == "rational" else full
-                details.append(
-                    SubgameDetail(start, index, full, rational, index in chosen)
-                )
+                member = index in analysis.report(start, player, mode).argmin
+                details.append(SubgameDetail(start, index, full, rational, member))
             entries.append(FolkEntry(tag, player, all(d.member for d in details),
                                      tuple(details)))
     return FolkReport(mode, tuple(entries))

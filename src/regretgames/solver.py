@@ -13,7 +13,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .dominance import rational_restriction
+from .errors import InputError, check_mode
 from .game import Game, OpponentProfile, Restriction
 
 
@@ -98,14 +99,14 @@ def minimax_regret(
     )
 
 
+def mode_restriction(game: Game, mode: str) -> Restriction | None:
+    """The opponents a ``mode`` solve ranges over: all of them (None) in
+    "full" mode, every player's rational set in "rational" mode."""
+    check_mode(mode)
+    return None if mode == "full" else rational_restriction(game)
+
+
 def all_player_reports(game: Game, mode: str = "full") -> list[RegretReport]:
     """One report per player, FULL or RATIONAL opponents."""
-    if mode == "full":
-        restriction = None
-    elif mode == "rational":
-        from .dominance import rational_restriction
-
-        restriction = rational_restriction(game)
-    else:
-        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
+    restriction = mode_restriction(game, mode)
     return [minimax_regret(game, player, restriction) for player in range(game.player_count)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ContractError, InputError, check_size
+from .errors import ContractError, InputError, check_mode, check_size
 from .rational import coerce_rational, format_rational, strict_int
 
 TAKE = "take"
@@ -186,6 +186,15 @@ def rational_trading_strategy(spec: TradingSpec, player: int) -> TradingStrategy
         rule,
         {"early_threshold": early, "final_threshold": late, "opponent_peak": other_cap},
     )
+
+
+def reference_strategy(spec: TradingSpec, player: int, mode: str) -> TradingStrategy:
+    """The stated strategy of a solve mode: the competitive threshold rule
+    in "full" mode, the rational threshold rule in "rational" mode."""
+    check_mode(mode)
+    if mode == "full":
+        return competitive_trading_strategy(spec, player)
+    return rational_trading_strategy(spec, player)
 
 
 def _check_iteration(iteration, last):
@@ -587,8 +596,7 @@ class _Reach:
 def _reach(steps, t: int, mode: str, enum_cap: int) -> _Reach:
     """The two-agent kernel, once ``mode`` is valid and the ``len(steps) **
     t`` announcement sequences it stands for are within ``enum_cap``."""
-    if mode not in ("full", "rational"):
-        raise InputError(f"mode must be 'full' or 'rational', got {mode!r}")
+    check_mode(mode)
     check_size("the oracle would enumerate {} announcement sequences", enum_cap, (len(steps), t))
     return _Reach(steps, t, mode)
 
@@ -727,11 +735,7 @@ def minimal_regret_sweep(
     reference are scored in full. The sequence and candidate counts are
     still checked against ``enum_cap``.
     """
-    reference = (
-        competitive_trading_strategy(spec, player)
-        if mode == "full"
-        else rational_trading_strategy(spec, player)
-    )
+    reference = reference_strategy(spec, player, mode)
     steps = _steps(spec, player, grid_step, signature=True)
     t = spec.iterations
     reach = _reach(steps, t, mode, enum_cap)

@@ -442,8 +442,12 @@ _TRADING = ["trading", "--m1", "1", "--M1", "2"]
                                 "mode": "exhaustive"}),
     (["repeated", "--realization-cap", "10", "--random"],
      {"pool": [_STAGE], "length": 2, "mode": "sampled", "seed": 1, "samples": 11}),
+    (["repeated", "--random"], {"pool": [_STAGE], "length": 10**12, "mode": "exhaustive"}),
+    (["repeated", "--random"], {"pool": [_STAGE, _STAGE], "length": 10**8, "mode": "sampled",
+                                "seed": 1, "samples": 1}),
 ], ids=["oracle-t10000", "audit-t20000", "sequence-14", "sequence-18", "sequence-40",
-        "exhaustive-length-1e12", "sampled-over-cap"])
+        "exhaustive-length-1e12", "sampled-over-cap", "one-game-pool-length-1e12",
+        "sampled-pool-length-1e8"])
 def test_sizes_far_past_the_cap_exit_three_at_once(tmp_path, capsys, argv, file):
     # each of these counts has thousands of digits or more, or its inputs
     # would be built before the check; all must fail fast with one line

@@ -133,6 +133,8 @@ def test_kernels_match_fraction_reference(case):
             assert report.argmin == tuple(s for s, w in enumerate(worst) if w == min(worst))
         surviving = rational_set(game, player)
         assert (list(surviving.allowed), list(surviving.eliminated)) == first_round[player]
+    assert [(list(s.allowed), list(s.eliminated)) for s in iterated_rational_sets(game, 1)] \
+        == first_round
 
     allowed, eliminated = full, [[] for _ in counts]
     for _ in range(3):

@@ -1,7 +1,23 @@
 import pytest
 
-from regretgames import SizeError
+from regretgames import (
+    GameSequence,
+    InputError,
+    SequenceAnalysis,
+    SizeError,
+    TradingSpec,
+    all_player_reports,
+    competitive_trading_strategy,
+    folk_strategy,
+    is_competitive_in_all_subgames,
+    make_dense_game,
+    minimal_regret_sweep,
+    reference_strategy,
+    trading_oracle,
+    verify_folk_theorem,
+)
 from regretgames.errors import check_size
+from regretgames.repeated import stage_pick
 
 
 def test_size_check_at_and_past_the_cap():
@@ -32,3 +48,28 @@ def test_size_check_huge_exponent_reports_a_lower_bound():
                    (2, 64), (3, 1))
     assert info.value.count is None
     assert str(info.value) == "at least 2**127 strategies (cap 1000000)"
+
+
+_STAGE = make_dense_game((2, 2), [[[10, 9], [0, 0]], [[1, 3], [2, 1]]])
+_SEQUENCE = GameSequence.repeat(_STAGE, 2)
+_SPEC = TradingSpec((2, 2), (6, 6), 3, 1)
+
+_MODE_ENTRIES = {
+    "all_player_reports": lambda mode: all_player_reports(_STAGE, mode),
+    "stage_pick": lambda mode: stage_pick(_STAGE, 0, mode),
+    "SequenceAnalysis.report": lambda mode: SequenceAnalysis(_SEQUENCE).report(1, 0, mode),
+    "is_competitive_in_all_subgames": lambda mode: is_competitive_in_all_subgames(
+        _SEQUENCE, 0, folk_strategy(_SEQUENCE, 0), mode),
+    "verify_folk_theorem": lambda mode: verify_folk_theorem(_SEQUENCE, mode),
+    "trading_oracle": lambda mode: trading_oracle(
+        _SPEC, 0, competitive_trading_strategy(_SPEC, 0), mode),
+    "minimal_regret_sweep": lambda mode: minimal_regret_sweep(_SPEC, 0, mode),
+    "reference_strategy": lambda mode: reference_strategy(_SPEC, 0, mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["both", "plain"])
+@pytest.mark.parametrize("entry", list(_MODE_ENTRIES))
+def test_every_solve_mode_entry_rejects_unknown_modes(entry, mode):
+    with pytest.raises(InputError, match=f"mode must be 'full' or 'rational', got '{mode}'"):
+        _MODE_ENTRIES[entry](mode)

@@ -211,6 +211,15 @@ def test_reactive_strategies_can_beat_folk_at_l3():
     assert folk_reference(seq, 1).passed
 
 
+@pytest.mark.parametrize("player", [2, -1])
+def test_sequence_analysis_report_rejects_players_out_of_range(player):
+    from regretgames.repeated import SequenceAnalysis
+
+    analysis = SequenceAnalysis(GameSequence.repeat(condition_game(), 2))
+    with pytest.raises(InputError, match=f"player {player} out of range"):
+        analysis.report(1, player, "full")
+
+
 def test_random_realizations_exhaustive_lex():
     a, b = condition_game(), anchor_game()
     spec = RandomGameSpec((a, b), 2, "exhaustive")

@@ -17,6 +17,7 @@ from regretgames import (
     competitive_trading_strategy,
     minimal_regret_sweep,
     rational_trading_strategy,
+    reference_strategy,
     simulate,
     single_agent_threshold,
     trading_oracle,
@@ -117,6 +118,11 @@ def test_rational_strategy_rules():
     # rule 2: ordinary threshold earlier
     assert s.action(1, (3, 5), False) == PASS
     assert s.action(3, (2, 2), False) == TAKE
+
+
+def test_reference_strategy_is_the_stated_rule_of_each_mode():
+    assert reference_strategy(spec26(), 0, "full").kind == "competitive-threshold"
+    assert reference_strategy(spec26(), 1, "rational").kind == "rational-threshold"
 
 
 def test_threshold_ordering_and_take_set_containment():
