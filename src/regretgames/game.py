@@ -59,10 +59,6 @@ class Restriction:
         normalized = tuple(tuple(sorted(set(s))) for s in self.allowed)
         object.__setattr__(self, "allowed", normalized)
 
-    @classmethod
-    def full(cls, game: "Game") -> "Restriction":
-        return cls(tuple(tuple(range(c)) for c in game.strategy_counts), "full")
-
     def validate_for(self, game: "Game") -> None:
         if len(self.allowed) != game.player_count:
             raise InputError(

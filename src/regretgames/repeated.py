@@ -140,9 +140,6 @@ class ExpandedGame:
     _tuples: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
     _index: tuple[dict, ...] = field(repr=False)
 
-    def strategy_count(self, player: int) -> int:
-        return len(self._tuples[player])
-
     def decisions_tuple(self, player: int, index: int) -> tuple[int, ...]:
         return self._tuples[player][index]
 

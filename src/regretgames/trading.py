@@ -17,9 +17,9 @@ The maximum is exact but enumerates no sequence. A rule reads only
 (iteration, announcement pair), and the regret of a scenario depends on the
 sequence only through the running own maximum, the own stop value and, in
 rational mode, whether the other agent has peaked. So the worst case is a
-recurrence over those reachable states, advanced one iteration at a time
-(``_Reach``); the optimality sweep and the single-agent audit are searches
-over rules on the same recurrence.
+forward walk over those reachable states, one iteration at a time and with
+no recursion (``_Reach``); the optimality sweep and the single-agent audit
+are searches over rules on the same walk.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TradingSpec:
         return 2 * self.half_supply
 
     def bounds(self, player: int) -> tuple[int, int]:
-        if player not in (0, 1):
+        if isinstance(player, bool) or player not in (0, 1):
             raise InputError(f"player must be 0 or 1, got {player}")
         return self.price_floors[player], self.price_caps[player]
 
@@ -378,6 +378,8 @@ def audit_single_agent(
     search cuts every prefix already worse than the best profile so far.
     The sequence and profile counts are still checked against ``enum_cap``.
     """
+    for value, what in ((cap, "price cap"), (floor, "price floor"), (iterations, "iterations")):
+        strict_int(value, what)
     if iterations < 2:
         raise InputError(f"need at least 2 iterations, got {iterations}")
     closed_form = single_agent_threshold(cap, floor)
@@ -468,8 +470,8 @@ def _steps(spec: TradingSpec, player: int, grid_step, signature: bool) -> list:
 class _Reach:
     """Worst-case regret by reachability, in half-supply units, over the
     states ``(running own max, own stop value or None)`` before each
-    iteration, advanced one iteration at a time over the steps ``(own value,
-    other at cap, pair)``.
+    iteration, walked forward one iteration at a time over the steps ``(own
+    value, other at cap, pair)``.
 
     A rule is a take table: ``takes[j - 1][s]`` says whether it takes at
     iteration j on step s while nobody has taken. Against an opponent stop
@@ -485,8 +487,7 @@ class _Reach:
 
     def __init__(self, steps, t: int, mode: str):
         self.steps, self.t, self.mode = steps, t, mode
-        # the tails of states after the own take do not depend on the rule
-        self._taken = {}
+        self.cap = max(value for value, _, _ in steps)
 
     def edge(self, j, high, stop_value, s, take):
         """Iteration j on step s from the state ``(high, stop_value)``: the
@@ -508,49 +509,46 @@ class _Reach:
             return taus, None
         return taus, None if peak and self.mode == "rational" else (high, stop_value)
 
-    def tail(self, j, state, takes, memo) -> int:
+    def stopped(self, j, high, stop_value) -> int:
         """The worst regret over the opponent stops at iteration j or later,
-        from ``state`` before iteration j (0 if none is left)."""
-        if state is None:
-            return 0
-        high, stop_value = state
-        if stop_value is not None:
-            memo = self._taken
-        key = (j, high, stop_value)
-        worst = memo.get(key)
-        if worst is None:
-            worst = 0
-            for s in range(len(self.steps)):
-                taus, after = self.edge(j, high, stop_value, s,
-                                        stop_value is None and takes[j - 1][s])
-                worst = max(worst, self.tail(j + 1, after, takes, memo), *(r for _, r in taus))
-            memo[key] = worst
-        return worst
+        from ``(high, stop_value)`` before j. No hindsight value exceeds
+        ``2 * cap`` (the largest own value), and as every band has floor <
+        cap, a step with the own value at its cap and the other agent below
+        its cap exists: announced at j, it reaches ``2 * cap`` at the next
+        stop. In rational mode at the last iteration no stop comes after j."""
+        if self.mode == "rational" and j == self.t:
+            return max(2 * high, self.cap) - 2 * stop_value
+        return 2 * self.cap - 2 * stop_value
 
     def worst(self, takes) -> int:
-        return self.tail(1, (0, None), takes, {})
+        return next(self.search([[row] for row in takes], lambda worst: True))[1]
 
     def witness(self, takes, worst) -> tuple:
         """The first step sequence in lex order with a scenario of regret
         ``worst`` (> 0), the rule's stop on it and the first opponent stop
-        reaching ``worst``: at each iteration, the smallest step whose
-        subtree still reaches it."""
-        memo = {}
-        indices, state, tau = [], (0, None), None
+        reaching ``worst``. Each state keeps the first prefix reaching it,
+        its smallest, as parents go in that order and steps ascending; a
+        prefix whose step reaches ``worst`` ends there, padded with step 0,
+        and the smallest of those wins, the earlier stop on a tie."""
+        found = None
+        prefixes = {(0, None): ()}
         for j in range(1, self.t + 1):
-            if tau is not None:
-                indices.append(0)
-                continue
-            high, stop_value = state
-            for s in range(len(self.steps)):
-                taus, state = self.edge(j, high, stop_value, s,
-                                        stop_value is None and takes[j - 1][s])
-                tau = next((at for at, regret in taus if regret == worst), None)
-                if tau is not None or self.tail(j + 1, state, takes, memo) >= worst:
-                    break
-            indices.append(s)
+            reached, first = {}, None
+            for (high, stop_value), prefix in prefixes.items():
+                for s in range(len(self.steps)):
+                    taus, after = self.edge(j, high, stop_value, s,
+                                            stop_value is None and takes[j - 1][s])
+                    tau = next((at for at, regret in taus if regret == worst), None)
+                    if tau is not None and first is None:
+                        first = prefix + (s,) + (0,) * (self.t - j), tau
+                    if after is not None and after not in reached:
+                        reached[after] = prefix + (s,)
+            if first is not None:
+                found = first if found is None else min(found, first)
+            prefixes = reached
+        indices, tau = found
         stop = next((j for j, s in enumerate(indices, start=1) if takes[j - 1][s]), self.t + 1)
-        return indices, stop, tau
+        return list(indices), stop, tau
 
     def advance(self, j, highs, row) -> tuple:
         """From the running maxima ``highs`` of the paths on which the rule
@@ -565,7 +563,7 @@ class _Reach:
                 if after is None:
                     continue
                 if take:
-                    worst = max(worst, self.tail(j + 1, after, None, None))
+                    worst = max(worst, self.stopped(j + 1, *after))
                 else:
                     passed.add(after[0])
         return worst, frozenset(passed)
@@ -573,24 +571,23 @@ class _Reach:
     def search(self, rows, keep):
         """``(choice, worst)`` for each rule built from one take row per
         iteration, ``choice[j - 1]`` indexing ``rows[j - 1]``, in product
-        order. A prefix is cut with all its completions once its regret so
-        far fails ``keep``, so ``keep`` must fail on every value above one it
-        fails on."""
-        moves = {}
-
-        def grow(j, highs, worst, choice):
+        order, depth first. A prefix is cut with all its completions once its
+        regret so far fails ``keep`` when popped, after its earlier siblings'
+        completions; ``keep`` must fail on every value above one it fails on."""
+        moves, stack = {}, [((), frozenset((0,)), 0)]
+        while stack:
+            choice, highs, worst = stack.pop()
+            if not keep(worst):
+                continue
+            j = len(choice) + 1
             if j > self.t:
                 yield choice, worst
-                return
-            for k, row in enumerate(rows[j - 1]):
+                continue
+            for k in reversed(range(len(rows[j - 1]))):
                 if (j, highs, k) not in moves:
-                    moves[j, highs, k] = self.advance(j, highs, row)
+                    moves[j, highs, k] = self.advance(j, highs, rows[j - 1][k])
                 now, after = moves[j, highs, k]
-                now = max(worst, now)
-                if keep(now):
-                    yield from grow(j + 1, after, now, choice + (k,))
-
-        return grow(1, frozenset((0,)), 0, ())
+                stack.append((choice + (k,), after, max(worst, now)))
 
 
 def _reach(steps, t: int, mode: str, enum_cap: int) -> _Reach:
@@ -642,6 +639,8 @@ def trading_oracle_report(
     opponent stop.
     """
     steps = _steps(spec, player, grid_step, signature=False)
+    if strategy.player != player:
+        raise InputError(f"the strategy is for player {strategy.player}, not player {player}")
     t = spec.iterations
     reach = _reach(steps, t, mode, enum_cap)
     takes = _strategy_takes(strategy, steps, t)

@@ -349,6 +349,32 @@ def criterion7_horizon_rows(horizons=(4, 5), enum_cap=10**6) -> list[dict]:
     return rows
 
 
+# -- criterion 8 ----------------------------------------------------------------
+
+
+def single_agent_prediction(cap: int, floor: int) -> tuple:
+    """The single-agent audit on the integer grid [floor, cap] in closed
+    form, for any horizon of at least 2 iterations: the stationary table,
+    the best stationary thresholds and the optimal regret.
+
+    A stationary threshold x accepts the first early announcement >= x.
+    Never accepting loses cap - floor (the cap goes by, the forced last
+    announcement is the floor), and so does x = floor (the floor is accepted
+    at once, then the cap comes). For floor < x <= cap the two worst cases
+    are accepting x before the cap (cap - x) and passing x - 1 before a
+    forced floor (x - 1 - floor). The optimum of their maximum is
+    r = ceil((cap - floor - 1) / 2), reached at x from max(cap - r, floor + 1)
+    to min(floor + 1 + r, cap); per-iteration profiles do no better.
+    """
+    def worst(x):
+        return cap - floor if x is None or x == floor else max(cap - x, x - 1 - floor)
+
+    best = -(-(cap - floor - 1) // 2)
+    table = tuple((x, Fraction(worst(x))) for x in [None] + list(range(floor, cap + 1)))
+    thresholds = tuple(range(max(cap - best, floor + 1), min(floor + 1 + best, cap) + 1))
+    return table, thresholds, Fraction(best)
+
+
 # -- enumerating references for the trading kernel -----------------------------
 #
 # The record builder and regret evaluator the library used before its

@@ -43,6 +43,7 @@ from support import (
     random_dense_game,
     realized,
     replay,
+    single_agent_prediction,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -257,6 +258,25 @@ def test_criterion_8_single_agent_threshold_audit():
         "closed form (M-m)/2=4 yields regret 6; audited optimum 6..7 yields 4; "
         f"{elapsed:.1f}s",
     )
+
+
+def test_criterion_8_audit_matches_the_grid_formula():
+    """The audit against ``single_agent_prediction`` for caps 3-12, every
+    floor and t = 2-4 (at most 13 ** 3 threshold profiles): the stationary
+    table, the best thresholds and the best profile regret. The stated
+    (cap - floor) / 2 is the optimal regret on a continuum, not the optimal
+    threshold; docs/DECISIONS.md works (10, 2, 3) by hand."""
+    checked = 0
+    for cap in range(3, 13):
+        for floor in range(1, cap):
+            table, thresholds, best = single_agent_prediction(cap, floor)
+            for t in (2, 3, 4):
+                audit = audit_single_agent(cap, floor, t)
+                assert audit.stationary_table == table, (cap, floor, t)
+                assert audit.best_stationary_thresholds == thresholds, (cap, floor, t)
+                assert audit.best_stationary_regret == audit.best_profile_regret == best
+                checked += 1
+    assert checked == 195
 
 
 def test_criterion_9_property_suites():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -235,6 +237,20 @@ def test_trading_oracle_with_sweep(capsys):
     entry = payload["oracle"][0]
     assert entry["worst_case_regret"] == "4"
     assert entry["sweep"]["reference_optimal"] is True
+
+
+def test_trading_long_horizon_runs_within_a_raised_cap(capsys):
+    # the kernel walks the horizon forward, so no recursion limit applies
+    code, out, err = run_capture(
+        capsys,
+        ["trading", "--m1", "1", "--M1", "2", "--m2", "1", "--M2", "2", "--t", "1200",
+         "--K", "1", "--oracle", "--sweep", "--enum-cap", str(10**1000), "--format", "csv"],
+    )
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["player", "mode", "strategy", "worst_case_regret", "optimal"]
+    assert [row[:2] for row in rows[1:]] == [["0", "full"], ["1", "full"],
+                                            ["0", "rational"], ["1", "rational"]]
 
 
 def test_trading_enum_cap_exit_three(capsys):

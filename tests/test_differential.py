@@ -6,7 +6,8 @@ below works on the drawn Fractions directly and imports neither the solver
 nor the dominance module. The trading oracle is checked against the
 stop-time reference in ``support``, which scores explicit stop times with
 ``trading_payoff`` only, and its reachability kernel, sweep and audit against
-the enumerating references there.
+the enumerating references there; the kernel's closed-form tail after the
+rule's own take is checked against a brute-force maximum below.
 """
 
 import itertools
@@ -39,7 +40,7 @@ from regretgames import (
     trading_oracle_report,
 )
 from regretgames.rational import parse_rational
-from regretgames.trading import _reach, _steps
+from regretgames.trading import _Reach, _reach, _steps
 from support import (
     _records,
     _worst_regret,
@@ -333,6 +334,52 @@ def test_kernel_matches_the_enumerating_reference(case):
         (indices, _, _), stop, tau = witness
         indices_found, stop_found, tau_found = reach.witness(takes, worst)
         assert (tuple(indices_found), stop_found, tau_found) == (indices, stop, tau)
+
+
+def stopped_reference(steps, t: int, mode: str, j: int, high, stop):
+    """The worst regret, once the rule has taken at ``stop``, over every step
+    sequence for iterations j..t from the running max ``high``, against every
+    opponent stop at j or later: any iteration or never ("full"), any
+    iteration up to the first with the other agent at its cap before the
+    last, or the last ("rational"), only never ("single")."""
+    worst = 0
+    for sequence in itertools.product(steps, repeat=t - j + 1):
+        running = high
+        for at, (value, peak, _) in enumerate(sequence, start=j):
+            if mode != "single":
+                worst = max(worst, max(2 * running, value) - 2 * stop)
+            running = max(running, value)
+            if mode == "rational" and peak and at < t:
+                break
+        else:
+            if mode != "rational":
+                worst = max(worst, 2 * running - 2 * stop)
+    return worst
+
+
+@pytest.mark.parametrize("spec, player, step", [
+    (TradingSpec((1, 2), (5, 4), 3, 1), 0, 1),
+    (TradingSpec((1, 1), (6, 3), 3, 1), 0, 1),
+    (TradingSpec((2, 1), (5, 3), 4, 1), 0, 1),
+    (TradingSpec((1, 2), (3, 6), 4, 1), 1, 1),
+    (TradingSpec((1, 1), (3, 2), 3, 1), 0, Fraction(1, 2)),
+    (TradingSpec((1, 2), (2, 3), 4, 1), 0, Fraction(1, 2)),
+], ids=["unit-t3", "wide-t3", "unit-t4", "unit-t4-p1", "half-t3", "half-t4"])
+def test_stopped_tail_is_the_maximum_over_every_later_sequence(spec, player, step):
+    """The closed-form tail after the rule's own take, at every iteration
+    j >= 2, running max and stop value up to it, in every mode, on the full
+    grid and on the signature steps."""
+    t = spec.iterations
+    values = trading_grid(*spec.bounds(player), step)
+    for mode, signature in itertools.product(("full", "rational", "single"), (False, True)):
+        steps = _steps(spec, player, step, signature)
+        reach = _Reach(steps, t, mode)
+        for j in range(2, t + 1):
+            for high in values:
+                for stop in (v for v in values if v <= high):
+                    assert reach.stopped(j, high, stop) \
+                        == stopped_reference(steps, t, mode, j, high, stop), \
+                        (mode, signature, j, high, stop)
 
 
 @pytest.mark.parametrize("spec, player, step", [

@@ -259,6 +259,34 @@ def test_audit_checks_sequences_and_profiles_against_the_cap():
     assert audit_single_agent(10, 2, 3, enum_cap=729).best_profile_regret == 4
 
 
+@pytest.mark.parametrize("args, fragment", [
+    ((10, 2, 3.0), "iterations must be an integer, got 3.0"),
+    ((10.0, 2, 3), "price cap must be an integer, got 10.0"),
+    ((10, 2, "3"), "iterations must be an integer, got '3'"),
+], ids=["float-iterations", "float-cap", "string-iterations"])
+def test_audit_rejects_non_integers(args, fragment):
+    with pytest.raises(InputError, match=re.escape(fragment)):
+        audit_single_agent(*args)
+
+
+def test_oracle_rejects_the_other_players_strategy():
+    spec = TradingSpec((1, 2), (4, 6), 3, 1)
+    with pytest.raises(InputError, match="strategy is for player 0, not player 1"):
+        trading_oracle_report(spec, 1, competitive_trading_strategy(spec, 0))
+    with pytest.raises(InputError, match="strategy is for player 1, not player 0"):
+        trading_oracle(spec, 0, rational_trading_strategy(spec, 1), "rational")
+
+
+def test_player_must_be_an_int_not_a_bool():
+    spec = TradingSpec((1, 2), (4, 6), 3, 1)
+    with pytest.raises(InputError, match="player must be 0 or 1, got True"):
+        spec.bounds(True)
+    strategy = competitive_trading_strategy(spec, 1)
+    with pytest.raises(InputError, match="player must be 0 or 1, got True"):
+        trading_oracle_report(spec, True, strategy)
+    assert trading_oracle_report(spec, 1, strategy)["player"] == 1
+
+
 def test_oracle_report_witness():
     spec = TradingSpec((1, 1), (4, 4), 3, 1)
     report = trading_oracle_report(spec, 0, competitive_trading_strategy(spec, 0), "full")
