@@ -5,6 +5,9 @@ earlier iterations; the player's own past moves are deliberately not part of
 the domain. Expanding a sequence turns history strategies into a plain
 normal-form game whose payoff is the stage-payoff sum along the unique play
 path, after which the one-shot solver and dominance machinery apply verbatim.
+The expansion is built from the last stage back: each suffix's payoff is its
+first stage's plus the next suffix's at the continuation strategies, so one
+expansion carries every suffix's on its ``rest`` chain.
 
 Being competitive "at each subgame" quantifies over every suffix of the
 sequence and every opponent history reaching it, whether or not the history
@@ -17,7 +20,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AssumptionError, InputError, check_mode, check_size
@@ -50,7 +53,7 @@ class GameSequence:
 
     @classmethod
     def repeat(cls, game: Game, times: int) -> "GameSequence":
-        if times < 1:
+        if strict_int(times, "repetition count") < 1:
             raise InputError(f"repetition count must be >= 1, got {times}")
         return cls((game,) * times)
 
@@ -63,7 +66,7 @@ class GameSequence:
 
     def suffix(self, start: int) -> "GameSequence":
         """The subgame starting at iteration ``start`` (1-based)."""
-        if not 1 <= start <= len(self.stages):
+        if not 1 <= strict_int(start, "suffix start") <= len(self.stages):
             raise InputError(f"suffix start {start} outside 1..{len(self.stages)}")
         return GameSequence(self.stages[start - 1:])
 
@@ -105,19 +108,14 @@ def others_choice_tuples(stage: Game, player: int) -> tuple[tuple[int, ...], ...
 
 def opponent_histories(sequence: GameSequence, player: int, length: int):
     """All opponent histories covering iterations 1..length (lex order)."""
-    alphabets = [
-        others_choice_tuples(sequence.stages[j], player) for j in range(length)
-    ]
-    return itertools.product(*alphabets)
+    return itertools.product(*(others_choice_tuples(stage, player)
+                               for stage in sequence.stages[:length]))
 
 
 def decision_points(sequence: GameSequence, player: int) -> tuple[HistoryKey, ...]:
     """Ordered domain of a history strategy: iteration-major, history lex."""
-    points = []
-    for idx in range(1, len(sequence) + 1):
-        for history in opponent_histories(sequence, player, idx - 1):
-            points.append((idx, history))
-    return tuple(points)
+    return tuple((idx, history) for idx in range(1, len(sequence) + 1)
+                 for history in opponent_histories(sequence, player, idx - 1))
 
 
 def _strategy_factors(sequence: GameSequence, player: int) -> list[tuple[int, int]]:
@@ -132,24 +130,26 @@ def _strategy_factors(sequence: GameSequence, player: int) -> list[tuple[int, in
 
 @dataclass
 class ExpandedGame:
-    """A sequence flattened to normal form, with index <-> strategy maps."""
+    """A sequence flattened to normal form; ``rest`` is the expansion from its
+    second stage (None for one stage). A strategy's index reads its decisions
+    over ``points[player]`` as a mixed-radix number, first point most significant."""
 
     sequence: GameSequence
     game: Game
     points: tuple[tuple[HistoryKey, ...], ...]
-    _tuples: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
-    _index: tuple[dict, ...] = field(repr=False)
-
-    def decisions_tuple(self, player: int, index: int) -> tuple[int, ...]:
-        return self._tuples[player][index]
+    rest: ExpandedGame | None
 
     def index_of_tuple(self, player: int, decisions: tuple[int, ...]) -> int:
-        try:
-            return self._index[player][tuple(decisions)]
-        except KeyError:
+        player, decisions, index = self.game._validate_player(player), tuple(decisions), 0
+        counts = [self.sequence.stages[idx - 1].strategy_counts[player]
+                  for idx, _ in self.points[player]]
+        if len(decisions) != len(counts) or not all(
+                0 <= strict_int(d, "a decision") < c for d, c in zip(decisions, counts)):
             raise InputError(
-                f"decision tuple {decisions} is not a valid strategy of player {player}"
-            ) from None
+                f"decision tuple {decisions} is not a valid strategy of player {player}")
+        for d, c in zip(decisions, counts):
+            index = index * c + d
+        return index
 
     def index_of_strategy(self, player: int, strategy: HistoryStrategy) -> int:
         decisions = tuple(
@@ -159,69 +159,67 @@ class ExpandedGame:
 
 
 def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) -> ExpandedGame:
-    """Build the normal-form game over history strategies.
+    """Build the normal-form game over history strategies, putting one stage
+    at a time, from the last, in front of the expansion of the stages after it.
 
-    Payoff of a strategy tuple is the sum of stage payoffs along the induced
-    play path. Raises :class:`SizeError` before allocating when a player's
+    Payoff of a strategy tuple is the stage payoff at the first decisions plus
+    the rest's payoff at the continuations: after the others' first-stage
+    choice ``o``, a strategy plays its ``o``-th block of decisions in each later
+    iteration. Raises :class:`SizeError` before allocating when a player's
     strategy space or the joint profile space exceeds the cap.
     """
     n = sequence.player_count
-    m = len(sequence)
     factors = [_strategy_factors(sequence, player) for player in range(n)]
-    counts = tuple(
-        check_size(f"player {player} would have {{}} history strategies", dense_cap,
-                   *factors[player])
-        for player in range(n)
-    )
+    for player, powers in enumerate(factors):
+        check_size(f"player {player} would have {{}} history strategies", dense_cap, *powers)
     check_size("expansion would need {} payoff cells", dense_cap, *itertools.chain(*factors))
-
-    all_points = tuple(decision_points(sequence, player) for player in range(n))
-    point_counts = tuple(
-        tuple(sequence.stages[idx - 1].strategy_counts[player] for idx, _ in all_points[player])
-        for player in range(n)
-    )
-    tuples = tuple(
-        tuple(itertools.product(*(range(c) for c in point_counts[player])))
-        for player in range(n)
-    )
-    index = tuple({t: i for i, t in enumerate(tuples[player])} for player in range(n))
-    # dict-per-strategy lookup tables keep the replay loop simple
-    lookups = [
-        [dict(zip(all_points[player], t)) for t in tuples[player]] for player in range(n)
-    ]
-
-    # Every stage's payoffs as numerators over one denominator per player,
-    # shared by all stages, so the payoff of a play path is a sum of ints.
-    stage_columns = [[stage._column(player) for player in range(n)] for stage in sequence.stages]
-    scales = [math.lcm(*(per_stage[player][1] for per_stage in stage_columns))
+    # one denominator per player for all stages; the unreduced ``columns`` stay over it
+    scales = [math.lcm(*(stage._column(player)[1] for stage in sequence.stages))
               for player in range(n)]
-    stage_tables = []  # per stage: moves -> per-player numerators over ``scales``
-    for stage, per_stage in zip(sequence.stages, stage_columns):
-        scaled = [
-            [v * (scales[player] // scale) for v in column]
-            for player, (column, scale) in enumerate(per_stage)
-        ]
-        stage_tables.append(dict(zip(stage.profiles(), zip(*scaled))))
 
-    others = [[j for j in range(n) if j != player] for player in range(n)]
-    columns = [[] for _ in range(n)]
-    for combo in itertools.product(*(range(c) for c in counts)):
-        decide = [lookups[player][combo[player]] for player in range(n)]
-        histories = [() for _ in range(n)]
-        totals = [0] * n
-        for idx, table in enumerate(stage_tables, start=1):
-            moves = tuple([decide[player][(idx, histories[player])] for player in range(n)])
-            totals = list(map(operator.add, totals, table[moves]))
-            if idx < m:
-                histories = [
-                    history + (tuple([moves[j] for j in others[player]]),)
-                    for player, history in enumerate(histories)
+    # the empty suffix: one strategy per player, no decision points, payoff 0
+    columns, points, expansion = [[0]] * n, ((),) * n, None
+    game = Game((1,) * n, columns=columns, scales=[1] * n)
+    for start in range(len(sequence), 0, -1):
+        stage, later = sequence.stages[start - 1], sequence.stages[start:]
+        strategies, new_points, seen, heads = [], [], [], []
+        for player in range(n):
+            others = others_choice_tuples(stage, player)
+            by_iteration = [tuple(group) for _, group in
+                            itertools.groupby(points[player], operator.itemgetter(0))]
+            new_points.append(((1, ()),) + tuple(
+                (idx + 1, (choice,) + history)
+                for group in by_iteration for choice in others for idx, history in group
+            ))
+            # the rest's strategy index after each first-stage choice of the others
+            continuations = [(0,) * len(others)]
+            for stage_after, group in zip(later, by_iteration):
+                size = stage_after.strategy_counts[player] ** len(group)
+                continuations = [
+                    tuple(c * size + d for c, d in zip(continuation, block))
+                    for continuation in continuations
+                    for block in itertools.product(range(size), repeat=len(others))
                 ]
-        for column, total in zip(columns, totals):
-            column.append(total)
+            count, stride, after = stage.strategy_counts[player], stage._strides[player], \
+                game._strides[player]
+            strategies.append([(choice * stride, tuple(c * after for c in continuation))
+                               for choice in range(count) for continuation in continuations])
+            # the index in ``others`` of what the others play at each stage profile
+            seen.append([f // (count * stride) * stride + f % stride
+                         for f in range(stage.profile_count)])
+            head, scale = stage._column(player)
+            heads.append([v * (scales[player] // scale) for v in head])
 
-    game = Game(counts, columns=columns, scales=scales)
-    return ExpandedGame(sequence, game, all_points, tuples, index)
+        seen_at, tails, columns = list(zip(*seen)), columns, [[] for _ in range(n)]
+        for combo in itertools.product(*strategies):
+            at = sum(first for first, _ in combo)
+            rest_at = sum(c[o] for (_, c), o in zip(combo, seen_at[at]))
+            for column, head, tail in zip(columns, heads, tails):
+                column.append(head[at] + tail[rest_at])
+        game = Game(tuple(map(len, strategies)), columns=columns, scales=scales)
+        points = tuple(new_points)
+        expansion = ExpandedGame(sequence.suffix(start), game, points, expansion)
+    return expansion
 
 
 # -- payoff extremes and the stage condition ---------------------------------
@@ -320,10 +318,11 @@ class SequenceAnalysis:
         self._reports: dict[tuple, list[RegretReport]] = {}
 
     def expansion(self, start: int) -> ExpandedGame:
+        """The suffix from ``start``; building it caches every later suffix too."""
         if start not in self._expansions:
-            self._expansions[start] = expand_sequence(
-                self.sequence.suffix(start), self.dense_cap
-            )
+            chain = expand_sequence(self.sequence.suffix(start), self.dense_cap)
+            for later in range(start, len(self.sequence) + 1):
+                self._expansions[later], chain = chain, chain.rest
         return self._expansions[start]
 
     def report(self, start: int, player: int, mode: str) -> RegretReport:

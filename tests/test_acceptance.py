@@ -39,6 +39,7 @@ from support import (
     criterion7_horizon_rows,
     folk_failure_row,
     folk_reference,
+    history_strategies,
     random_bidding_spec,
     random_dense_game,
     realized,
@@ -340,7 +341,7 @@ def test_criterion_9_property_suites():
         expansion = expand_sequence(sequence)
         profile = tuple(rng.randrange(c) for c in expansion.game.strategy_counts)
         decisions = [
-            dict(zip(expansion.points[p], expansion.decisions_tuple(p, profile[p])))
+            dict(zip(expansion.points[p], history_strategies(sequence, p)[1][profile[p]]))
             for p in (0, 1)
         ]
         assert expansion.game.payoff_cell(profile) == replay(sequence, decisions)

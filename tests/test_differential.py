@@ -45,6 +45,7 @@ from support import (
     _records,
     _worst_regret,
     audit_reference,
+    history_strategies,
     opponent_stops,
     replay,
     stop_regret,
@@ -173,7 +174,7 @@ def test_expansion_sums_stages_over_unrelated_scales(stages):
     game = expansion.game
     for profile in game.profiles():
         decisions = [
-            dict(zip(expansion.points[p], expansion.decisions_tuple(p, profile[p])))
+            dict(zip(expansion.points[p], history_strategies(sequence, p)[1][profile[p]]))
             for p in range(2)
         ]
         assert game.payoff_cell(profile) == replay(sequence, decisions)

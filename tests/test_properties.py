@@ -15,6 +15,7 @@ from regretgames import (
     regret,
     weakly_dominates,
 )
+from support import history_strategies
 
 COMMON = settings(max_examples=100, derandomize=True, deadline=None)
 
@@ -139,7 +140,7 @@ def test_expanded_payoff_additivity(sequence, rng):
     expansion = expand_sequence(sequence)
     profile = tuple(rng.randrange(count) for count in expansion.game.strategy_counts)
     decisions = [
-        dict(zip(expansion.points[p], expansion.decisions_tuple(p, profile[p])))
+        dict(zip(expansion.points[p], history_strategies(sequence, p)[1][profile[p]]))
         for p in range(2)
     ]
     histories = [(), ()]

@@ -1,9 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from regretgames import (
     AssumptionError,
+    Game,
     GameSequence,
     HistoryStrategy,
     InputError,
@@ -20,8 +23,11 @@ from regretgames import (
     subgames,
     verify_folk_theorem,
 )
+from regretgames import repeated
+from regretgames.repeated import SequenceAnalysis
 from support import (
-    anchor_game, criterion6_subjects, folk_reference, random_stage_game, realized, replay,
+    anchor_game, criterion6_subjects, folk_reference, history_strategies, random_stage_game,
+    realized, replay,
 )
 
 
@@ -107,11 +113,97 @@ def test_expansion_payoff_additivity_by_replay():
         expected = replay(
             seq,
             [
-                dict(zip(expansion.points[p], expansion.decisions_tuple(p, profile[p])))
+                dict(zip(expansion.points[p], history_strategies(seq, p)[1][profile[p]]))
                 for p in (0, 1)
             ],
         )
         assert expansion.game.payoff_cell(profile) == expected
+
+
+def uneven_sequence(rng: random.Random, players: int, length: int, cap: int = 400):
+    """Stages of independently drawn shapes (1-3 strategies per player) with
+    p/q payoffs over unrelated denominators, whose expansion fits ``cap``."""
+    while True:
+        stages = []
+        for _ in range(length):
+            counts = tuple(rng.randint(1, 3) for _ in range(players))
+            denominators = [rng.choice((1, 2, 3, 5, 7, 11, 13)) for _ in range(players)]
+            cells = [tuple(Fraction(rng.randint(-9, 20), q) for q in denominators)
+                     for _ in range(math.prod(counts))]
+            stages.append(Game.from_cells(counts, cells))
+        sequence = GameSequence(stages)
+        try:
+            return sequence, expand_sequence(sequence, cap)
+        except SizeError:
+            continue
+
+
+@pytest.mark.parametrize("players", [2, 3])
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_expansion_chain_on_uneven_shapes(players, length):
+    rng = random.Random(100 * players + length)
+    for _ in range(6):
+        sequence, expansion = uneven_sequence(rng, players, length)
+        spaces = [history_strategies(sequence, p) for p in range(players)]
+        assert expansion.points == tuple(tuple(points) for points, _ in spaces)
+        lookups = [[dict(zip(points, t)) for t in tuples] for points, tuples in spaces]
+        for profile in expansion.game.profiles():
+            expected = replay(sequence, [lookups[p][s] for p, s in enumerate(profile)])
+            assert expansion.game.payoff_cell(profile) == expected
+        rest = expansion
+        for k in range(1, length + 1):
+            assert rest == expand_sequence(sequence.suffix(k))  # sequence, game, points, rest
+            rest = rest.rest
+        assert rest is None
+        if length > 1 and expansion.game.profile_count > expansion.rest.game.profile_count:
+            # a cap that only the whole sequence exceeds
+            analysis = SequenceAnalysis(sequence, expansion.rest.game.profile_count)
+            assert analysis.expansion(2).game == expansion.rest.game
+            with pytest.raises(SizeError):
+                analysis.expansion(1)
+
+
+def test_index_of_tuple_is_the_reference_position():
+    rng = random.Random(5)
+    for players, length in ((2, 1), (2, 2), (3, 2), (2, 3)):
+        sequence, expansion = uneven_sequence(rng, players, length)
+        for p in range(players):
+            _, tuples = history_strategies(sequence, p)
+            assert [expansion.index_of_tuple(p, t) for t in tuples] == list(range(len(tuples)))
+
+
+@pytest.mark.parametrize("decisions", [
+    (0.0, 1.0, 1.0), (0, True, 1), (0, 1), (0, 1, 1, 0), (0, 2, 1), (0, -1, 1),
+])
+def test_index_of_tuple_rejects_invalid_decisions(decisions):
+    expansion = expand_sequence(GameSequence.repeat(anchor_game(), 2))
+    assert expansion.index_of_tuple(0, (0, 1, 1)) == 3
+    with pytest.raises(InputError):
+        expansion.index_of_tuple(0, decisions)
+
+
+@pytest.mark.parametrize("times", [2.0, True, "2"])
+def test_repeat_rejects_non_integer_counts(times):
+    with pytest.raises(InputError, match="repetition count must be an integer"):
+        GameSequence.repeat(anchor_game(), times)
+
+
+@pytest.mark.parametrize("start", [1.5, True, "1"])
+def test_suffix_rejects_non_integer_starts(start):
+    with pytest.raises(InputError, match="suffix start must be an integer"):
+        GameSequence.repeat(anchor_game(), 2).suffix(start)
+
+
+def test_folk_verifier_expands_each_suffix_once(monkeypatch):
+    expand, lengths = repeated.expand_sequence, []
+
+    def counted(sequence, *args):
+        lengths.append(len(sequence))
+        return expand(sequence, *args)
+
+    monkeypatch.setattr(repeated, "expand_sequence", counted)
+    verify_folk_theorem(GameSequence.repeat(condition_game(), 3))
+    assert lengths == [3]
 
 
 def test_suffix_consistency():
@@ -195,8 +287,6 @@ def test_reactive_strategies_can_beat_folk_at_l3():
     failing = {(e.player, e.passed) for e in report.entries}
     assert failing == {(0, False), (1, True)}
     # the whole-game subgame is the one that fails, by exactly one regret unit
-    from regretgames.repeated import SequenceAnalysis
-
     seq = GameSequence.repeat(condition_game(), 3)
     analysis = SequenceAnalysis(seq)
     expansion = analysis.expansion(1)
@@ -213,8 +303,6 @@ def test_reactive_strategies_can_beat_folk_at_l3():
 
 @pytest.mark.parametrize("player", [2, -1])
 def test_sequence_analysis_report_rejects_players_out_of_range(player):
-    from regretgames.repeated import SequenceAnalysis
-
     analysis = SequenceAnalysis(GameSequence.repeat(condition_game(), 2))
     with pytest.raises(InputError, match=f"player {player} out of range"):
         analysis.report(1, player, "full")
