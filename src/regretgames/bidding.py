@@ -119,31 +119,61 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
     a winner tied with M-1 others gets ``(valuation - kth) * (lcm(1..n) / M)``.
     Raises :class:`SizeError` before allocating when the ``(grid_size + 1) **
     n`` cells exceed ``DEFAULT_DENSE_CAP``.
+
+    The table is filled one run at a time. In lex order the last player's bid
+    x is the fastest axis, so each bid profile P of the others owns one run
+    of ``grid_size + 1`` cells. With m = max(P), the players of P bidding m
+    win for x < m, they and the last player tie at x = m, and the last player
+    wins alone for x > m. The k-th highest bid of P plus x is the clamp
+    ``min(hi, max(x, lo))``, hi and lo being the (k-1)-th and k-th highest
+    bids of P (``grid_size + 1`` and -1 where there is none). So along a run
+    each winner's payoff is a constant, a slice of its payoffs at price x, and
+    another constant: three slice assignments, whatever the grid. Losers keep
+    their zeros.
     """
     n = spec.player_count
     cells_needed = check_size(
         "the auction would need {} payoff cells", DEFAULT_DENSE_CAP, (spec.grid_size + 1, n)
     )
-    counts = (spec.grid_size + 1,) * n
-    labels = [[str(b) for b in range(spec.grid_size + 1)]] * n
+    bids = spec.grid_size + 1
+    counts = (bids,) * n
+    labels = [[str(b) for b in range(bids)]] * n
     common = math.lcm(*range(1, n + 1))
-    shares = [0] + [common // winners for winners in range(1, n + 1)]
-    kth_position = n - spec.price_rank  # in ascending order
-    values = spec.valuations
+    k = spec.price_rank
+    last = n - 1
+    # ladders[p][m][price]: player p's payoff as one of m tied winners; the
+    # prices run to grid_size + 1 so that hi indexes a ladder even for k = 1
+    ladders = [
+        [None] + [[(v - price) * (common // m) for price in range(bids + 1)]
+                  for m in range(1, n + 1)]
+        for v in spec.valuations
+    ]
     columns = [[0] * cells_needed for _ in range(n)]
-    profiles = itertools.product(range(spec.grid_size + 1), repeat=n)
-    for index, bids in enumerate(profiles):
-        top = max(bids)
-        winners = bids.count(top)
-        kth = sorted(bids)[kth_position]
-        share = shares[winners]
-        if winners == 1:
-            player = bids.index(top)
-            columns[player][index] = (values[player] - kth) * share
-            continue
-        for player, bid in enumerate(bids):
+    prefixes = itertools.product(range(bids), repeat=last)
+    for start, prefix in zip(range(0, cells_needed, bids), prefixes):
+        ranked = sorted(prefix, reverse=True)
+        top = ranked[0]
+        hi = ranked[k - 2] if k > 1 else bids
+        lo = ranked[k - 1] if k < n else -1
+        tied = prefix.count(top)
+        tie = start + top
+        tie_price = min(hi, top)
+        # x < top: price lo below lo, then x up to hi, then hi
+        from_x = max(lo, 0)
+        from_hi = max(min(hi + 1, top), from_x)
+        for player, bid in enumerate(prefix):
             if bid == top:
-                columns[player][index] = (values[player] - kth) * share
+                column, ladder = columns[player], ladders[player][tied]
+                column[start:start + from_x] = [ladder[lo]] * from_x
+                column[start + from_x:start + from_hi] = ladder[from_x:from_hi]
+                column[start + from_hi:tie] = [ladder[hi]] * (top - from_hi)
+                column[tie] = ladders[player][tied + 1][tie_price]
+        column, ladder = columns[last], ladders[last][1]
+        column[tie] = ladders[last][tied + 1][tie_price]
+        # x > top >= lo: price x up to hi, then hi
+        from_hi = max(min(hi + 1, bids), top + 1)
+        column[tie + 1:start + from_hi] = ladder[top + 1:from_hi]
+        column[start + from_hi:start + bids] = [ladder[hi]] * (bids - from_hi)
     scale = common * spec.grid_size
     return Game(counts, columns=columns, scales=[scale] * n, labels=labels)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -372,6 +373,8 @@ def _cmd_repeated(args) -> int:
 
 
 def _cmd_trading(args) -> int:
+    if args.sweep and not args.oracle:
+        raise InputError("--sweep needs --oracle")
     if args.audit_single:
         if args.m1 is None or args.M1 is None:
             raise InputError("--audit-single needs --m1 and --M1 (and optionally --t)")
@@ -586,8 +589,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import InputError
-from .rational import coerce_rational, format_rational, parse_rational, strict_int
+from .rational import coerce_rational, format_rational, rational_parts, strict_int
 
 #: Cap on the payoff cells of the games the package builds: the auction of
 #: ``make_bidding_game`` and the expansion of ``expand_sequence``, which also
@@ -89,8 +89,13 @@ def _scaled(values) -> tuple[list[int], int]:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise InputError(f"payoff {v!r} is not an exact rational (int or Fraction)")
-    scale = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    return _over_lcm([v.numerator for v in values], [v.denominator for v in values])
+
+
+def _over_lcm(numerators, denominators) -> tuple[list[int], int]:
+    """The fractions ``n / d`` as int numerators over their least common denominator."""
+    scale = math.lcm(*set(denominators))
+    return [n * (scale // d) for n, d in zip(numerators, denominators)], scale
 
 
 def _reduced(column, scale: int) -> tuple[list[int], int]:
@@ -345,7 +350,7 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
     """
     counts = _checked_counts(strategy_counts)
     n = len(counts)
-    cells: list[tuple[Fraction, ...]] = []
+    parts: list[tuple[int, int]] = []  # (numerator, denominator), cell by cell
 
     def walk(node, depth, path):
         if depth == n:
@@ -353,7 +358,7 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
                 raise InputError(
                     f"cell at {path} must list {n} payoffs, got {node!r}"
                 )
-            cells.append(tuple(parse_rational(v) for v in node))
+            parts.extend(map(rational_parts, node))
             return
         if not isinstance(node, (list, tuple)) or len(node) != counts[depth]:
             have = len(node) if isinstance(node, (list, tuple)) else node
@@ -365,7 +370,8 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
             walk(child, depth + 1, path + (i,))
 
     walk(payoff_table, 0, ())
-    return Game.from_cells(counts, cells, labels=labels)
+    columns, scales = zip(*(_over_lcm(*zip(*parts[p::n])) for p in range(n)))
+    return Game(counts, columns=columns, scales=scales, labels=labels)
 
 
 # -- JSON interface ----------------------------------------------------------

@@ -78,7 +78,12 @@ def test_game_construction_matches_utility():
     assert game.payoff((5, 3), 0) == bidding_utility(spec, (5, 3), 0)
 
 
-@pytest.mark.parametrize("valuations, grid", [((3, 2), 4), ((4, 2, 3), 5), ((5, 2, 4, 3), 6)])
+# The smallest grids the spec allows (T = n + 2, so one valuation is T - 1)
+# up to five players, and wider grids with longer runs of the last bid.
+@pytest.mark.parametrize("valuations, grid", [
+    ((3, 2), 4), ((4, 2, 3), 5), ((5, 2, 4, 3), 6), ((6, 2, 5, 3, 4), 7),
+    ((2, 9), 17), ((9, 2, 5), 12),
+])
 def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
     n = len(valuations)
     for k in range(1, n + 1):

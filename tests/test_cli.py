@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from regretgames import game_to_json, save_game
+from regretgames import cli, game_to_json, save_game
 from regretgames.cli import run
 from support import anchor_game
 
@@ -474,3 +475,62 @@ def test_sizes_far_past_the_cap_exit_three_at_once(tmp_path, capsys, argv, file)
     code, out, err = run_capture(capsys, argv)
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "(cap " in err
+
+
+def test_consecutive_runs_match_separate_runs(game_file, capsys):
+    # the parser is built once per process; no command may leave state in it
+    argvs = [
+        ["solve", "--game", str(game_file), "--mode", "rational", "--format", "csv"],
+        ["solve", "--game", str(game_file)],
+        ["bidding", "--l", "3,5", "--T", "6", "--k", "2", "--verify", "--format", "text"],
+        ["solve", "--bogus"],
+        ["trading", "--m1", "1", "--M1", "4", "--m2", "1", "--M2", "4", "--t", "3",
+         "--K", "1", "--mode", "full", "--grid-step", "1/2", "--oracle", "--sweep"],
+        ["trading", "--m1", "1", "--M1", "4", "--m2", "1", "--M2", "4", "--t", "3", "--K", "1"],
+        ["dominance", "--game", str(game_file), "--rounds", "2"],
+        ["dominance", "--game", str(game_file)],
+    ]
+    separate = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        separate.append(run_capture(capsys, argv))
+    assert [run_capture(capsys, argv) for argv in argvs] == separate
+    assert [code for code, _, _ in separate] == [0, 0, 0, 2, 0, 0, 0, 0]
+
+
+def test_trading_sweep_needs_oracle(capsys):
+    argv = ["trading", "--m1", "1", "--M1", "4", "--m2", "1", "--M2", "4", "--t", "3",
+            "--K", "1", "--sweep"]
+    assert_one_line_input_error(capsys, argv, "--sweep needs --oracle")
+
+
+_BAND = ["trading", "--m1", "2", "--M1", "6", "--m2", "2", "--M2", "6", "--t", "3", "--K", "1"]
+
+
+@pytest.mark.parametrize("text", ["1e-10000000", "0.5"])
+def test_grid_step_takes_only_exact_rationals(capsys, text):
+    code, out, err = run_capture(capsys, _BAND + ["--oracle", "--grid-step", text])
+    assert code == 2 and out == ""
+    assert f"not a rational number: '{text}'" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("text", ["1e-10000000", "1.5"])
+def test_announcements_take_only_exact_rationals(tmp_path, capsys, text):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps([[text, 3], [4, 5], [5, 5]]))
+    assert_one_line_input_error(
+        capsys, _BAND + ["--simulate", str(path)], f"not a rational number: '{text}'"
+    )
+
+
+def test_exponent_payoff_exits_two_at_once(tmp_path, capsys):
+    # Fraction("1e-10000000") builds a ten-million-digit power of ten
+    obj = game_to_json(anchor_game())
+    obj["payoffs"][0][0][0] = "1e-10000000"
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    started = time.perf_counter()
+    assert_one_line_input_error(
+        capsys, ["solve", "--game", str(path)], "not a rational number: '1e-10000000'"
+    )
+    assert time.perf_counter() - started < 1.0

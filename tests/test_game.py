@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from regretgames import (
     make_dense_game,
     save_game,
 )
+from regretgames.rational import parse_rational, rational_parts
 from support import anchor_game
 
 
@@ -144,3 +146,34 @@ def test_game_from_json_validation():
     with pytest.raises(InputError):
         game_from_json({"players": 2, "strategy_counts": [2, 2],
                         "payoffs": [[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]]})
+
+
+# int() refuses digit strings past this limit (0: no limit, or an older Python)
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_PAST_THE_DIGIT_LIMIT = [
+    pytest.param("1" * (_DIGIT_LIMIT + 1), id="numerator-past-the-digit-limit"),
+    pytest.param("1/" + "1" * (_DIGIT_LIMIT + 1), id="denominator-past-the-digit-limit"),
+] if _DIGIT_LIMIT else []
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "7", "+7", "-7", "007", "4/6", "-4/6", "+1/3", "0/5", "3/1",
+    "12345678901234567890/36",
+])
+def test_rational_grammar_accepts_integers_and_fractions(text):
+    assert parse_rational(text) == Fraction(text)
+    assert rational_parts(text) == (Fraction(text).numerator, Fraction(text).denominator)
+    game = make_dense_game((1, 1), [[[text, 0]]])
+    assert game.payoff((0, 0), 0) == Fraction(text)
+
+
+@pytest.mark.parametrize("value", [
+    "1.5", ".5", "1e3", "1e-10000000", "1E2", " 3", "3 ", "3\n", "1_000", "٣",
+    "3/0", "-3/0", "3/-4", "1/2/3", "", "+", "/3", "3/", "0x10", "inf", "nan",
+    *_PAST_THE_DIGIT_LIMIT, 1.5, True, None,
+])
+def test_rational_grammar_rejects_everything_else(value):
+    with pytest.raises(InputError, match="not a rational number"):
+        parse_rational(value)
+    with pytest.raises(InputError, match="not a rational number"):
+        make_dense_game((1, 1), [[[value, 0]]])
