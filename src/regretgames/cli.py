@@ -375,6 +375,12 @@ def _cmd_repeated(args) -> int:
 def _cmd_trading(args) -> int:
     if args.sweep and not args.oracle:
         raise InputError("--sweep needs --oracle")
+    # each of these picks the whole output, so a second one would be dropped
+    actions = [flag for flag, given in (("--audit-single", args.audit_single),
+                                        ("--simulate", args.simulate), ("--oracle", args.oracle))
+               if given]
+    if len(actions) > 1:
+        raise InputError(f"{' and '.join(actions)} cannot be combined")
     if args.audit_single:
         if args.m1 is None or args.M1 is None:
             raise InputError("--audit-single needs --m1 and --M1 (and optionally --t)")

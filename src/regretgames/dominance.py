@@ -47,12 +47,16 @@ def weakly_dominates(game: Game, player: int, s: int, s_prime: int) -> bool:
 
 def _surviving(rows, candidates):
     """Split candidates into (allowed, eliminated-with-witness) by pairwise scan."""
+    # A row never worse and somewhere better has a strictly larger int sum, and
+    # a row never worse with a larger sum differs somewhere: so s_prime weakly
+    # dominates s exactly when its sum is larger and no entry is smaller.
+    totals = [(s, sum(rows[s])) for s in candidates]
     allowed = []
     eliminated = []
-    for s in candidates:
-        witness = None
-        for s_prime in candidates:
-            if s_prime != s and _dominates(rows[s_prime], rows[s]):
+    for s, total in totals:
+        row_s, witness = rows[s], None
+        for s_prime, total_prime in totals:
+            if total_prime > total and all(map(operator.ge, rows[s_prime], row_s)):
                 witness = s_prime
                 break  # candidates scan ascending, so the first hit is the lowest index
         if witness is None:

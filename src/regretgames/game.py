@@ -98,13 +98,19 @@ def _over_lcm(numerators, denominators) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in zip(numerators, denominators)], scale
 
 
+#: Cells per ``math.gcd`` call in :func:`_reduced`, which stops at gcd 1.
+_GCD_CHUNK = 256
+
+
 def _reduced(column, scale: int) -> tuple[list[int], int]:
     """Numerators and their denominator divided by their gcd."""
     if scale < 1:
         raise InputError(f"payoff denominators must be positive, got {scale}")
-    divisor = math.gcd(scale, *column)
-    if divisor == 1:
-        return column, scale
+    divisor = scale
+    for start in range(0, len(column), _GCD_CHUNK):
+        divisor = math.gcd(divisor, *column[start:start + _GCD_CHUNK])
+        if divisor == 1:  # no later cell can raise it again
+            return column, scale
     return [v // divisor for v in column], scale // divisor
 
 

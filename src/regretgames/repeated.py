@@ -165,8 +165,12 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     Payoff of a strategy tuple is the stage payoff at the first decisions plus
     the rest's payoff at the continuations: after the others' first-stage
     choice ``o``, a strategy plays its ``o``-th block of decisions in each later
-    iteration. Raises :class:`SizeError` before allocating when a player's
-    strategy space or the joint profile space exceeds the cap.
+    iteration. In lex order the last player's strategies are the fastest
+    axis, so cells come in runs, one per profile of the others' strategies and
+    the last player's first decision, in which only the last player's
+    continuation moves; each run is gathered from the rest's columns at once.
+    Raises :class:`SizeError` before allocating when a player's strategy space
+    or the joint profile space exceeds the cap.
     """
     n = sequence.player_count
     factors = [_strategy_factors(sequence, player) for player in range(n)]
@@ -210,12 +214,20 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
             head, scale = stage._column(player)
             heads.append([v * (scales[player] // scale) for v in head])
 
+        # along a run the stage profile ``at`` and the others' share ``base`` of
+        # the rest's index stay fixed; ``offsets[o]`` lists the last player's
+        # share after the others' first-stage choice ``o``, in run order
+        run = len(strategies[-1]) // stage.strategy_counts[-1]
+        offsets = list(zip(*(c for _, c in strategies[-1][:run])))
         seen_at, tails, columns = list(zip(*seen)), columns, [[] for _ in range(n)]
-        for combo in itertools.product(*strategies):
-            at = sum(first for first, _ in combo)
-            rest_at = sum(c[o] for (_, c), o in zip(combo, seen_at[at]))
+        for *combo, choice in itertools.product(*strategies[:-1],
+                                                range(stage.strategy_counts[-1])):
+            at = sum(first for first, _ in combo) + choice
+            base = sum(c[o] for (_, c), o in zip(combo, seen_at[at]))
+            gather = operator.itemgetter(*map(base.__add__, offsets[seen_at[at][-1]]))
             for column, head, tail in zip(columns, heads, tails):
-                column.append(head[at] + tail[rest_at])
+                values = gather(tail)  # one index gives the item, not a 1-tuple
+                column.extend(map(head[at].__add__, values if run > 1 else (values,)))
         game = Game(tuple(map(len, strategies)), columns=columns, scales=scales)
         points = tuple(new_points)
         expansion = ExpandedGame(sequence.suffix(start), game, points, expansion)
@@ -271,13 +283,17 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
         [payoff_extremes(game, player) for player in range(n)] for game in games
     ]
     for player in range(n):
+        seconds = [row[player].second_highest for row in extremes]
+        bound = 2 * max(seconds)
         for k, row_k in enumerate(extremes):
-            for l, row_l in enumerate(extremes):
-                if row_k[player].highest < 2 * row_l[player].second_highest:
-                    raise AssumptionError(
-                        f"stage condition fails: highest payoff of {noun} {k} is below "
-                        f"twice the second highest of {noun} {l} for player {player}"
-                    )
+            # below the bound is below twice some game's second highest: name the first
+            if row_k[player].highest < bound:
+                l = next(l for l, second in enumerate(seconds)
+                         if row_k[player].highest < 2 * second)
+                raise AssumptionError(
+                    f"stage condition fails: highest payoff of {noun} {k} is below "
+                    f"twice the second highest of {noun} {l} for player {player}"
+                )
 
 
 # -- the folk construction ----------------------------------------------------

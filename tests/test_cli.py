@@ -507,6 +507,23 @@ def test_trading_sweep_needs_oracle(capsys):
 _BAND = ["trading", "--m1", "2", "--M1", "6", "--m2", "2", "--M2", "6", "--t", "3", "--K", "1"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--simulate", "ANN", "--oracle"], "--simulate and --oracle cannot be combined"),
+    (["--simulate", "ANN", "--oracle", "--sweep"], "--simulate and --oracle cannot be combined"),
+    (["--audit-single", "--oracle"], "--audit-single and --oracle cannot be combined"),
+    (["--audit-single", "--oracle", "--sweep"], "--audit-single and --oracle cannot be combined"),
+    (["--audit-single", "--simulate", "ANN"], "--audit-single and --simulate cannot be combined"),
+])
+def test_trading_takes_one_action(tmp_path, capsys, flags, message):
+    # each action prints the whole output, so before it kept one and dropped the rest
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps([[3, 2], [5, 6], [4, 3]]))
+    argv = _BAND + [str(path) if flag == "ANN" else flag for flag in flags]
+    assert_one_line_input_error(capsys, argv, message)
+    if "--oracle" in flags:  # the other action alone still runs
+        assert run_capture(capsys, [f for f in argv if f not in ("--oracle", "--sweep")])[0] == 0
+
+
 @pytest.mark.parametrize("text", ["1e-10000000", "0.5"])
 def test_grid_step_takes_only_exact_rationals(capsys, text):
     code, out, err = run_capture(capsys, _BAND + ["--oracle", "--grid-step", text])

@@ -133,6 +133,17 @@ def test_kernels_match_fraction_reference(case):
             assert report.worst_regret_per_strategy == tuple(worst)
             assert report.minimax_value == min(worst)
             assert report.argmin == tuple(s for s, w in enumerate(worst) if w == min(worst))
+    assert_dominance_matches_reference(counts, cells)
+
+
+def assert_dominance_matches_reference(counts, cells):
+    """``rational_set`` and one and three rounds of ``iterated_rational_sets``
+    against the reference elimination."""
+    game = Game.from_cells(counts, cells)
+    table = dict(zip(itertools.product(*map(range, counts)), cells))
+    full = [list(range(c)) for c in counts]
+    first_round = ref_elimination_round(table, counts, full)
+    for player in range(len(counts)):
         surviving = rational_set(game, player)
         assert (list(surviving.allowed), list(surviving.eliminated)) == first_round[player]
     assert [(list(s.allowed), list(s.eliminated)) for s in iterated_rational_sets(game, 1)] \
@@ -148,6 +159,31 @@ def test_kernels_match_fraction_reference(case):
             eliminated[player].extend(removed)
     assert [(list(s.allowed), list(s.eliminated)) for s in iterated_rational_sets(game, 3)] \
         == list(zip(allowed, eliminated))
+
+
+# Rows that a test on row sums alone would get wrong: duplicates, equal sums
+# that differ, negative p/q values, and a dominator that is not the first row
+# with a larger sum. Player 0's rows are ``own``, player 1's are ``other`` (both
+# indexed [player 0's strategy][player 1's strategy]).
+@pytest.mark.parametrize("own, other", [
+    # duplicates, of which neither dominates the other
+    ([[1, 2, 0], [1, 2, 0], [0, 1, 0]], [[1, 1, 0], [1, 1, 0], [1, 1, 0]]),
+    # rows 0 and 1 cross, and become duplicates once player 1 drops strategies 2 and 3
+    ([[2, 0, 5, 0], [2, 0, 1, 3], [1, 0, 0, 0]], [[2, 2, 0, 0]] * 3),
+    # equal sums that differ; row 3 falls to row 2, the third row of larger sum
+    ([[3, 0], [0, 3], [2, 1], [1, 1]], [[0, 1], [1, 0], [2, 2], [0, 0]]),
+    ([["1/2", "1/3"], ["1/3", "1/2"], ["5/6", 0], [0, "5/6"]], [["1/2", "1/3"]] * 4),
+    # negative p/q payoffs over unrelated denominators, with a duplicate row
+    ([["-1/2", "-1/3"], ["-1/3", "-1/3"], ["-5/7", "1/11"], ["-1/2", "-1/3"]],
+     [["-1/13", "-2/13"], ["-2/3", "-1/5"], ["-7/11", "-7/11"], ["1/2", "-3/7"]]),
+    # rows 0 and 2 have larger sums than row 1, but only row 3 dominates it
+    ([[9, -1], [0, 0], [5, "-1/2"], [1, 0], [1, 1]], [[1, 0], [0, 1], [1, 1], [0, 0], [2, 1]]),
+])
+def test_dominance_matches_reference_on_prefilter_edge_rows(own, other):
+    counts = (len(own), len(own[0]))
+    cells = [(Fraction(str(own[s][o])), Fraction(str(other[s][o])))
+             for s in range(counts[0]) for o in range(counts[1])]
+    assert_dominance_matches_reference(counts, cells)
 
 
 @COMMON

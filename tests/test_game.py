@@ -138,6 +138,21 @@ def test_equality_is_by_value_however_the_game_was_built():
     assert scaled != make_dense_game((2, 2), [[["1/2", 0], [1, 1]], [["3/2", 2], [2, 4]]])
 
 
+@pytest.mark.parametrize("odd", [0, 255, 256, 257, 511, 599])
+def test_reduction_reads_every_cell_until_the_gcd_is_one(odd):
+    # numerators over 12 are multiples of 6 except one multiple of 3, so the
+    # stored scale is 4 wherever that cell sits, chunk boundaries included
+    column = [6 * (i % 5 - 2) for i in range(600)]
+    column[odd] = 3
+    game = Game((2, 300), columns=[column, [12] * 600], scales=[12, 12])
+    rows, scale = game.payoff_matrix(0)
+    assert scale == 4 and [v for row in rows for v in row] == [v // 3 for v in column]
+    rows, scale = game.payoff_matrix(1)
+    assert scale == 1 and {v for row in rows for v in row} == {1}
+    column[odd] = 1  # now the gcd is 1 and nothing is divided
+    assert Game((2, 300), columns=[column, column], scales=[12, 12]).payoff_matrix(0)[1] == 12
+
+
 def test_game_from_json_validation():
     with pytest.raises(InputError, match="missing keys"):
         game_from_json({"players": 2})

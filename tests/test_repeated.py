@@ -120,22 +120,41 @@ def test_expansion_payoff_additivity_by_replay():
         assert expansion.game.payoff_cell(profile) == expected
 
 
+def pq_stage(rng: random.Random, counts) -> Game:
+    """A stage of the given shape with p/q payoffs over unrelated denominators."""
+    denominators = [rng.choice((1, 2, 3, 5, 7, 11, 13)) for _ in counts]
+    cells = [tuple(Fraction(rng.randint(-9, 20), q) for q in denominators)
+             for _ in range(math.prod(counts))]
+    return Game.from_cells(counts, cells)
+
+
 def uneven_sequence(rng: random.Random, players: int, length: int, cap: int = 400):
     """Stages of independently drawn shapes (1-3 strategies per player) with
     p/q payoffs over unrelated denominators, whose expansion fits ``cap``."""
     while True:
-        stages = []
-        for _ in range(length):
-            counts = tuple(rng.randint(1, 3) for _ in range(players))
-            denominators = [rng.choice((1, 2, 3, 5, 7, 11, 13)) for _ in range(players)]
-            cells = [tuple(Fraction(rng.randint(-9, 20), q) for q in denominators)
-                     for _ in range(math.prod(counts))]
-            stages.append(Game.from_cells(counts, cells))
-        sequence = GameSequence(stages)
+        sequence = GameSequence([pq_stage(rng, tuple(rng.randint(1, 3) for _ in range(players)))
+                                 for _ in range(length)])
         try:
             return sequence, expand_sequence(sequence, cap)
         except SizeError:
             continue
+
+
+def assert_chain_replays(sequence, expansion):
+    """Every cell of every suffix on the chain equals the play-path replay,
+    with the reference points and each suffix expanded on its own."""
+    players, length = sequence.player_count, len(sequence)
+    spaces = [history_strategies(sequence, p) for p in range(players)]
+    assert expansion.points == tuple(tuple(points) for points, _ in spaces)
+    lookups = [[dict(zip(points, t)) for t in tuples] for points, tuples in spaces]
+    for profile in expansion.game.profiles():
+        expected = replay(sequence, [lookups[p][s] for p, s in enumerate(profile)])
+        assert expansion.game.payoff_cell(profile) == expected
+    rest = expansion
+    for k in range(1, length + 1):
+        assert rest == expand_sequence(sequence.suffix(k))  # sequence, game, points, rest
+        rest = rest.rest
+    assert rest is None
 
 
 @pytest.mark.parametrize("players", [2, 3])
@@ -144,23 +163,29 @@ def test_expansion_chain_on_uneven_shapes(players, length):
     rng = random.Random(100 * players + length)
     for _ in range(6):
         sequence, expansion = uneven_sequence(rng, players, length)
-        spaces = [history_strategies(sequence, p) for p in range(players)]
-        assert expansion.points == tuple(tuple(points) for points, _ in spaces)
-        lookups = [[dict(zip(points, t)) for t in tuples] for points, tuples in spaces]
-        for profile in expansion.game.profiles():
-            expected = replay(sequence, [lookups[p][s] for p, s in enumerate(profile)])
-            assert expansion.game.payoff_cell(profile) == expected
-        rest = expansion
-        for k in range(1, length + 1):
-            assert rest == expand_sequence(sequence.suffix(k))  # sequence, game, points, rest
-            rest = rest.rest
-        assert rest is None
+        assert_chain_replays(sequence, expansion)
         if length > 1 and expansion.game.profile_count > expansion.rest.game.profile_count:
             # a cap that only the whole sequence exceeds
             analysis = SequenceAnalysis(sequence, expansion.rest.game.profile_count)
             assert analysis.expansion(2).game == expansion.rest.game
             with pytest.raises(SizeError):
                 analysis.expansion(1)
+
+
+# The expansion fills one run per profile of the others' strategies and the
+# last player's first decision, along the last player's continuations. These
+# shapes give runs of one cell (one stage, or a last player with a single
+# strategy in every later stage) and runs over uneven neighbours.
+@pytest.mark.parametrize("shapes", [
+    [(3, 2)], [(2, 2, 2)], [(1, 3)],  # one stage: every run is one cell
+    [(2, 2), (3, 1)], [(3, 1), (2, 1)], [(2, 1), (2, 2)], [(2, 2), (2, 1), (2, 2)],
+    [(2, 1, 3)], [(2, 1, 3), (1, 2, 2)], [(1, 2, 1), (2, 1, 3)], [(2, 2, 1), (1, 1, 2)],
+])
+def test_expansion_chain_on_run_edge_shapes(shapes):
+    rng = random.Random(str(shapes))
+    for _ in range(3):
+        sequence = GameSequence([pq_stage(rng, counts) for counts in shapes])
+        assert_chain_replays(sequence, expand_sequence(sequence))
 
 
 def test_index_of_tuple_is_the_reference_position():
@@ -235,6 +260,29 @@ def test_folk_strategy_condition_error_names_pair():
     bad = extremes_game((7, 1, 2, 4), (10, 1, 2, 4))
     with pytest.raises(AssumptionError, match="stage 0 .* player 0"):
         folk_strategy(GameSequence.repeat(bad, 2), 0)
+
+
+def test_stage_condition_error_names_the_first_failing_pair():
+    # the reference scans every (player, game k, game l) triple in order
+    rng = random.Random(8)
+    named = set()
+    for _ in range(200):
+        pool = [extremes_game(rng.sample(range(30), 4), rng.sample(range(30), 4))
+                for _ in range(rng.randint(1, 4))]
+        extremes = [[payoff_extremes(g, p) for p in (0, 1)] for g in pool]
+        first = next(((p, k, l) for p in (0, 1) for k in range(len(pool))
+                      for l in range(len(pool))
+                      if extremes[k][p].highest < 2 * extremes[l][p].second_highest), None)
+        spec = RandomGameSpec(pool, 1, "exhaustive")
+        if first is None:
+            verify_folk_theorem(spec)
+            continue
+        p, k, l = first
+        with pytest.raises(AssumptionError, match=rf"game {k} is below twice the second "
+                                                  rf"highest of game {l} for player {p}$"):
+            verify_folk_theorem(spec)
+        named.add(k != l)
+    assert named == {False, True}
 
 
 def test_folk_assumption_validation():
