@@ -49,6 +49,7 @@ from .repeated import (
     PayoffExtremes,
     RandomGameSpec,
     SequenceAnalysis,
+    decision_points,
     expand_sequence,
     folk_condition_holds,
     folk_strategy,

@@ -15,7 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .bidding import BiddingSpec, closed_form_competitive, closed_form_rational, verify_claims
+from .bidding import (BiddingSpec, closed_form_competitive, closed_form_rational,
+                      make_bidding_game, verify_claims)
 from .dominance import iterated_rational_sets
 from .errors import InputError, SizeError
 from .game import DEFAULT_DENSE_CAP, Game, game_from_json, game_to_json, load_game, read_json
@@ -42,6 +43,9 @@ EXIT_OK = 0
 EXIT_DIVERGENCE = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
+
+#: The solve modes each ``--mode`` choice runs, in output order.
+_MODES = {"full": ("full",), "rational": ("rational",), "both": ("full", "rational")}
 
 SCHEMAS = {
     "game": {
@@ -233,10 +237,9 @@ def _cmd_solve(args) -> int:
     players = range(game.player_count) if args.player is None else [
         game._validate_player(args.player)
     ]
-    modes = ("full", "rational") if args.mode == "both" else (args.mode,)
     reports = []
     picks = []
-    for mode in modes:
+    for mode in _MODES[args.mode]:
         per_mode = all_player_reports(game, mode)
         for p in players:
             report = per_mode[p]
@@ -311,12 +314,9 @@ def _cmd_bidding(args) -> int:
         if args.strict and not report.all_match:
             exit_code = EXIT_DIVERGENCE
     else:
-        from .bidding import make_bidding_game
-
         game = make_bidding_game(spec)
-        modes = ("full", "rational") if args.mode == "both" else (args.mode,)
         payload["reports"] = [
-            r.to_json() for mode in modes for r in all_player_reports(game, mode)
+            r.to_json() for mode in _MODES[args.mode] for r in all_player_reports(game, mode)
         ]
         predictions = []
         for player in range(spec.player_count):
@@ -399,7 +399,7 @@ def _cmd_trading(args) -> int:
         if getattr(args, name) is None:
             raise InputError(f"--{name} is required for this trading command")
     spec = TradingSpec((args.m1, args.m2), (args.M1, args.M2), args.t, args.K)
-    modes = ("full", "rational") if args.mode == "both" else (args.mode,)
+    modes = _MODES[args.mode]
     payload = {"command": "trading", "input": spec.to_json()}
     rows = None
     if args.simulate:
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a game file for minimax-regret strategies")
     p.add_argument("--game", required=True, metavar="FILE")
     p.add_argument("--player", type=int, default=None)
-    p.add_argument("--mode", choices=("full", "rational", "both"), default="full")
+    p.add_argument("--mode", choices=_MODES, default="full")
     _add_output_flags(p)
 
     p = sub.add_parser("dominance", help="compute surviving (non-dominated) strategy sets")
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, metavar="CSV", help="valuations, e.g. 8,6,3")
     p.add_argument("--T", required=True, type=int, help="bid grid size")
     p.add_argument("--k", required=True, type=int, help="price rank")
-    p.add_argument("--mode", choices=("full", "rational", "both"), default="both")
+    p.add_argument("--mode", choices=_MODES, default="both")
     p.add_argument("--verify", action="store_true",
                    help="check the closed-form strategies against the solver")
     p.add_argument("--strict", action="store_true",
@@ -562,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M2", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--K", type=int)
-    p.add_argument("--mode", choices=("full", "rational", "both"), default="both")
+    p.add_argument("--mode", choices=_MODES, default="both")
     p.add_argument("--grid-step", type=_rational_arg, default=1)
     p.add_argument("--enum-cap", type=_non_negative_int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--oracle", action="store_true",

@@ -31,9 +31,6 @@ from .solver import RegretReport, all_player_reports, minimax_regret, mode_restr
 #: Cap on how many pool realizations exhaustive verification will enumerate.
 DEFAULT_REALIZATION_CAP = 4096
 
-HistoryKey = tuple  # (iteration index 1-based, tuple of per-iteration opponent choice tuples)
-
-
 @dataclass(frozen=True)
 class GameSequence:
     """Stage games played in order; a repeated game is the all-equal case."""
@@ -93,6 +90,10 @@ class HistoryStrategy:
                 f"no decision at iteration {iteration} for history {history}"
             ) from None
 
+    def check_player(self, player: int) -> None:
+        if self.player != player:
+            raise InputError(f"the strategy is for player {self.player}, not player {player}")
+
     def is_history_independent(self) -> bool:
         per_iteration: dict[int, set] = {}
         for (iteration, _), choice in self.decisions.items():
@@ -112,8 +113,8 @@ def opponent_histories(sequence: GameSequence, player: int, length: int):
                                for stage in sequence.stages[:length]))
 
 
-def decision_points(sequence: GameSequence, player: int) -> tuple[HistoryKey, ...]:
-    """Ordered domain of a history strategy: iteration-major, history lex."""
+def decision_points(sequence: GameSequence, player: int) -> tuple[tuple[int, tuple], ...]:
+    """A history strategy's ``(iteration, others' history)`` keys: iteration-major, history lex."""
     return tuple((idx, history) for idx in range(1, len(sequence) + 1)
                  for history in opponent_histories(sequence, player, idx - 1))
 
@@ -132,17 +133,16 @@ def _strategy_factors(sequence: GameSequence, player: int) -> list[tuple[int, in
 class ExpandedGame:
     """A sequence flattened to normal form; ``rest`` is the expansion from its
     second stage (None for one stage). A strategy's index reads its decisions
-    over ``points[player]`` as a mixed-radix number, first point most significant."""
+    at :func:`decision_points` as a mixed-radix number, first point most significant."""
 
     sequence: GameSequence
     game: Game
-    points: tuple[tuple[HistoryKey, ...], ...]
     rest: ExpandedGame | None
 
     def index_of_tuple(self, player: int, decisions: tuple[int, ...]) -> int:
         player, decisions, index = self.game._validate_player(player), tuple(decisions), 0
-        counts = [self.sequence.stages[idx - 1].strategy_counts[player]
-                  for idx, _ in self.points[player]]
+        counts = [count for count, histories in _strategy_factors(self.sequence, player)
+                  for _ in range(histories)]
         if len(decisions) != len(counts) or not all(
                 0 <= strict_int(d, "a decision") < c for d, c in zip(decisions, counts)):
             raise InputError(
@@ -152,9 +152,9 @@ class ExpandedGame:
         return index
 
     def index_of_strategy(self, player: int, strategy: HistoryStrategy) -> int:
-        decisions = tuple(
-            strategy.decision(idx, history) for idx, history in self.points[player]
-        )
+        strategy.check_player(player)
+        decisions = tuple(strategy.decision(idx, history)
+                          for idx, history in decision_points(self.sequence, player))
         return self.index_of_tuple(player, decisions)
 
 
@@ -165,10 +165,11 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     Payoff of a strategy tuple is the stage payoff at the first decisions plus
     the rest's payoff at the continuations: after the others' first-stage
     choice ``o``, a strategy plays its ``o``-th block of decisions in each later
-    iteration. In lex order the last player's strategies are the fastest
-    axis, so cells come in runs, one per profile of the others' strategies and
-    the last player's first decision, in which only the last player's
-    continuation moves; each run is gathered from the rest's columns at once.
+    iteration, that iteration's share of the rest's decision points. In lex
+    order the last player's strategies are the fastest axis, so cells come in
+    runs, one per profile of the others' strategies and the last player's
+    first decision, in which only the last player's continuation moves; each
+    run is gathered from the rest's columns at once.
     Raises :class:`SizeError` before allocating when a player's strategy space
     or the joint profile space exceeds the cap.
     """
@@ -182,23 +183,19 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
               for player in range(n)]
 
     # the empty suffix: one strategy per player, no decision points, payoff 0
-    columns, points, expansion = [[0]] * n, ((),) * n, None
+    columns, expansion = [[0]] * n, None
     game = Game((1,) * n, columns=columns, scales=[1] * n)
     for start in range(len(sequence), 0, -1):
-        stage, later = sequence.stages[start - 1], sequence.stages[start:]
-        strategies, new_points, seen, heads = [], [], [], []
+        stage = sequence.stages[start - 1]
+        strategies, seen, heads = [], [], []
         for player in range(n):
             others = others_choice_tuples(stage, player)
-            by_iteration = [tuple(group) for _, group in
-                            itertools.groupby(points[player], operator.itemgetter(0))]
-            new_points.append(((1, ()),) + tuple(
-                (idx + 1, (choice,) + history)
-                for group in by_iteration for choice in others for idx, history in group
-            ))
-            # the rest's strategy index after each first-stage choice of the others
+            # the rest's strategy index after each first-stage choice of the
+            # others; a later iteration has ``histories // before`` of its points
+            before = factors[player][start - 1][1] * len(others)
             continuations = [(0,) * len(others)]
-            for stage_after, group in zip(later, by_iteration):
-                size = stage_after.strategy_counts[player] ** len(group)
+            for count, histories in factors[player][start:]:
+                size = count ** (histories // before)
                 continuations = [
                     tuple(c * size + d for c, d in zip(continuation, block))
                     for continuation in continuations
@@ -229,8 +226,7 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                 values = gather(tail)  # one index gives the item, not a 1-tuple
                 column.extend(map(head[at].__add__, values if run > 1 else (values,)))
         game = Game(tuple(map(len, strategies)), columns=columns, scales=scales)
-        points = tuple(new_points)
-        expansion = ExpandedGame(sequence.suffix(start), game, points, expansion)
+        expansion = ExpandedGame(sequence.suffix(start), game, expansion)
     return expansion
 
 
@@ -366,15 +362,17 @@ def is_competitive_in_all_subgames(
     strategy's picks alone.
     """
     check_mode(mode)
+    strategy.check_player(player)
     analysis = SequenceAnalysis(sequence, dense_cap)
     m = len(sequence)
     for start in range(1, m + 1):
         expansion = analysis.expansion(start)
         admissible = set(analysis.report(start, player, mode).argmin)
+        points = decision_points(expansion.sequence, player)
         for prefix in opponent_histories(sequence, player, start - 1):
             continuation = tuple(
                 strategy.decision(start - 1 + idx, prefix + history)
-                for idx, history in expansion.points[player]
+                for idx, history in points
             )
             if expansion.index_of_tuple(player, continuation) not in admissible:
                 return False
@@ -570,8 +568,8 @@ def verify_folk_theorem(
             for start in range(1, len(sequence) + 1):
                 expansion = analysis.expansion(start)
                 index = expansion.index_of_tuple(player, tuple(
-                    picks[start - 1 + idx] for idx, _ in expansion.points[player]
-                ))
+                    picks[start - 1 + idx]
+                    for idx, _ in decision_points(expansion.sequence, player)))
                 rational = analysis.report(start, player, "rational").argmin
                 full = analysis.report(start, player, "full").argmin
                 member = index in analysis.report(start, player, mode).argmin

@@ -383,12 +383,12 @@ def audit_single_agent(
     if iterations < 2:
         raise InputError(f"need at least 2 iterations, got {iterations}")
     closed_form = single_agent_threshold(cap, floor)
-    values = list(range(floor, cap + 1))
-    options = [None] + values
+    values = range(floor, cap + 1)
     check_size("the audit would enumerate {} announcement sequences", enum_cap,
                (len(values), iterations))
     check_size("the audit would enumerate {} threshold profiles", enum_cap,
-               (len(options), iterations - 1))
+               (len(values) + 1, iterations - 1))
+    options = [None, *values]
     reach = _Reach([(value, False, None) for value in values], iterations, "single")
     forced = (True,) * len(values)
 
@@ -435,7 +435,8 @@ def audit_single_agent(
 # -- the two-agent oracle --------------------------------------------------------
 
 
-def _grid(floor: int, cap: int, step) -> list:
+def _grid(floor: int, cap: int, step) -> tuple:
+    """The size of the grid ``floor, floor + step, ..., cap`` and a lazy iterator over it."""
     step = coerce_rational(step, "grid step")
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
@@ -445,14 +446,15 @@ def _grid(floor: int, cap: int, step) -> list:
             f"grid step {step} does not divide the band [{floor}, {cap}] evenly"
         )
     count = int(span / step) + 1
-    values = [floor + k * step for k in range(count)]
-    return [int(v) if Fraction(v).denominator == 1 else Fraction(v) for v in values]
+    values = (floor + k * step for k in range(count))
+    return count, (int(v) if v.denominator == 1 else v for v in values)
 
 
-def _steps(spec: TradingSpec, player: int, grid_step, signature: bool) -> list:
+def _steps(spec: TradingSpec, player: int, grid_step, signature: bool, enum_cap: int) -> list:
     """Builder steps ``(own value, other at cap, pair)``: one per announcement
     pair on the grid, or, for the ``signature`` quotient, with the other
-    agent only at its floor or its cap.
+    agent only at its floor or its cap. The ``len(steps) ** t`` announcement
+    sequences they stand for are checked against ``enum_cap`` first.
 
     Regret is measurable with respect to (own value, other at cap) for any
     rule that reads only those, so maxima over the quotient equal maxima over
@@ -462,9 +464,12 @@ def _steps(spec: TradingSpec, player: int, grid_step, signature: bool) -> list:
     other = 1 - player
     grids = [None, None]
     grids[player] = _grid(*spec.bounds(player), grid_step)
-    grids[other] = list(spec.bounds(other)) if signature else _grid(*spec.bounds(other), grid_step)
+    grids[other] = (2, spec.bounds(other)) if signature else _grid(*spec.bounds(other), grid_step)
+    check_size("the oracle would enumerate {} announcement sequences", enum_cap,
+               (grids[0][0] * grids[1][0], spec.iterations))
     other_cap = spec.price_caps[other]
-    return [(pair[player], pair[other] == other_cap, pair) for pair in itertools.product(*grids)]
+    return [(pair[player], pair[other] == other_cap, pair)
+            for pair in itertools.product(*(values for _, values in grids))]
 
 
 class _Reach:
@@ -590,14 +595,6 @@ class _Reach:
                 stack.append((choice + (k,), after, max(worst, now)))
 
 
-def _reach(steps, t: int, mode: str, enum_cap: int) -> _Reach:
-    """The two-agent kernel, once ``mode`` is valid and the ``len(steps) **
-    t`` announcement sequences it stands for are within ``enum_cap``."""
-    check_mode(mode)
-    check_size("the oracle would enumerate {} announcement sequences", enum_cap, (len(steps), t))
-    return _Reach(steps, t, mode)
-
-
 def _strategy_takes(strategy: TradingStrategy, steps, t: int) -> tuple:
     """The stop rule of ``strategy`` as a take table: row j - 1, column s
     says whether it takes at iteration j on step s when nobody has taken."""
@@ -638,11 +635,12 @@ def trading_oracle_report(
     sequence in lex order that reaches it, with its first maximizing
     opponent stop.
     """
-    steps = _steps(spec, player, grid_step, signature=False)
     if strategy.player != player:
         raise InputError(f"the strategy is for player {strategy.player}, not player {player}")
+    check_mode(mode)
+    steps = _steps(spec, player, grid_step, signature=False, enum_cap=enum_cap)
     t = spec.iterations
-    reach = _reach(steps, t, mode, enum_cap)
+    reach = _Reach(steps, t, mode)
     takes = _strategy_takes(strategy, steps, t)
     worst = reach.worst(takes)
     value = spec.half_supply * Fraction(worst)
@@ -735,14 +733,14 @@ def minimal_regret_sweep(
     still checked against ``enum_cap``.
     """
     reference = reference_strategy(spec, player, mode)
-    steps = _steps(spec, player, grid_step, signature=True)
+    steps = _steps(spec, player, grid_step, signature=True, enum_cap=enum_cap)
     t = spec.iterations
-    reach = _reach(steps, t, mode, enum_cap)
+    reach = _Reach(steps, t, mode)
     reference_worst = reach.worst(_strategy_takes(reference, steps, t))
 
     options = [
         (threshold, trigger)
-        for threshold in _grid(*spec.bounds(player), grid_step) + [None]
+        for threshold in [*_grid(*spec.bounds(player), grid_step)[1], None]
         for trigger in (False, True)
     ]
     candidate_count = check_size(

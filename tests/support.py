@@ -26,7 +26,7 @@ from regretgames import (
     single_agent_threshold,
     trading_payoff,
 )
-from regretgames.trading import SweepViolation, _grid, _steps, _strategy_takes
+from regretgames.trading import SweepViolation, _steps, _strategy_takes
 
 
 def anchor_game() -> Game:
@@ -460,13 +460,13 @@ def sweep_reference(spec, player: int, mode: str = "full", grid_step=1) -> Sweep
         if mode == "full"
         else rational_trading_strategy(spec, player)
     )
-    steps = _steps(spec, player, grid_step, signature=True)
+    steps = _steps(spec, player, grid_step, signature=True, enum_cap=10**6)
     t = spec.iterations
     records = _records(steps, t, mode, float("inf"))
     reference_worst, _ = _worst_regret(records, _strategy_takes(reference, steps, t))
     options = [
         (threshold, trigger)
-        for threshold in _grid(*spec.bounds(player), grid_step) + [None]
+        for threshold in trading_grid(*spec.bounds(player), grid_step) + [None]
         for trigger in (False, True)
     ]
     half = spec.half_supply

@@ -23,6 +23,7 @@ from regretgames import (
     GameSequence,
     TradingSpec,
     audit_single_agent,
+    decision_points,
     expand_sequence,
     make_bidding_game,
     minimal_regret_sweep,
@@ -341,7 +342,7 @@ def test_criterion_9_property_suites():
         expansion = expand_sequence(sequence)
         profile = tuple(rng.randrange(c) for c in expansion.game.strategy_counts)
         decisions = [
-            dict(zip(expansion.points[p], history_strategies(sequence, p)[1][profile[p]]))
+            dict(zip(decision_points(sequence, p), history_strategies(sequence, p)[1][profile[p]]))
             for p in (0, 1)
         ]
         assert expansion.game.payoff_cell(profile) == replay(sequence, decisions)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -551,3 +552,22 @@ def test_exponent_payoff_exits_two_at_once(tmp_path, capsys):
         capsys, ["solve", "--game", str(path)], "not a rational number: '1e-10000000'"
     )
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("--m1 1 --M1 200000 --m2 1 --M2 6 --t 3 --K 1 --oracle",
+     "the oracle would enumerate 1728000000000000000 announcement sequences (cap 250000)"),
+    ("--m1 1 --M1 6 --m2 1 --M2 6 --t 3 --K 1 --oracle --grid-step 1/150",
+     "the oracle would enumerate 179407098289692001 announcement sequences (cap 250000)"),
+    ("--audit-single --m1 1 --M1 2000000",
+     "the audit would enumerate 8000000000000000000 announcement sequences (cap 250000)"),
+], ids=["wide-band", "fine-step", "wide-audit"])
+def test_trading_grids_are_sized_before_they_are_built(capsys, argv, err):
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert run_capture(capsys, ["trading", *argv.split()]) == (3, "", f"error: {err}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0 and peak < 2**20

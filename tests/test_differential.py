@@ -28,6 +28,7 @@ from regretgames import (
     audit_single_agent,
     competitive_trading_strategy,
     minimal_regret_sweep,
+    decision_points,
     expand_sequence,
     game_from_json,
     game_to_json,
@@ -40,7 +41,7 @@ from regretgames import (
     trading_oracle_report,
 )
 from regretgames.rational import parse_rational
-from regretgames.trading import _Reach, _reach, _steps
+from regretgames.trading import _Reach, _steps
 from support import (
     _records,
     _worst_regret,
@@ -210,7 +211,7 @@ def test_expansion_sums_stages_over_unrelated_scales(stages):
     game = expansion.game
     for profile in game.profiles():
         decisions = [
-            dict(zip(expansion.points[p], history_strategies(sequence, p)[1][profile[p]]))
+            dict(zip(decision_points(sequence, p), history_strategies(sequence, p)[1][profile[p]]))
             for p in range(2)
         ]
         assert game.payoff_cell(profile) == replay(sequence, decisions)
@@ -350,7 +351,7 @@ def take_tables(draw):
     spec = TradingSpec(tuple(floors), (floors[0] + first, floors[1] + second), t, 1)
     player = draw(st.integers(0, 1))
     mode = draw(st.sampled_from(("full", "rational")))
-    steps = _steps(spec, player, step, signature)
+    steps = _steps(spec, player, step, signature, 10**6)
     density = draw(st.sampled_from((0.1, 0.3, 0.6)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     takes = tuple(tuple(rng.random() < density for _ in steps) for _ in range(t))
@@ -362,7 +363,7 @@ def take_tables(draw):
 def test_kernel_matches_the_enumerating_reference(case):
     steps, t, mode, takes = case
     expected, witness = _worst_regret(_records(steps, t, mode, 10**6), takes)
-    reach = _reach(steps, t, mode, 10**6)
+    reach = _Reach(steps, t, mode)
     worst = reach.worst(takes)
     assert worst == expected
     if witness is None:
@@ -409,7 +410,7 @@ def test_stopped_tail_is_the_maximum_over_every_later_sequence(spec, player, ste
     t = spec.iterations
     values = trading_grid(*spec.bounds(player), step)
     for mode, signature in itertools.product(("full", "rational", "single"), (False, True)):
-        steps = _steps(spec, player, step, signature)
+        steps = _steps(spec, player, step, signature, 10**6)
         reach = _Reach(steps, t, mode)
         for j in range(2, t + 1):
             for high in values:

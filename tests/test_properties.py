@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from regretgames import (
     Game,
     GameSequence,
+    decision_points,
     expand_sequence,
     minimax_regret,
     rational_restriction,
@@ -140,7 +141,7 @@ def test_expanded_payoff_additivity(sequence, rng):
     expansion = expand_sequence(sequence)
     profile = tuple(rng.randrange(count) for count in expansion.game.strategy_counts)
     decisions = [
-        dict(zip(expansion.points[p], history_strategies(sequence, p)[1][profile[p]]))
+        dict(zip(decision_points(sequence, p), history_strategies(sequence, p)[1][profile[p]]))
         for p in range(2)
     ]
     histories = [(), ()]

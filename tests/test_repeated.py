@@ -12,6 +12,7 @@ from regretgames import (
     InputError,
     RandomGameSpec,
     SizeError,
+    decision_points,
     expand_sequence,
     folk_condition_holds,
     folk_strategy,
@@ -113,7 +114,7 @@ def test_expansion_payoff_additivity_by_replay():
         expected = replay(
             seq,
             [
-                dict(zip(expansion.points[p], history_strategies(seq, p)[1][profile[p]]))
+                dict(zip(decision_points(seq, p), history_strategies(seq, p)[1][profile[p]]))
                 for p in (0, 1)
             ],
         )
@@ -145,14 +146,15 @@ def assert_chain_replays(sequence, expansion):
     with the reference points and each suffix expanded on its own."""
     players, length = sequence.player_count, len(sequence)
     spaces = [history_strategies(sequence, p) for p in range(players)]
-    assert expansion.points == tuple(tuple(points) for points, _ in spaces)
+    assert [decision_points(sequence, p) for p in range(players)] \
+        == [tuple(points) for points, _ in spaces]
     lookups = [[dict(zip(points, t)) for t in tuples] for points, tuples in spaces]
     for profile in expansion.game.profiles():
         expected = replay(sequence, [lookups[p][s] for p, s in enumerate(profile)])
         assert expansion.game.payoff_cell(profile) == expected
     rest = expansion
     for k in range(1, length + 1):
-        assert rest == expand_sequence(sequence.suffix(k))  # sequence, game, points, rest
+        assert rest == expand_sequence(sequence.suffix(k))  # sequence, game, rest
         rest = rest.rest
     assert rest is None
 
@@ -205,6 +207,28 @@ def test_index_of_tuple_rejects_invalid_decisions(decisions):
     assert expansion.index_of_tuple(0, (0, 1, 1)) == 3
     with pytest.raises(InputError):
         expansion.index_of_tuple(0, decisions)
+
+
+def test_a_history_strategy_for_another_player_is_rejected():
+    seq = GameSequence.repeat(condition_game(), 2)
+    other = folk_strategy(seq, 0)
+    with pytest.raises(InputError, match="strategy is for player 0, not player 1"):
+        expand_sequence(seq).index_of_strategy(1, other)
+    with pytest.raises(InputError, match="strategy is for player 0, not player 1"):
+        is_competitive_in_all_subgames(seq, 1, other)
+
+
+def test_long_horizon_chain_and_index():
+    """A 1x1 stage repeated 300 times: one strategy per player, one decision
+    point per iteration, and a rest chain with a link per suffix."""
+    expansion = expand_sequence(GameSequence.repeat(make_dense_game((1, 1), [[[1, 2]]]), 300))
+    links, rest = 0, expansion
+    while rest is not None:
+        links, rest = links + 1, rest.rest
+    assert links == 300
+    assert expansion.index_of_tuple(0, (0,) * 300) == 0
+    with pytest.raises(InputError, match="not a valid strategy of player 0"):
+        expansion.index_of_tuple(0, (0,) * 299)
 
 
 @pytest.mark.parametrize("times", [2.0, True, "2"])

@@ -344,7 +344,7 @@ def test_collapsed_records_agree_with_full_enumeration():
         strategy = rational_trading_strategy(spec, 0)
         values = []
         for signature in (False, True):
-            steps = _steps(spec, 0, 1, signature)
+            steps = _steps(spec, 0, 1, signature, 10**6)
             records = _records(steps, 3, mode, 10**6)
             value, _ = _worst_regret(records, _strategy_takes(strategy, steps, 3))
             values.append(value)
@@ -356,7 +356,7 @@ def test_sweep_matches_full_markov_enumeration_tiny():
     """The per-iteration threshold/trigger class attains the same minimum as
     the full space of (iteration, own value, other-at-cap) -> action rules."""
     spec = TradingSpec((1, 1), (2, 2), 3, 1)
-    steps = _steps(spec, 0, 1, signature=True)
+    steps = _steps(spec, 0, 1, signature=True, enum_cap=10**6)
     never = 4
     own_values = (1, 2)
     states = [
