@@ -390,12 +390,10 @@ def game_to_json(game: Game) -> dict:
     for player in range(game.player_count):
         column, scale = game._column(player)
         texts.append([format_rational(v, scale) for v in column])
-    cells = zip(*texts)  # lex order, which is the order build() visits profiles in
-
-    def build(depth):
-        if depth == len(counts):
-            return list(next(cells))
-        return [build(depth + 1) for _ in range(counts[depth])]
+    # cells in lex order, grouped into nested lists from the last axis out
+    payoffs = [list(cell) for cell in zip(*texts)]
+    for count in reversed(counts):
+        payoffs = [payoffs[i:i + count] for i in range(0, len(payoffs), count)]
 
     obj = {
         "players": game.player_count,
@@ -403,7 +401,7 @@ def game_to_json(game: Game) -> dict:
     }
     if game.strategy_labels is not None:
         obj["labels"] = [list(ls) for ls in game.strategy_labels]
-    obj["payoffs"] = build(0)
+    obj["payoffs"] = payoffs[0]
     return obj
 
 
@@ -437,6 +435,8 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is not valid JSON: nested too deeply") from exc
 
 
 def load_game(path) -> Game:

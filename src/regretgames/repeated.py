@@ -196,6 +196,8 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
             continuations = [(0,) * len(others)]
             for count, histories in factors[player][start:]:
                 size = count ** (histories // before)
+                if size == 1:  # one block of zeros leaves every index as it is
+                    continue
                 continuations = [
                     tuple(c * size + d for c, d in zip(continuation, block))
                     for continuation in continuations

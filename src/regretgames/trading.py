@@ -488,11 +488,17 @@ class _Reach:
     take, the other agent at its cap before the last iteration or the last
     iteration itself ("rational"); or only never ("single", the one-agent
     problem). Stop ``t + 1`` means never.
+
+    :meth:`edge` and :meth:`witness` walk single steps. :meth:`advance`
+    settles an iteration for a whole set of running maxima at once, from
+    four numbers of the take row (:meth:`summary`, kept per distinct row in
+    ``summaries``; rows are tuples of booleans).
     """
 
     def __init__(self, steps, t: int, mode: str):
         self.steps, self.t, self.mode = steps, t, mode
         self.cap = max(value for value, _, _ in steps)
+        self.summaries = {}
 
     def edge(self, j, high, stop_value, s, take):
         """Iteration j on step s from the state ``(high, stop_value)``: the
@@ -555,23 +561,59 @@ class _Reach:
         stop = next((j for j, s in enumerate(indices, start=1) if takes[j - 1][s]), self.t + 1)
         return list(indices), stop, tau
 
+    def summary(self, row) -> tuple:
+        """The four numbers of a take row that :meth:`advance` reads: the
+        largest value it passes on, the smallest it takes on, the smallest it
+        takes on where the path goes on, and the sorted distinct values it
+        passes on where the path goes on (None or empty where there is none).
+        A path goes on from a step unless it is a peak in rational mode."""
+        found = self.summaries.get(row)
+        if found is None:
+            passes, takes, going_passes, going_takes = [], [], [], []
+            for (value, peak, _), take in zip(self.steps, row):
+                (takes if take else passes).append(value)
+                if not (peak and self.mode == "rational"):
+                    (going_takes if take else going_passes).append(value)
+            found = self.summaries[row] = (
+                max(passes, default=None), min(takes, default=None),
+                min(going_takes, default=None), tuple(sorted(set(going_passes))))
+        return found
+
     def advance(self, j, highs, row) -> tuple:
         """From the running maxima ``highs`` of the paths on which the rule
         has not taken before iteration j, taking at j on the steps ``row``
         marks: the worst regret that iteration settles (every later stop
-        included on the paths that take) and the running maxima passed on."""
-        worst, passed = 0, set()
-        for high in highs:
-            for s, take in enumerate(row):
-                taus, after = self.edge(j, high, None, s, take)
-                worst = max([worst, *(r for _, r in taus)])
-                if after is None:
-                    continue
-                if take:
-                    worst = max(worst, self.stopped(j + 1, *after))
-                else:
-                    passed.add(after[0])
-        return worst, frozenset(passed)
+        included on the paths that take) and the running maxima passed on.
+
+        With no stop value yet, every regret :meth:`edge` reports rises with
+        the running max and with a passed value and falls with a taken one,
+        so the worst is read at ``max(highs)`` from the row's
+        :meth:`summary`; from running max h a step passed on with value v
+        goes on at ``max(h, v)``."""
+        if not highs:
+            return 0, frozenset()
+        passed_max, taken_min, going_taken_min, going_passes = self.summary(row)
+        high, worst = max(highs), 0
+        if self.mode != "single":
+            if passed_max is not None:
+                worst = max(worst, 2 * high, passed_max)
+            if taken_min is not None:
+                worst = max(worst, 2 * high - taken_min)
+        if j == self.t:
+            if self.mode != "rational":
+                if passed_max is not None:
+                    worst = max(worst, 2 * max(high, passed_max))
+                if taken_min is not None:
+                    worst = max(worst, 2 * (high - taken_min))
+            return worst, frozenset()
+        if going_taken_min is not None:
+            worst = max(worst, self.stopped(j + 1, max(high, going_taken_min), going_taken_min))
+        if not going_passes:
+            return worst, frozenset()
+        # max(h, v) is h where some v <= h, and v where some h <= v
+        lowest = min(highs)
+        return worst, frozenset([h for h in highs if going_passes[0] <= h]
+                                + [v for v in going_passes if lowest < v])
 
     def search(self, rows, keep):
         """``(choice, worst)`` for each rule built from one take row per

@@ -452,6 +452,24 @@ def _worst_regret(records, takes, bound=None):
     return worst, witness
 
 
+def advance_reference(reach, j, highs, row) -> tuple:
+    """``_Reach.advance`` as the library had it before its per-row summary:
+    one ``edge`` per (running max, step), the worst regret and the running
+    maxima passed on collected edge by edge."""
+    worst, passed = 0, set()
+    for high in highs:
+        for s, take in enumerate(row):
+            taus, after = reach.edge(j, high, None, s, take)
+            worst = max([worst, *(r for _, r in taus)])
+            if after is None:
+                continue
+            if take:
+                worst = max(worst, reach.stopped(j + 1, *after))
+            else:
+                passed.add(after[0])
+    return worst, frozenset(passed)
+
+
 def sweep_reference(spec, player: int, mode: str = "full", grid_step=1) -> SweepResult:
     """The optimality sweep as a plain loop: every candidate rule, in
     product order, scored in full over every signature record."""

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from regretgames import cli, game_to_json, save_game
+from regretgames import cli, game_from_json, game_to_json, load_game, save_game
 from regretgames.cli import run
 from support import anchor_game
 
@@ -142,6 +145,49 @@ def test_schema_flag(capsys):
     assert code == 0
     schemas = json.loads(out)
     assert set(schemas) == {"game", "sequence", "random_game", "announcements", "manifest"}
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outputs = [
+        subprocess.run([sys.executable, "-m", module, "--schema"], env=env,
+                       capture_output=True, check=True).stdout
+        for module in ("regretgames", "regretgames.cli")
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "deep.json").write_text(deep)
+    (tmp_path / "inline.json").write_text('{"stages": [' + deep + "]}")
+    (tmp_path / "named.json").write_text(json.dumps({"stages": ["deep.json"]}))
+    for argv, culprit in (
+        (["solve", "--game", "deep.json"], "deep.json"),
+        (["repeated", "--sequence", "inline.json"], "inline.json"),
+        (["repeated", "--sequence", "named.json"], "deep.json"),
+    ):
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / culprit} is not valid JSON: nested too deeply\n"
+
+
+def test_games_with_many_players_echo_without_recursion(tmp_path, capsys):
+    """One strategy each for 900 players: one cell, 900 axes deep."""
+    players = 900
+    payoffs = [0] * players
+    for _ in range(players):
+        payoffs = [payoffs]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(
+        {"players": players, "strategy_counts": [1] * players, "payoffs": payoffs}))
+    for command in ("solve", "dominance"):
+        code, out, err = run_capture(capsys, [command, "--game", str(path)])
+        assert code == 0, err
+        assert game_from_json(json.loads(out)["input"]["game"]) == load_game(path)
 
 
 def test_no_command_exit_two(capsys):

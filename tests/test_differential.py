@@ -7,7 +7,8 @@ nor the dominance module. The trading oracle is checked against the
 stop-time reference in ``support``, which scores explicit stop times with
 ``trading_payoff`` only, and its reachability kernel, sweep and audit against
 the enumerating references there; the kernel's closed-form tail after the
-rule's own take is checked against a brute-force maximum below.
+rule's own take is checked against a brute-force maximum below, and its
+per-row ``advance`` against the per-edge loop it replaced.
 """
 
 import itertools
@@ -45,6 +46,7 @@ from regretgames.trading import _Reach, _steps
 from support import (
     _records,
     _worst_regret,
+    advance_reference,
     audit_reference,
     history_strategies,
     opponent_stops,
@@ -418,6 +420,35 @@ def test_stopped_tail_is_the_maximum_over_every_later_sequence(spec, player, ste
                     assert reach.stopped(j, high, stop) \
                         == stopped_reference(steps, t, mode, j, high, stop), \
                         (mode, signature, j, high, stop)
+
+
+@pytest.mark.parametrize("spec, player, step", [
+    (TradingSpec((1, 1), (4, 2), 3, 1), 0, 1),
+    (TradingSpec((2, 1), (7, 3), 4, 1), 0, 1),
+    (TradingSpec((1, 3), (3, 5), 5, 1), 1, 1),
+    (TradingSpec((1, 1), (3, 2), 3, 1), 0, Fraction(1, 2)),
+], ids=["4-2", "7-3", "3-5-p1", "half"])
+@pytest.mark.parametrize("mode", ("full", "rational", "single"))
+def test_advance_matches_the_per_edge_loop(spec, player, step, mode):
+    """Every iteration, the last and the one before it included; rows that
+    take on every step, on none, and at random; none, one or several
+    running maxima, from 0 up to the cap; the full grid and the signature
+    steps, both with peak steps (the other agent at its cap)."""
+    rng = random.Random(f"{spec}-{player}-{mode}")
+    t = spec.iterations
+    values = [0, *trading_grid(*spec.bounds(player), step)]
+    for signature in (False, True):
+        steps = _steps(spec, player, step, signature, 10**6)
+        assert any(peak for _, peak, _ in steps) and not all(peak for _, peak, _ in steps)
+        reach = _Reach(steps, t, mode)
+        rows = [(True,) * len(steps), (False,) * len(steps)] + [
+            tuple(rng.random() < density for _ in steps)
+            for density in (0.2, 0.5, 0.8) for _ in range(4)]
+        for j, row in itertools.product(range(1, t + 1), rows):
+            for size in range(min(4, len(values)) + 1):
+                highs = frozenset(rng.sample(values, size))
+                assert reach.advance(j, highs, row) \
+                    == advance_reference(reach, j, highs, row), (signature, j, highs, row)
 
 
 @pytest.mark.parametrize("spec, player, step", [
