@@ -19,7 +19,8 @@ from .bidding import (BiddingSpec, closed_form_competitive, closed_form_rational
                       make_bidding_game, verify_claims)
 from .dominance import iterated_rational_sets
 from .errors import InputError, SizeError
-from .game import DEFAULT_DENSE_CAP, Game, game_from_json, game_to_json, load_game, read_json
+from .game import (DEFAULT_DENSE_CAP, Game, game_from_json, game_to_json, json_text, load_game,
+                   read_json)
 from .rational import parse_rational
 from .repeated import (
     DEFAULT_REALIZATION_CAP,
@@ -181,7 +182,7 @@ def _load_random_spec(path) -> RandomGameSpec:
 
 def _emit(args, payload: dict, rows=None) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text(payload) + "\n"
     elif args.format == "csv":
         if rows is None:
             raise InputError("csv output is not available for this command")
@@ -206,14 +207,14 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render_text(payload, indent=0) -> str:
-    pad = "  " * indent
+def _render_text(payload, depth=0) -> str:
+    pad = "  " * depth
     if isinstance(payload, dict):
         lines = []
         for key, value in payload.items():
             if isinstance(value, (dict, list)):
                 lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
+                lines.append(_render_text(value, depth + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
         return "\n".join(lines)
@@ -222,7 +223,7 @@ def _render_text(payload, indent=0) -> str:
         for value in payload:
             if isinstance(value, (dict, list)):
                 lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
+                lines.append(_render_text(value, depth + 1))
             else:
                 lines.append(f"{pad}- {value}")
         return "\n".join(lines) if lines else f"{pad}(empty)"
@@ -609,7 +610,7 @@ def run(argv=None) -> int:
         # argparse exits 2 on bad flags and 0 on --help; keep its code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     if args.schema:
-        sys.stdout.write(json.dumps(SCHEMAS, indent=2) + "\n")
+        sys.stdout.write(json_text(SCHEMAS) + "\n")
         return EXIT_OK
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -11,16 +11,19 @@ numerators and divide by the scale once, when they report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import InputError
-from .rational import coerce_rational, format_rational, rational_parts, strict_int
+from .rational import (coerce_rational, format_rational, over_lcm, rational_column,
+                       rational_parts, strict_int)
 
 #: Cap on the payoff cells of the games the package builds: the auction of
 #: ``make_bidding_game`` and the expansion of ``expand_sequence``, which also
@@ -89,13 +92,7 @@ def _scaled(values) -> tuple[list[int], int]:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise InputError(f"payoff {v!r} is not an exact rational (int or Fraction)")
-    return _over_lcm([v.numerator for v in values], [v.denominator for v in values])
-
-
-def _over_lcm(numerators, denominators) -> tuple[list[int], int]:
-    """The fractions ``n / d`` as int numerators over their least common denominator."""
-    scale = math.lcm(*set(denominators))
-    return [n * (scale // d) for n, d in zip(numerators, denominators)], scale
+    return over_lcm([v.numerator for v in values], [v.denominator for v in values])
 
 
 #: Cells per ``math.gcd`` call in :func:`_reduced`, which stops at gcd 1.
@@ -347,37 +344,75 @@ class Game:
         return f"Game(players={self.player_count}, strategies={self._counts})"
 
 
+#: The types that payoff tables nest and that JSON writes as arrays.
+_SEQUENCES = {list, tuple}
+
+
 def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
     """Build a game from a nested payoff table.
 
     The table nests one level per player in player order; the innermost lists
     hold one exact rational per player ("p/q" strings or integers). Dimension
     errors name the offending axis.
+
+    The cells are collected one level at a time and each player's column is
+    parsed at once by :func:`rational_column`. Only when that fails is the
+    table read again cell by cell, so that the first bad entry in cell order
+    is the one an error names.
     """
     counts = _checked_counts(strategy_counts)
+    cells = _cells(counts, payoff_table)
+    parsed = []
+    for player in range(len(counts)) if cells is not None else ():
+        column = rational_column(list(map(operator.itemgetter(player), cells)))
+        if column is None:
+            break
+        parsed.append(column)
+    if len(parsed) != len(counts):
+        parsed = _parsed_in_cell_order(counts, payoff_table)
+    columns, scales = zip(*parsed)
+    return Game(counts, columns=columns, scales=scales, labels=labels)
+
+
+def _cells(counts, table):
+    """The cells of a payoff table in lex order; ``None`` if any list is not a
+    list or tuple of the length its axis needs."""
+    level = [table]
+    for count in counts:
+        if not _lists_of(level, count):
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level if _lists_of(level, len(counts)) else None
+
+
+def _lists_of(nodes, length: int) -> bool:
+    return _SEQUENCES.issuperset(map(type, nodes)) and set(map(len, nodes)) == {length}
+
+
+def _parsed_in_cell_order(counts, table) -> list[tuple[list[int], int]]:
+    """Each player's numerators and scale, read cell by cell in lex order with
+    :func:`rational_parts`; :class:`InputError` names the first bad entry."""
     n = len(counts)
     parts: list[tuple[int, int]] = []  # (numerator, denominator), cell by cell
-
-    def walk(node, depth, path):
+    stack = [(table, ())]
+    while stack:
+        node, path = stack.pop()
+        depth = len(path)
         if depth == n:
             if not isinstance(node, (list, tuple)) or len(node) != n:
                 raise InputError(
                     f"cell at {path} must list {n} payoffs, got {node!r}"
                 )
             parts.extend(map(rational_parts, node))
-            return
+            continue
         if not isinstance(node, (list, tuple)) or len(node) != counts[depth]:
             have = len(node) if isinstance(node, (list, tuple)) else node
             raise InputError(
                 f"axis {depth} (player {depth}) expects {counts[depth]} entries, "
                 f"got {have!r} at {path}"
             )
-        for i, child in enumerate(node):
-            walk(child, depth + 1, path + (i,))
-
-    walk(payoff_table, 0, ())
-    columns, scales = zip(*(_over_lcm(*zip(*parts[p::n])) for p in range(n)))
-    return Game(counts, columns=columns, scales=scales, labels=labels)
+        stack.extend((node[i], path + (i,)) for i in range(len(node) - 1, -1, -1))
+    return [over_lcm(*zip(*parts[p::n])) for p in range(n)]
 
 
 # -- JSON interface ----------------------------------------------------------
@@ -422,7 +457,7 @@ def game_from_json(obj) -> Game:
 
 
 def save_game(game: Game, path) -> None:
-    Path(path).write_text(json.dumps(game_to_json(game), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(game_to_json(game)) + "\n", encoding="utf-8")
 
 
 def read_json(path):
@@ -437,6 +472,203 @@ def read_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} is not valid JSON: nested too deeply") from exc
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, built without recursion.
+
+    With ``indent`` the standard library writes JSON through one Python
+    generator per nesting level, which is slow on payoff grids and fails past
+    the recursion limit. Here dicts and lists are walked in document order on
+    an explicit stack. The containers that need no stack frame, dicts of atoms
+    and lists nested only in lists down to atoms, are written at once by
+    :func:`_flat_dict` and :func:`_nested_lists`. Values of any other type
+    go to ``json.dumps``, so they fail as they do there.
+    """
+    out: list[str] = []
+    stack = []  # (entries, is_dict, separator, closing text, id) per open container
+    open_ids = set()  # json.dumps's check for a container that holds itself
+    value, depth = obj, 0
+    while True:
+        if _write_inline(value, depth, out):
+            prefix = None  # the next entry takes its container's separator
+        else:
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            open_ids.add(id(value))
+            is_dict = isinstance(value, dict)
+            newline = _newline(depth + 1)
+            prefix = ("{" if is_dict else "[") + newline
+            stack.append((iter(value.items() if is_dict else value), is_dict, "," + newline,
+                          _newline(depth) + ("}" if is_dict else "]"), id(value)))
+            depth += 1
+        while stack:
+            entries, is_dict, separator, closing, marker = stack[-1]
+            entry = next(entries, _END)
+            if entry is not _END:
+                break
+            out.append(closing)
+            stack.pop()
+            open_ids.remove(marker)
+            depth, prefix = depth - 1, None
+        else:
+            return "".join(out)
+        if prefix is None:
+            prefix = separator
+        if is_dict:
+            key, entry = entry
+            prefix = f"{prefix}{_ESCAPE(key) if type(key) is str else _key(key)}: "
+        out.append(prefix)
+        value = entry
+
+
+_END = object()
+_ESCAPE = json.encoder.encode_basestring_ascii
+#: How json writes each atom type; subclasses take the slower :func:`_scalar`.
+_ATOMS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+#: Lists nested deeper than this are left to the stack walk of
+#: :func:`json_text`, because :func:`_nested_lists` copies the text once per
+#: level. A grid of 10**6 cells has at most 20 levels of two or more entries.
+_MAX_LEVELS = 32
+
+
+@functools.lru_cache(maxsize=64)
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _write_inline(value, depth: int, out: list) -> bool:
+    """Append the JSON text of ``value`` at ``depth`` to ``out`` if it needs no
+    stack frame: an atom, an empty container, a list of lists of atoms, or a
+    dict whose values are all of those. Returns whether it did."""
+    kind = type(value)
+    if kind in _ATOMS:
+        out.append(_ATOMS[kind](value))
+    elif isinstance(value, (list, tuple)):
+        if value:
+            return _nested_lists(value, depth, out)
+        out.append("[]")
+    elif isinstance(value, dict):
+        if value:
+            return _flat_dict(value, depth, out)
+        out.append("{}")
+    else:
+        out.append(_scalar(value))
+    return True
+
+
+def _scalar(value) -> str:
+    """JSON text of a value that is not an atom of an exact type, a list, a
+    tuple or a dict, as json writes it."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)  # floats; any other type raises json's TypeError
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a str, or a number, bool or None as text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return _ESCAPE(key)
+
+
+def _flat_dict(obj: dict, depth: int, out: list) -> bool:
+    """Append the JSON text of a dict whose values are atoms or lists of lists
+    of atoms to ``out``; append nothing and return False for any other dict."""
+    start = len(out)
+    newline = _newline(depth + 1)
+    prefix, separator = "{" + newline, "," + newline
+    for key, value in obj.items():
+        out.append(f"{prefix}{_ESCAPE(key) if type(key) is str else _key(key)}: ")
+        prefix = separator
+        kind = type(value)
+        if kind in _ATOMS:
+            out.append(_ATOMS[kind](value))
+        elif (isinstance(value, dict) and value) or not _write_inline(value, depth + 1, out):
+            del out[start:]
+            return False
+    out.append(_newline(depth) + "}")
+    return True
+
+
+def _nested_lists(root, depth: int, out: list) -> bool:
+    """Append the JSON text of a list nested only in non-empty lists, down to
+    atoms, to ``out``; append nothing and return False for any other list.
+
+    The lists are flattened one level at a time with ``itertools.chain``, the
+    atoms are written in one pass, and then each level, from the deepest up,
+    is one join per list of its slice of the level below.
+    """
+    if type(root[0]) in _ATOMS:  # a flat list, the most common case
+        texts = _atom_texts(root)
+        if texts is None:
+            return False
+        newline = _newline(depth + 1)
+        out.append(f"[{newline}{(',' + newline).join(texts)}{_newline(depth)}]")
+        return True
+    lists = list(root)
+    sizes = [[len(lists)]]  # per level, the entry count of each list on it
+    parents, held = {id(root)}, 1  # lists that hold lists; one met twice is left to the walk
+    while True:
+        if not set(map(type, lists)) <= _SEQUENCES:
+            return False
+        counts = list(map(len, lists))
+        if 0 in counts or len(sizes) == _MAX_LEVELS:
+            return False
+        sizes.append(counts)
+        entries = list(itertools.chain.from_iterable(lists))
+        if type(entries[0]) in _ATOMS:
+            break
+        parents.update(map(id, lists))
+        held += len(lists)
+        if len(parents) != held:
+            return False
+        lists = entries
+    texts = _atom_texts(entries)
+    if texts is None:
+        return False
+    del entries, lists
+    # A list's text is the openings of its first descendants, its core, and
+    # the closings of its last ones. Moving the inner openings and closings
+    # into the separator of each level makes a level one join per list.
+    openings = ["[" + _newline(depth + level + 1) for level in range(len(sizes))]
+    closings = [_newline(depth + level) + "]" for level in range(len(sizes))][::-1]
+    for level in range(len(sizes) - 1, -1, -1):
+        separator = "".join((*closings[:-level - 1], ",", _newline(depth + level + 1),
+                             *openings[level + 1:]))
+        counts = sizes[level]
+        if counts.count(counts[0]) == len(counts):  # a grid: lists of one length
+            groups = zip(*[iter(texts)] * counts[0])
+        else:
+            groups = map(itertools.islice, itertools.repeat(iter(texts)), counts)
+        texts = list(map(separator.join, groups))
+    out += ("".join(openings), texts[0], "".join(closings))
+    return True
+
+
+def _atom_texts(atoms):
+    """The JSON texts of a list of atoms; ``None`` if it holds anything else."""
+    if type(atoms[0]) is str:
+        try:
+            return list(map(_ESCAPE, atoms))
+        except TypeError:  # not all strs
+            pass
+    escape, write = _ESCAPE, _ATOMS.__getitem__
+    try:
+        return [escape(v) if type(v) is str else write(type(v))(v) for v in atoms]
+    except KeyError:
+        return None
 
 
 def load_game(path) -> Game:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -11,7 +13,10 @@ from .errors import InputError
 
 #: The one string form of an exact rational: ASCII ``[+-]digits`` or
 #: ``[+-]digits/digits``; no spaces, underscores, decimals or exponents.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+#: Rationals of that form, each followed by a newline, which none contains.
+_RATIONAL_LINES = re.compile(f"(?:{_RATIONAL.pattern}\n)*")
 
 
 def rational_parts(value) -> tuple[int, int]:
@@ -23,10 +28,10 @@ def rational_parts(value) -> tuple[int, int]:
     size of a parsed number is bounded by the length of its text.
     """
     if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
-        if match is not None:
+        if _RATIONAL.fullmatch(value):
+            numerator, _, denominator = value.partition("/")
             try:  # int() refuses strings past Python's int-string digit limit
-                numerator, denominator = map(int, match.groups("1"))
+                numerator, denominator = int(numerator), int(denominator or 1)
             except ValueError:
                 denominator = 0
             if denominator:
@@ -40,6 +45,61 @@ def rational_parts(value) -> tuple[int, int]:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     raise InputError(f"not a rational number: {value!r} (floats are not accepted)")
+
+
+#: Columns shorter than this are parsed value by value, which is faster
+#: there than the dozen calls of the bulk parse.
+_BULK_MIN = 16
+
+
+def over_lcm(numerators, denominators) -> tuple[list[int], int]:
+    """The fractions ``n / d`` as int numerators over their least common denominator."""
+    scale = math.lcm(*set(denominators))
+    return [n * (scale // d) for n, d in zip(numerators, denominators)], scale
+
+
+def rational_column(values) -> tuple[list[int], int] | None:
+    """Ints and strings of the grammar of :func:`rational_parts` as int
+    numerators over one positive common denominator, parsed in bulk.
+
+    Neither the values nor the result are reduced; :class:`~.game.Game`
+    reduces each column by its gcd. Returns ``None`` when some value is of
+    another type or not in the grammar, without saying which: the caller asks
+    :func:`rational_parts` value by value.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(values), 1
+    if not kinds <= {int, str}:
+        return None
+    if len(values) < _BULK_MIN:
+        try:
+            return over_lcm(*zip(*map(rational_parts, values)))
+        except InputError:
+            return None
+    if kinds == {str}:
+        texts = values
+        parts = map(str.partition, values, itertools.repeat("/"))
+    else:
+        texts = [v for v in values if type(v) is str]
+        parts = [v.partition("/") if type(v) is str else (v, "", "") for v in values]
+    joined = "\n".join(texts) + "\n"
+    if joined.count("\n") != len(texts) or not _RATIONAL_LINES.fullmatch(joined):
+        return None
+    heads, _, tails = zip(*parts)
+    keys = set(tails)
+    keys.discard("")  # the tail of an integer
+    try:  # int() refuses strings past Python's int-string digit limit
+        numerators = list(map(int, heads))
+        denominators = list(map(int, keys))
+    except ValueError:
+        return None
+    if 0 in denominators:
+        return None
+    scale = math.lcm(*denominators)
+    factors = dict(zip(keys, map(scale.__floordiv__, denominators)))
+    factors[""] = scale
+    return list(map(operator.mul, numerators, map(factors.__getitem__, tails))), scale
 
 
 def parse_rational(value) -> Fraction:

@@ -617,3 +617,43 @@ def test_trading_grids_are_sized_before_they_are_built(capsys, argv, err):
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - started < 1.0 and peak < 2**20
+
+
+@pytest.mark.parametrize("payoffs, err", [
+    ([[["1", "y"], ["x", "1"]], [["1", "1"], ["1", "1"]]], "not a rational number: 'y'"),
+    ([[["z", 1], [1, 1]], [[1, 1], [1]]], "not a rational number: 'z'"),
+    ([[[1], [1, "x"]], [[1, 1], [1, 1]]], "cell at (0, 0) must list 2 payoffs, got [1]"),
+], ids=["value-before-value", "value-before-shape", "shape-before-value"])
+def test_game_files_name_the_first_bad_entry_in_cell_order(tmp_path, capsys, payoffs, err):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"players": 2, "strategy_counts": [2, 2], "payoffs": payoffs}))
+    for command in ("solve", "dominance"):
+        assert_one_line_input_error(capsys, [command, "--game", str(path)], err)
+
+
+def test_games_of_985_players_run_in_every_format(tmp_path):
+    """One strategy each for 985 players, which json.loads still reads at the
+    top of a fresh interpreter: every output format is written, and the json
+    echo reads back as the same game."""
+    players = 985
+    cell = json.dumps([f"{p}/2" for p in range(players)])
+    path = tmp_path / "g985.json"  # written by hand: json.dumps would recurse too deep here
+    path.write_text(f'{{"players": {players}, "strategy_counts": {[1] * players}, '
+                    f'"payoffs": {"[" * players}{cell}{"]" * players}}}')
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for command in ("solve", "dominance"):
+        for fmt in ("json", "text", "csv"):
+            out = tmp_path / f"{command}.{fmt}"
+            done = subprocess.run(
+                [sys.executable, "-m", "regretgames", command, "--game", str(path),
+                 "--format", fmt, "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, ""), (command, fmt)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:  # json.loads recurses once per level
+        for command in ("solve", "dominance"):
+            echo = json.loads((tmp_path / f"{command}.json").read_text())["input"]["game"]
+            assert game_from_json(echo) == load_game(path)
+    finally:
+        sys.setrecursionlimit(limit)

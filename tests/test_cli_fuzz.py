@@ -2,7 +2,8 @@
 
 Every run must end in a documented exit code, 0, 2 (invalid input) or 3
 (size cap), or 1 only under ``--strict``, and no exception may escape
-``cli.run``. Numbers are drawn small and the trading caps are always small,
+``cli.run``. Every json output is exactly what ``json.dumps`` writes with
+``indent=2``. Numbers are drawn small and the trading caps are always small,
 so no example builds a large game or enumeration.
 """
 
@@ -10,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -193,3 +195,14 @@ def test_cli_exits_with_a_documented_code(tmp_path, data):
     allowed = (0, 1, 2, 3) if "--strict" in argv else (0, 2, 3)
     assert code in allowed, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0 and _format(argv) == "json":
+        # every json output is exactly what json.dumps writes with indent=2
+        text = Path(argv[argv.index("--output") + 1]).read_text() \
+            if "--output" in argv else out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", argv
+
+
+def _format(argv) -> str:
+    """The output format argparse reads from ``argv``: the last --format wins."""
+    values = [argv[i + 1] for i, flag in enumerate(argv[:-1]) if flag == "--format"]
+    return values[-1] if values else "json"

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretgames import (
     Game,
@@ -14,7 +16,9 @@ from regretgames import (
     make_dense_game,
     save_game,
 )
-from regretgames.rational import parse_rational, rational_parts
+from regretgames import rational
+from regretgames.game import json_text
+from regretgames.rational import parse_rational, rational_column, rational_parts
 from support import anchor_game
 
 
@@ -192,3 +196,136 @@ def test_rational_grammar_rejects_everything_else(value):
         parse_rational(value)
     with pytest.raises(InputError, match="not a rational number"):
         make_dense_game((1, 1), [[[value, 0]]])
+
+
+# -- the first bad entry, in cell order ----------------------------------------
+
+FIRST_ERRORS = [
+    # a bad value is named in cell order, not column by column
+    ([[["1", "y"], ["x", "1"]], [["1", "1"], ["1", "1"]]], "not a rational number: 'y'"),
+    # a bad value comes before a shape error in a later cell
+    ([[["z", 1], [1, 1]], [[1, 1], [1]]], "not a rational number: 'z'"),
+    # a shape error comes before a bad value in a later cell
+    ([[[1], [1, "x"]], [[1, 1], [1, 1]]], "cell at (0, 0) must list 2 payoffs, got [1]"),
+    ([[[1, 1], [1, 1], [1, 1]], [["x", 1], [1, 1]]],
+     "axis 1 (player 1) expects 2 entries, got 3 at (0,)"),
+    ([[[1, 1], [1, "1/0"]], [[True, 1], [1, 1]]], "not a rational number: '1/0'"),
+    ([[[1, 1], "ab"], [[1, 1], [1, 1]]], "cell at (0, 1) must list 2 payoffs, got 'ab'"),
+]
+
+
+@pytest.mark.parametrize("table, message", FIRST_ERRORS)
+def test_the_first_bad_entry_in_cell_order_is_named(table, message):
+    with pytest.raises(InputError) as raised:
+        make_dense_game((2, 2), table)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("size", [4, 40])  # below and above the bulk parse's minimum
+def test_the_first_bad_value_is_named_in_long_tables_too(size):
+    table = [[[f"{i}/7", i], [i, "1/2"]] for i in range(size)]
+    table[1][0][1] = "bad"  # player 1's column, early in cell order
+    table[size - 1][1][0] = "worse"  # player 0's column, late in cell order
+    with pytest.raises(InputError, match="not a rational number: 'bad'"):
+        make_dense_game((size, 2), table)
+
+
+# -- games of many players -------------------------------------------------------
+
+
+@pytest.mark.parametrize("players", [995, 1500])
+def test_games_of_many_players_build_and_serialize_without_recursion(players):
+    payoffs = [f"{2 * p + 1}/2" for p in range(players)]
+    for _ in range(players):
+        payoffs = [payoffs]
+    obj = {"players": players, "strategy_counts": [1] * players, "payoffs": payoffs}
+    built = game_from_json(obj)
+    assert built.payoff((0,) * players, players - 1) == Fraction(2 * players - 1, 2)
+    text = json_text(game_to_json(built))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:  # comparing nested lists and json.dumps recurse once per level
+        assert game_to_json(built) == obj
+        assert text == json.dumps(obj, indent=2)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# -- the bulk column parser against rational_parts ------------------------------
+
+
+def _reference(values):
+    """The column as rational_parts reads it, value by value: Fractions, or
+    the error text of the first bad value."""
+    try:
+        return [Fraction(*rational_parts(v)) for v in values]
+    except InputError as exc:
+        return str(exc)
+
+
+def _bulk(values):
+    """The column as make_dense_game reads it: Fractions, or its error text."""
+    parsed = rational_column(list(values))
+    try:
+        game = make_dense_game((len(values), 1), [[[v, 0]] for v in values])
+    except InputError as exc:
+        assert parsed is None
+        return str(exc)
+    if parsed is not None:
+        numerators, scale = parsed
+        assert [Fraction(n, scale) for n in numerators] == [
+            game.payoff((i, 0), 0) for i in range(len(values))]
+    return [game.payoff((i, 0), 0) for i in range(len(values))]
+
+
+SPECIAL = [
+    "-0", "+5", "007/014", "-006/4", "1/0", "1/00", "1//2", "1/-2", "1/+2", " 1", "1 ", "1_0",
+    "١", "1\n2", "1\n", "\n-1", "1/2\n", "\n", "", "1" * 4301, "1/" + "1" * 4301, "9" * 4300, True, False, 1.5, None,
+    Fraction(1, 3), 10**5000, -(10**40),
+]
+
+
+def _label(value):
+    if isinstance(value, int) and abs(value) > 10**100:
+        return f"int-of-{len(str(abs(value) // 10**4000)) + 4000}-digits"
+    return repr(value)[:20]
+
+
+@pytest.mark.parametrize("special", SPECIAL, ids=_label)
+@pytest.mark.parametrize("length", [3, 40])  # below and above the bulk parse's minimum
+def test_bulk_parse_reads_what_rational_parts_reads(special, length):
+    for position in (0, length // 2, length - 1):
+        values = [f"{i - 7}/{i % 5 + 1}" if i % 3 else i - 20 for i in range(length)]
+        values[position] = special
+        assert _bulk(values) == _reference(values)
+
+
+VALID_TEXTS = st.builds(
+    lambda n, d, sign, zeros, slash: (
+        f"{sign}{'0' * zeros}{abs(n)}" + (f"/{'0' * zeros}{d}" if slash else "")),
+    st.integers(-10**30, 10**30), st.integers(1, 10**6), st.sampled_from(["", "+", "-"]),
+    st.integers(0, 2), st.booleans(),
+)
+COLUMN_VALUES = st.one_of(
+    VALID_TEXTS, VALID_TEXTS, st.integers(-10**30, 10**30),
+    st.sampled_from([s for s in SPECIAL if not (isinstance(s, str) and len(s) > 100)]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(COLUMN_VALUES, min_size=1, max_size=40))
+def test_bulk_parse_matches_rational_parts_on_random_columns(values):
+    assert _bulk(values) == _reference(values)
+
+
+def test_long_mixed_columns_parse_in_bulk(monkeypatch):
+    values = [f"{i}/{i % 7 + 1}" if i % 4 else i for i in range(-30, 30)]
+    expected = [Fraction(*rational_parts(v)) for v in values]
+
+    def per_value(value):
+        raise AssertionError("parsed value by value")
+
+    monkeypatch.setattr(rational, "rational_parts", per_value)
+    numerators, scale = rational_column(values)
+    assert [Fraction(n, scale) for n in numerators] == expected
+    assert rational_column([10**5000, -1, 7] * 10) == ([10**5000, -1, 7] * 10, 1)
