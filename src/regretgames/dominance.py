@@ -47,9 +47,11 @@ def weakly_dominates(game: Game, player: int, s: int, s_prime: int) -> bool:
 
 def _surviving(rows, candidates):
     """Split candidates into (allowed, eliminated-with-witness) by pairwise scan."""
-    # A row never worse and somewhere better has a strictly larger int sum, and
-    # a row never worse with a larger sum differs somewhere: so s_prime weakly
-    # dominates s exactly when its sum is larger and no entry is smaller.
+    # The rows hold each distinct opponent column once, which leaves dominance
+    # unchanged. Over those columns, a row never worse and somewhere better has
+    # a strictly larger int sum, and a row never worse with a larger sum differs
+    # somewhere: so s_prime weakly dominates s exactly when its sum is larger
+    # and no entry is smaller.
     totals = [(s, sum(rows[s])) for s in candidates]
     allowed = []
     eliminated = []
@@ -68,7 +70,7 @@ def _surviving(rows, candidates):
 
 def rational_set(game: Game, player: int) -> RationalSet:
     """Single elimination round against the opponents' full profile space."""
-    rows, _ = game.payoff_matrix(player)
+    rows = game._opponent_classes(player)[0]
     allowed, eliminated = _surviving(rows, range(len(rows)))
     return RationalSet(player, tuple(allowed), tuple(eliminated))
 
@@ -89,10 +91,10 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
         new_allowed = []
         new_eliminated = []
         for player in range(n):
-            rows, _ = game.payoff_matrix(player)
-            indices = game._opponent_indices(player, allowed)
+            rows = game._opponent_classes(player)[0]
+            columns = game._class_columns(player, allowed)
             kept, removed = _surviving(
-                [[row[q] for q in indices] for row in rows], allowed[player]
+                [[row[c] for c in columns] for row in rows], allowed[player]
             )
             new_allowed.append(kept)
             new_eliminated.append(removed)

@@ -138,6 +138,7 @@ class Game:
             )
         self._columns, self._scales = zip(*map(_reduced, columns, scales))
         self._matrix_cache: dict[int, tuple] = {}
+        self._class_cache: dict[int, tuple] = {}
 
     @staticmethod
     def _check_labels(labels, counts):
@@ -279,6 +280,42 @@ class Game:
             cached = self._matrix_cache[player] = (self._split_rows(column, player), scale)
         return cached
 
+    def _opponent_classes(self, player: int):
+        """``player``'s payoff rows over the distinct columns of :meth:`payoff_matrix`.
+
+        Returns ``(rows, keys, scale)``: ``rows[s][c]`` is own strategy
+        ``s``'s payoff against the ``c``-th distinct opponent column, in
+        first-seen order, and ``keys[q]`` is the class of the ``q``-th opponent
+        profile, so ``rows[s][keys[q]]`` is ``payoff_matrix(player)[0][s][q]``.
+        Worst regrets are maxima over columns and weak dominance compares every
+        column, so a repeated column changes neither. When every column is
+        distinct, ``rows`` are ``payoff_matrix``'s own. Cached per player, like
+        the matrix.
+        """
+        player = self._validate_player(player)
+        cached = self._class_cache.get(player)
+        if cached is None:
+            rows, scale = self.payoff_matrix(player)
+            keys = range(len(rows[0]))
+            # distinct hashes prove distinct columns without holding them all
+            if len(set(map(hash, zip(*rows)))) < len(keys):
+                classes: dict[tuple, int] = {}
+                keys = [classes.setdefault(column, len(classes)) for column in zip(*rows)]
+                if len(classes) < len(keys):
+                    rows = tuple(zip(*classes))
+            cached = self._class_cache[player] = (rows, keys, scale)
+        return cached
+
+    def _class_columns(self, player: int, allowed) -> list[int]:
+        """The classes of :meth:`_opponent_classes` that the opponent profiles
+        with choices in ``allowed`` (one set per player) fall in, ascending."""
+        keys = self._opponent_classes(player)[1]
+        positions = [0]  # in player's lexicographic opponent enumeration
+        for j, count in enumerate(self._counts):
+            if j != player:
+                positions = [p * count + c for p in positions for c in allowed[j]]
+        return sorted(set(map(keys.__getitem__, positions)))
+
     def _column(self, player: int) -> tuple[list[int], int]:
         """``player``'s numerators over all profiles in lex order, and their scale."""
         return self._columns[player], self._scales[player]
@@ -297,18 +334,6 @@ class Game:
             ))
             for s in range(count)
         )
-
-    def _opponent_indices(self, player: int, allowed) -> list[int]:
-        """Positions, in ``player``'s lexicographic opponent enumeration, of the
-        opponent profiles whose choices lie in ``allowed`` (one set per player)."""
-        others = [j for j in range(self.player_count) if j != player]
-        strides = [1] * len(others)
-        for i in range(len(others) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self._counts[others[i + 1]]
-        return [
-            sum(choice * stride for choice, stride in zip(combo, strides))
-            for combo in itertools.product(*(allowed[j] for j in others))
-        ]
 
     # -- transforms ----------------------------------------------------------
 

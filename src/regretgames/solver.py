@@ -56,11 +56,11 @@ def regret(game: Game, player: int, profile) -> Fraction:
 
 def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
     """Worst-case regret of every own strategy, times the payoff scale, and the scale."""
-    rows, scale = game.payoff_matrix(player)
+    rows, _, scale = game._opponent_classes(player)
     if restriction is not None:
         restriction.validate_for(game)
-        selected = game._opponent_indices(player, restriction.allowed)
-        rows = [[row[q] for q in selected] for row in rows]
+        columns = game._class_columns(player, restriction.allowed)
+        rows = [[row[c] for c in columns] for row in rows]
     best = list(map(max, zip(*rows)))
     return [max(map(operator.sub, best, row)) for row in rows], scale
 
@@ -85,9 +85,10 @@ def minimax_regret(
     """Solve one player: per-strategy worst regrets and the argmin set.
 
     Candidate strategies range over the player's full set regardless of any
-    restriction; best-response values are computed once per opponent profile
-    and reused across candidates. The scan runs on the game's scaled int
-    payoffs; only the report divides by the scale.
+    restriction; best-response values are computed once per distinct
+    opponent column, since opponent profiles with equal payoff columns give
+    equal regrets, and reused across candidates. The scan runs on the game's
+    scaled int payoffs; only the report divides by the scale.
     """
     worst, scale = _worst_regrets(game, player, restriction)
     minimax = min(worst)

@@ -22,11 +22,14 @@ from hypothesis import strategies as st
 from regretgames import (
     PASS,
     TAKE,
+    BiddingSpec,
     Game,
     GameSequence,
     TradingSpec,
     TradingStrategy,
+    Restriction,
     audit_single_agent,
+    bidding_utility,
     competitive_trading_strategy,
     minimal_regret_sweep,
     decision_points,
@@ -104,22 +107,51 @@ def ref_elimination_round(table, counts, allowed):
 # -- games ----------------------------------------------------------------------
 
 
+PAYOFFS = st.builds(
+    lambda p, q: Fraction(f"{p}/{q}"), st.integers(-12, 12), st.sampled_from(DENOMINATORS)
+)
+
+
 @st.composite
 def rational_games(draw, max_players=3, max_strategies=3):
     """(counts, cells) with "p/q" payoffs parsed to Fractions, lex-ordered cells."""
     n = draw(st.integers(2, max_players))
     counts = tuple(draw(st.integers(1, max_strategies)) for _ in range(n))
-    payoff = st.builds(
-        lambda p, q: Fraction(f"{p}/{q}"), st.integers(-12, 12), st.sampled_from(DENOMINATORS)
-    )
-    cells = [tuple(draw(payoff) for _ in range(n)) for _ in itertools.product(*map(range, counts))]
+    cells = [tuple(draw(PAYOFFS) for _ in range(n)) for _ in itertools.product(*map(range, counts))]
     return counts, cells
 
 
-@COMMON
-@given(rational_games())
-def test_kernels_match_fraction_reference(case):
-    counts, cells = case
+@st.composite
+def repeated_column_games(draw):
+    """(counts, cells) whose opponent columns repeat: every payoff drawn from
+    2-3 values, or one player's strategy a copy of another of its strategies,
+    which repeats the columns of every other player."""
+    counts, cells = draw(rational_games(max_strategies=4))
+    n = len(counts)
+    profiles = list(itertools.product(*map(range, counts)))
+    copyable = [j for j, c in enumerate(counts) if c > 1]
+    if not copyable or draw(st.booleans()):
+        values = draw(st.lists(PAYOFFS, min_size=2, max_size=3, unique=True))
+        return counts, [tuple(draw(st.sampled_from(values)) for _ in range(n)) for _ in profiles]
+    j = draw(st.sampled_from(copyable))
+    source, target = draw(st.lists(st.integers(0, counts[j] - 1), min_size=2, max_size=2,
+                                   unique=True))
+    table = dict(zip(profiles, cells))
+    for profile in profiles:
+        if profile[j] == target:
+            table[profile] = table[profile[:j] + (source,) + profile[j + 1:]]
+    return counts, [table[profile] for profile in profiles]
+
+
+@st.composite
+def subsets(draw, counts):
+    """One non-empty strategy subset per player, for a custom restriction."""
+    return [sorted(draw(st.sets(st.integers(0, c - 1), min_size=1))) for c in counts]
+
+
+def assert_kernels_match_reference(counts, cells, custom):
+    """``minimax_regret`` in full mode, rational mode and under the ``custom``
+    restriction, then the dominance kernels, against the reference."""
     game = Game.from_cells(counts, cells)
     table = dict(zip(itertools.product(*map(range, counts)), cells))
     full = [list(range(c)) for c in counts]
@@ -130,13 +162,43 @@ def test_kernels_match_fraction_reference(case):
     assert restriction.allowed == tuple(tuple(kept) for kept in rational)
 
     for player in range(len(counts)):
-        for allowed, used in ((full, None), (rational, restriction)):
+        for allowed, used in ((full, None), (rational, restriction),
+                              (custom, Restriction(tuple(map(tuple, custom))))):
             worst = ref_worst_regrets(table, counts, player, allowed)
             report = minimax_regret(game, player, used)
             assert report.worst_regret_per_strategy == tuple(worst)
             assert report.minimax_value == min(worst)
             assert report.argmin == tuple(s for s, w in enumerate(worst) if w == min(worst))
     assert_dominance_matches_reference(counts, cells)
+
+
+@COMMON
+@given(st.data())
+def test_kernels_match_fraction_reference(data):
+    counts, cells = data.draw(rational_games())
+    assert_kernels_match_reference(counts, cells, data.draw(subsets(counts)))
+
+
+@COMMON
+@given(st.data())
+def test_kernels_match_reference_on_repeated_columns(data):
+    counts, cells = data.draw(repeated_column_games())
+    assert_kernels_match_reference(counts, cells, data.draw(subsets(counts)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_kernels_match_reference_on_auctions(data):
+    """3-player k-th price auctions with T <= 6, k = 1..3, cells from
+    ``bidding_utility``: few distinct opponent columns per player."""
+    grid = data.draw(st.integers(5, 6))
+    valuations = data.draw(st.lists(st.integers(2, grid - 1), min_size=3, max_size=3,
+                                    unique=True))
+    spec = BiddingSpec(tuple(valuations), grid, data.draw(st.integers(1, 3)))
+    counts = (grid + 1,) * 3
+    cells = [tuple(bidding_utility(spec, bids, p) for p in range(3))
+             for bids in itertools.product(range(grid + 1), repeat=3)]
+    assert_kernels_match_reference(counts, cells, data.draw(subsets(counts)))
 
 
 def assert_dominance_matches_reference(counts, cells):

@@ -157,6 +157,58 @@ def test_reduction_reads_every_cell_until_the_gcd_is_one(odd):
     assert Game((2, 300), columns=[column, column], scales=[12, 12]).payoff_matrix(0)[1] == 12
 
 
+def assert_view_quotients_the_matrix(game):
+    """``_opponent_classes`` against ``payoff_matrix``, for every player."""
+    for player in range(game.player_count):
+        view = game._opponent_classes(player)
+        rows, keys, scale = view
+        matrix, matrix_scale = game.payoff_matrix(player)
+        assert scale == matrix_scale and len(rows) == len(matrix) and len(keys) == len(matrix[0])
+        for s, row in enumerate(matrix):
+            assert [rows[s][keys[q]] for q in range(len(row))] == list(row)
+        columns = list(zip(*rows))
+        assert len(set(columns)) == len(columns)  # distinct
+        assert list(dict.fromkeys(keys)) == list(range(len(columns)))  # first-seen order
+        assert game._opponent_classes(player) is view  # cached
+    with pytest.raises(InputError):
+        game._opponent_classes(True)
+
+
+def test_opponent_classes_keep_each_distinct_column_once():
+    # player 0's opponent columns are the 9 profiles of players 1 and 2; its
+    # payoff depends only on player 1's choice, so 3 columns are distinct
+    cells = [(s + 10 * b, b, c) for s, b, c in itertools.product(range(2), range(3), range(3))]
+    game = Game.from_cells((2, 3, 3), cells)
+    assert_view_quotients_the_matrix(game)
+    rows, keys, _ = game._opponent_classes(0)
+    assert rows == ((0, 10, 20), (1, 11, 21)) and list(keys) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    # player 1's payoff is its own choice, so its 6 opponent columns are all (0, 1, 2)
+    assert game._opponent_classes(1)[0] == ((0,), (1,), (2,))
+    assert_view_quotients_the_matrix(anchor_game())
+
+
+@pytest.mark.parametrize("row", [[4, 1, 4, 2, 9], [-1, -2, 5]])
+def test_distinct_columns_keep_the_matrix_rows(row):
+    # hash(-1) == hash(-2), so the second row's columns share a hash and are
+    # told apart by comparing them
+    game = Game.from_cells((1, len(row)), [(v, v) for v in row])
+    assert_view_quotients_the_matrix(game)
+    assert game._opponent_classes(1)[0] is game.payoff_matrix(1)[0]
+    rows, _ = game.payoff_matrix(0)
+    assert (game._opponent_classes(0)[0] is rows) == (len(set(row)) == len(row))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n), st.randoms(use_true_random=False))))
+def test_opponent_classes_match_the_matrix_on_random_games(case):
+    counts, rng = case
+    values = rng.choice([(0, 1), (-1, -2, 3), tuple(range(-9, 10))])
+    cells = [tuple(rng.choice(values) for _ in counts)
+             for _ in itertools.product(*map(range, counts))]
+    assert_view_quotients_the_matrix(Game.from_cells(counts, cells))
+
+
 def test_game_from_json_validation():
     with pytest.raises(InputError, match="missing keys"):
         game_from_json({"players": 2})
