@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AssumptionError, InputError, check_size
-from .game import DEFAULT_DENSE_CAP, Game
+from .errors import DEFAULT_DENSE_CAP, AssumptionError, InputError, check_size
+from .game import Game
 from .rational import strict_int
 from .solver import RegretReport, all_player_reports
 

@@ -8,37 +8,18 @@ timestamps. Exit codes: 0 success, 1 divergence or failure under --strict,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
 
-from .bidding import (BiddingSpec, closed_form_competitive, closed_form_rational,
-                      make_bidding_game, verify_claims)
-from .dominance import iterated_rational_sets
-from .errors import InputError, SizeError
-from .game import (DEFAULT_DENSE_CAP, Game, game_from_json, game_to_json, json_text, load_game,
-                   read_json)
+# Only the modules every subcommand needs load with the CLI. Each handler
+# imports its kernel names when it runs, so a call loads only the modules its
+# subcommand uses, and the names are read from their modules at call time.
+from .errors import (DEFAULT_DENSE_CAP, DEFAULT_ENUM_CAP, DEFAULT_REALIZATION_CAP, InputError,
+                     SizeError)
+from .game import Game, game_from_json, game_to_json, json_text, load_game, read_json
 from .rational import parse_rational
-from .repeated import (
-    DEFAULT_REALIZATION_CAP,
-    GameSequence,
-    RandomGameSpec,
-    verify_folk_theorem,
-)
-from .solver import all_player_reports, minimax_regret
-from .trading import (
-    DEFAULT_ENUM_CAP,
-    TradingSpec,
-    audit_single_agent,
-    minimal_regret_sweep,
-    reference_strategy,
-    simulate,
-    single_agent_threshold,
-    trading_oracle_report,
-)
 
 EXIT_OK = 0
 EXIT_DIVERGENCE = 1
@@ -140,12 +121,17 @@ def _non_negative_int(text: str) -> int:
 
 
 def _load_games(entries, base_dir: Path, what: str) -> tuple[Game, ...]:
+    """The games of a sequence or pool file. Each game file is loaded once, so
+    stages from one file share one ``Game`` and its cached payoff views."""
     if not isinstance(entries, list):
         raise InputError(f"{what} must be an array of games, got {entries!r}")
     games = []
+    loaded = {}
     for entry in entries:
         if isinstance(entry, str):
-            games.append(load_game(base_dir / entry))
+            if entry not in loaded:
+                loaded[entry] = load_game(base_dir / entry)
+            games.append(loaded[entry])
         elif isinstance(entry, dict):
             games.append(game_from_json(entry))
         else:
@@ -153,7 +139,9 @@ def _load_games(entries, base_dir: Path, what: str) -> tuple[Game, ...]:
     return tuple(games)
 
 
-def _load_sequence(path) -> GameSequence:
+def _load_sequence(path):
+    from .repeated import GameSequence
+
     obj = read_json(path)
     if not isinstance(obj, dict) or "stages" not in obj:
         raise InputError(f"{path}: sequence files need a 'stages' array")
@@ -161,7 +149,9 @@ def _load_sequence(path) -> GameSequence:
     return GameSequence(_load_games(obj["stages"], base, "stages"))
 
 
-def _load_random_spec(path) -> RandomGameSpec:
+def _load_random_spec(path):
+    from .repeated import RandomGameSpec
+
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: random game files must hold an object")
@@ -186,6 +176,9 @@ def _emit(args, payload: dict, rows=None) -> None:
     elif args.format == "csv":
         if rows is None:
             raise InputError("csv output is not available for this command")
+        import csv
+        import io
+
         header, data = rows
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -234,6 +227,8 @@ def _render_text(payload, depth=0) -> str:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import all_player_reports
+
     game = load_game(args.game)
     players = range(game.player_count) if args.player is None else [
         game._validate_player(args.player)
@@ -267,6 +262,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dominance(args) -> int:
+    from .dominance import iterated_rational_sets
+
     game = load_game(args.game)
     sets = iterated_rational_sets(game, args.rounds)
     payload = {
@@ -284,7 +281,9 @@ def _cmd_dominance(args) -> int:
     return EXIT_OK
 
 
-def _parse_bidding_spec(args) -> BiddingSpec:
+def _parse_bidding_spec(args):
+    from .bidding import BiddingSpec
+
     try:
         valuations = tuple(int(v) for v in args.l.split(","))
     except ValueError as exc:
@@ -293,6 +292,10 @@ def _parse_bidding_spec(args) -> BiddingSpec:
 
 
 def _cmd_bidding(args) -> int:
+    from .bidding import (closed_form_competitive, closed_form_rational, make_bidding_game,
+                          verify_claims)
+    from .solver import all_player_reports
+
     spec = _parse_bidding_spec(args)
     payload = {"command": "bidding", "input": spec.to_json()}
     rows = None
@@ -337,6 +340,8 @@ def _cmd_bidding(args) -> int:
 
 
 def _cmd_repeated(args) -> int:
+    from .repeated import verify_folk_theorem
+
     if (args.sequence is None) == (args.random is None):
         raise InputError("exactly one of --sequence or --random is required")
     if args.sequence:
@@ -374,6 +379,10 @@ def _cmd_repeated(args) -> int:
 
 
 def _cmd_trading(args) -> int:
+    from .trading import (TradingSpec, audit_single_agent, minimal_regret_sweep,
+                          reference_strategy, simulate, single_agent_threshold,
+                          trading_oracle_report)
+
     if args.sweep and not args.oracle:
         raise InputError("--sweep needs --oracle")
     # each of these picks the whole output, so a second one would be dropped
@@ -465,6 +474,8 @@ def _cmd_trading(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .bidding import BiddingSpec, verify_claims
+
     manifest = read_json(args.manifest)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("specs"), list):
         raise InputError(f"{args.manifest}: manifest files need a 'specs' array")

@@ -110,8 +110,13 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
 
 
 def rational_restriction(game: Game) -> Restriction:
-    """Package every player's surviving set for the solver's RATIONAL mode."""
-    return Restriction(
-        tuple(rational_set(game, player).allowed for player in range(game.player_count)),
-        "rational",
-    )
+    """Package every player's surviving set for the solver's RATIONAL mode.
+
+    Computed once per game object and kept on it, like its payoff matrices.
+    """
+    if game._rational_restriction is None:
+        game._rational_restriction = Restriction(
+            tuple(rational_set(game, player).allowed for player in range(game.player_count)),
+            "rational",
+        )
+    return game._rational_restriction

@@ -1,4 +1,21 @@
-"""Exception types shared across the package, and the one size and mode checks."""
+"""Exception types shared across the package, the one size and mode checks,
+and the default caps those size checks are run against."""
+
+#: Cap on the payoff cells of the games the package builds: the auction of
+#: ``make_bidding_game`` and the expansion of ``expand_sequence``, which also
+#: holds each player's history strategies to it. Both raise ``SizeError``
+#: above it before allocating.
+DEFAULT_DENSE_CAP = 10**6
+
+#: Cap on how many pool realizations exhaustive verification will enumerate.
+DEFAULT_REALIZATION_CAP = 4096
+
+#: Cap on the size of every trading search, counted as the enumeration the
+#: recurrence replaces: the announcement sequences of the oracle, the sweep
+#: and the single-agent audit, the sweep's candidates and the audit's profiles.
+#: Each count is checked before any work; one far past the cap, such as the
+#: sequences of a long horizon, is reported as a power-of-two lower bound.
+DEFAULT_ENUM_CAP = 250_000
 
 #: How far past its cap a count is multiplied out before only a power-of-two
 #: lower bound on it is kept, so that no check builds or prints a huge number.

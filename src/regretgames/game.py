@@ -21,15 +21,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import InputError
+from .errors import DEFAULT_DENSE_CAP, InputError
 from .rational import (coerce_rational, format_rational, over_lcm, rational_column,
                        rational_parts, strict_int)
-
-#: Cap on the payoff cells of the games the package builds: the auction of
-#: ``make_bidding_game`` and the expansion of ``expand_sequence``, which also
-#: holds each player's history strategies to it. Both raise ``SizeError``
-#: above it before allocating.
-DEFAULT_DENSE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -139,6 +133,7 @@ class Game:
         self._columns, self._scales = zip(*map(_reduced, columns, scales))
         self._matrix_cache: dict[int, tuple] = {}
         self._class_cache: dict[int, tuple] = {}
+        self._rational_restriction: Restriction | None = None  # kept by rational_restriction
 
     @staticmethod
     def _check_labels(labels, counts):

@@ -23,13 +23,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AssumptionError, InputError, check_mode, check_size
-from .game import DEFAULT_DENSE_CAP, Game
+from .errors import (DEFAULT_DENSE_CAP, DEFAULT_REALIZATION_CAP, AssumptionError, InputError,
+                     check_mode, check_size)
+from .game import Game
 from .rational import strict_int
 from .solver import RegretReport, all_player_reports, minimax_regret, mode_restriction
 
-#: Cap on how many pool realizations exhaustive verification will enumerate.
-DEFAULT_REALIZATION_CAP = 4096
 
 @dataclass(frozen=True)
 class GameSequence:

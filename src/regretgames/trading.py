@@ -29,18 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ContractError, InputError, check_mode, check_size
+from .errors import DEFAULT_ENUM_CAP, ContractError, InputError, check_mode, check_size
 from .rational import coerce_rational, format_rational, strict_int
 
 TAKE = "take"
 PASS = "pass"
-
-#: Cap on the size of every trading search, counted as the enumeration the
-#: recurrence replaces: the announcement sequences of the oracle, the sweep
-#: and the single-agent audit, the sweep's candidates and the audit's profiles.
-#: Each count is checked before any work; one far past the cap, such as the
-#: sequences of a long horizon, is reported as a power-of-two lower bound.
-DEFAULT_ENUM_CAP = 250_000
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,27 @@ def test_repeated_sequence(tmp_path, capsys):
     assert payload["report"]["all_pass"] is True
 
 
+def test_sequence_and_pool_files_load_each_game_file_once(tmp_path, capsys):
+    stage = {"players": 2, "strategy_counts": [2, 2],
+             "payoffs": [[[10, 9], [0, 0]], [[1, 3], [2, 1]]]}
+    (tmp_path / "a.json").write_text(json.dumps(stage))
+    (tmp_path / "b.json").write_text(json.dumps(stage))
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps({"stages": ["a.json", stage, "a.json", "b.json", stage]}))
+    a, inline, a_again, b, inline_again = cli._load_sequence(seq_path).stages
+    assert a is a_again
+    assert a == b == inline and len({id(a), id(b), id(inline), id(inline_again)}) == 4
+    pool_path = tmp_path / "pool.json"
+    pool_path.write_text(json.dumps({"pool": ["b.json", "b.json"], "length": 2,
+                                     "mode": "exhaustive"}))
+    first, second = cli._load_random_spec(pool_path).pool
+    assert first is second
+    # the first failing entry is still the one named
+    seq_path.write_text(json.dumps({"stages": ["a.json", "missing.json", "missing.json", 7]}))
+    code, _, err = run_capture(capsys, ["repeated", "--sequence", str(seq_path)])
+    assert code == 2 and "missing.json" in err and "game entry" not in err
+
+
 def test_repeated_random_sampled_requires_seed(tmp_path, capsys):
     stage = {
         "players": 2,

@@ -124,3 +124,12 @@ def test_affine_invariance_of_rational_set():
     g = anchor_game()
     transformed = g.affine_transform(1, 3, -7)
     assert rational_set(g, 1).allowed == rational_set(transformed, 1).allowed
+
+
+def test_rational_restriction_is_kept_per_game_object():
+    game = anchor_game()
+    first = rational_restriction(game)
+    assert rational_restriction(game) is first
+    # an equal game built separately computes its own
+    again = rational_restriction(anchor_game())
+    assert again == first and again is not first
