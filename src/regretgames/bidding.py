@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,68 +115,58 @@ def bidding_utility(spec: BiddingSpec, bids, player: int) -> Fraction:
 def make_bidding_game(spec: BiddingSpec) -> Game:
     """The auction as a normal-form game; strategy index == bid value.
 
-    The payoff table is built in integers over the common denominator
-    ``lcm(1..n) * grid_size``, with the same values as :func:`bidding_utility`:
-    a winner tied with M-1 others gets ``(valuation - kth) * (lcm(1..n) / M)``.
+    The payoffs are integers over the common denominator ``lcm(1..n) *
+    grid_size``, with the same values as :func:`bidding_utility`: a winner
+    tied with M others gets ``(valuation - kth) * (lcm(1..n) / (M + 1))``.
     Raises :class:`SizeError` before allocating when the ``(grid_size + 1) **
     n`` cells exceed ``DEFAULT_DENSE_CAP``.
 
-    The table is filled one run at a time. In lex order the last player's bid
-    x is the fastest axis, so each bid profile P of the others owns one run
-    of ``grid_size + 1`` cells. With m = max(P), the players of P bidding m
-    win for x < m, they and the last player tie at x = m, and the last player
-    wins alone for x > m. The k-th highest bid of P plus x is the clamp
-    ``min(hi, max(x, lo))``, hi and lo being the (k-1)-th and k-th highest
-    bids of P (``grid_size + 1`` and -1 where there is none). So along a run
-    each winner's payoff is a constant, a slice of its payoffs at price x, and
-    another constant: three slice assignments, whatever the grid. Losers keep
-    their zeros.
+    A bid x pays its player through three statistics of the others' bids P
+    only: m = max(P), the number M of others bidding m, and hi, the (k-1)-th
+    highest bid of P (none for k = 1). The player loses for x < m. At x = m
+    the M + 1 tied winners pay min(hi, m). For x > m the player wins alone
+    and pays hi, or x itself for k = 1. The k-th highest bid of P never sets
+    the price, because a winner bids at least m. Every player's opponents are
+    n - 1 bidders on one grid, so the opponent profiles, in lex order, map to
+    one key list per spec. Each player gets one payoff column over x per key,
+    and row x of its payoff matrix gathers those columns at the key of every
+    opponent profile. :meth:`Game._from_rows` builds the game from the rows.
     """
-    n = spec.player_count
-    cells_needed = check_size(
-        "the auction would need {} payoff cells", DEFAULT_DENSE_CAP, (spec.grid_size + 1, n)
-    )
-    bids = spec.grid_size + 1
-    counts = (bids,) * n
-    labels = [[str(b) for b in range(bids)]] * n
+    n, grid, k = spec.player_count, spec.grid_size, spec.price_rank
+    bids = grid + 1
+    check_size("the auction would need {} payoff cells", DEFAULT_DENSE_CAP, (bids, n))
     common = math.lcm(*range(1, n + 1))
-    k = spec.price_rank
-    last = n - 1
-    # ladders[p][m][price]: player p's payoff as one of m tied winners; the
-    # prices run to grid_size + 1 so that hi indexes a ladder even for k = 1
-    ladders = [
-        [None] + [[(v - price) * (common // m) for price in range(bids + 1)]
-                  for m in range(1, n + 1)]
-        for v in spec.valuations
-    ]
-    columns = [[0] * cells_needed for _ in range(n)]
-    prefixes = itertools.product(range(bids), repeat=last)
-    for start, prefix in zip(range(0, cells_needed, bids), prefixes):
-        ranked = sorted(prefix, reverse=True)
-        top = ranked[0]
-        hi = ranked[k - 2] if k > 1 else bids
-        lo = ranked[k - 1] if k < n else -1
-        tied = prefix.count(top)
-        tie = start + top
-        tie_price = min(hi, top)
-        # x < top: price lo below lo, then x up to hi, then hi
-        from_x = max(lo, 0)
-        from_hi = max(min(hi + 1, top), from_x)
-        for player, bid in enumerate(prefix):
-            if bid == top:
-                column, ladder = columns[player], ladders[player][tied]
-                column[start:start + from_x] = [ladder[lo]] * from_x
-                column[start + from_x:start + from_hi] = ladder[from_x:from_hi]
-                column[start + from_hi:tie] = [ladder[hi]] * (top - from_hi)
-                column[tie] = ladders[player][tied + 1][tie_price]
-        column, ladder = columns[last], ladders[last][1]
-        column[tie] = ladders[last][tied + 1][tie_price]
-        # x > top >= lo: price x up to hi, then hi
-        from_hi = max(min(hi + 1, bids), top + 1)
-        column[tie + 1:start + from_hi] = ladder[top + 1:from_hi]
-        column[start + from_hi:start + bids] = [ladder[hi]] * (bids - from_hi)
-    scale = common * spec.grid_size
-    return Game(counts, columns=columns, scales=[scale] * n, labels=labels)
+    keys, gather = _order_statistic_keys(n - 1, bids, k)
+    rows = []
+    for v in spec.valuations:
+        ladder = [(v - price) * common for price in range(bids)]
+        columns = [
+            [0] * top + [(v - price) * (common // (tied + 1))]
+            + (ladder[top + 1:] if k == 1 else [ladder[price]] * (grid - top))
+            for top, tied, price in keys
+        ]
+        rows.append(tuple(map(gather, zip(*columns))))
+    labels = [[str(b) for b in range(bids)]] * n
+    return Game._from_rows((bids,) * n, rows, [common * grid] * n, labels)
+
+
+def _order_statistic_keys(others: int, bids: int, k: int):
+    """The distinct keys ``(m, M, price at a tie)`` of the ``others``-bidder
+    profiles on ``0..bids-1``, and an ``itemgetter`` that picks, from one
+    value per key, the value of each profile in lex order.
+
+    The price at a tie is min(hi, m): m for k = 1, and hi, which is at most
+    m, for k >= 2. Profiles with one multiset of bids share a key, so the
+    keys are found once per distinct multiset.
+    """
+    profiles = list(map(tuple, map(sorted, itertools.product(range(bids), repeat=others))))
+    keys: dict[tuple, int] = {}
+    index = {}
+    for multiset in dict.fromkeys(profiles):
+        top = multiset[-1]
+        price = multiset[-(k - 1)] if k > 1 else top
+        index[multiset] = keys.setdefault((top, multiset.count(top), price), len(keys))
+    return list(keys), operator.itemgetter(*map(index.__getitem__, profiles))
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,42 @@ class Game:
             for s in range(count)
         )
 
+    @classmethod
+    def _from_rows(cls, strategy_counts, rows, scales, labels=None) -> "Game":
+        """The game whose :meth:`payoff_matrix` of player ``p`` is ``rows[p]``
+        over ``scales[p]``; the inverse of :meth:`_split_rows`.
+
+        The columns are filled from the rows by slice assignments and go
+        through the constructor. The rows, divided as the constructor divided
+        the column, are then kept as the matrix cache.
+        """
+        counts = _checked_counts(strategy_counts)
+        total = math.prod(counts)
+        columns, stride = [], total
+        for player, (count, player_rows) in enumerate(zip(counts, rows)):
+            if len(player_rows) != count or {len(row) for row in player_rows} != {total // count}:
+                raise InputError(
+                    f"player {player} needs {count} payoff rows of {total // count} entries"
+                )
+            stride //= count
+            block = count * stride
+            column = [0] * total
+            for s, row in enumerate(player_rows):
+                if stride == 1:
+                    column[s::count] = row
+                    continue
+                starts = range(s * stride, total, block)
+                for start, outer in zip(starts, range(0, len(row), stride)):
+                    column[start:start + stride] = row[outer:outer + stride]
+            columns.append(column)
+        game = cls(counts, columns=columns, scales=scales, labels=labels)
+        for player, (player_rows, scale) in enumerate(zip(rows, scales)):
+            divisor = scale // game._scales[player]
+            if divisor > 1:
+                player_rows = [[v // divisor for v in row] for row in player_rows]
+            game._matrix_cache[player] = (tuple(map(tuple, player_rows)), game._scales[player])
+        return game
+
     # -- transforms ----------------------------------------------------------
 
     def affine_transform(self, player: int, scale, shift) -> "Game":

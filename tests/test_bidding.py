@@ -94,11 +94,64 @@ def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
         assert [game.payoff_cell(bids) for bids in game.profiles()] == cells
         assert game == Game.from_cells(game.strategy_counts, cells,
                                        labels=game.strategy_labels)
+        # the builder caches its rows; they must be the rows of its own columns
+        fresh = Game(game.strategy_counts, columns=game._columns, scales=game._scales)
+        for p in range(n):
+            assert (game.payoff_matrix(p), game._opponent_classes(p)) == (
+                fresh.payoff_matrix(p), fresh._opponent_classes(p))
         tied_losses = [
             bids for bids, cell in zip(game.profiles(), cells)
             if bids.count(max(bids)) > 1 and min(cell) < 0
         ]
         assert tied_losses, (valuations, k)  # tied winners sharing a negative surplus
+
+
+def _order_statistics(others, k):
+    """(m, M, hi): the highest other bid, how many others bid it, and the
+    (k-1)-th highest other bid (None for k = 1)."""
+    ranked = sorted(others, reverse=True)
+    return ranked[0], ranked.count(ranked[0]), ranked[k - 2] if k > 1 else None
+
+
+def test_a_bid_pays_through_three_order_statistics_of_the_other_bids():
+    # make_bidding_game gathers each payoff matrix from one column per
+    # (m, M, hi); checked here on bidding_utility alone
+    rng = random.Random(18)
+    lows_changed = 0
+    for n in range(2, 6):
+        for _ in range(2):
+            drawn = random_bidding_spec(rng, 1, players=(n,), max_grid=n + 4)
+            grid = drawn.grid_size
+            for k in range(1, n + 1):
+                spec = BiddingSpec(drawn.valuations, grid, k)
+                player = rng.randrange(n)
+
+                def pays(others):
+                    return [bidding_utility(spec, others[:player] + (x,) + others[player:], player)
+                            for x in range(grid + 1)]
+
+                seen = {}
+                for _ in range(60):
+                    others = tuple(rng.randint(0, grid) for _ in range(n - 1))
+                    key = _order_statistics(others, k)
+                    payoffs = pays(others)
+                    assert seen.setdefault(key, payoffs) == payoffs, (spec, others)
+                    # redraw the bids ranked k-th or lower that are below m,
+                    # at most hi, so that m, M and hi stay
+                    top, _, hi = key
+                    ceiling = top - 1 if hi is None else min(hi, top - 1)
+                    ranked = sorted(range(n - 1), key=lambda i: -others[i])
+                    changed = list(others)
+                    for i in ranked[k - 1:]:
+                        if others[i] < top:
+                            changed[i] = rng.randint(0, ceiling)
+                    changed = tuple(changed)
+                    assert _order_statistics(changed, k) == key
+                    assert pays(changed) == payoffs, (spec, others, changed)
+                    if k < n:
+                        lows_changed += (sorted(changed, reverse=True)[k - 1]
+                                         != sorted(others, reverse=True)[k - 1])
+    assert lows_changed > 100  # the k-th highest other bid moved, and no payoff did
 
 
 def test_builder_checks_the_cell_count_before_allocating():

@@ -209,6 +209,27 @@ def test_opponent_classes_match_the_matrix_on_random_games(case):
     assert_view_quotients_the_matrix(Game.from_cells(counts, cells))
 
 
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 5), min_size=n, max_size=n), st.randoms(use_true_random=False))))
+def test_from_rows_inverts_split_rows(case):
+    counts, rng = case
+    cells = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in counts)
+             for _ in itertools.product(*map(range, counts))]
+    g = Game.from_cells(counts, cells)
+    split = Game(counts, columns=g._columns, scales=g._scales)
+    # rows and scales times a common factor, which the constructor divides out
+    factor = rng.randint(2, 7)
+    rows = [[[factor * v for v in row] for row in split.payoff_matrix(p)[0]]
+            for p in range(len(counts))]
+    built = Game._from_rows(counts, rows, [factor * s for s in g._scales])
+    assert built == g
+    for p in range(len(counts)):
+        assert built.payoff_matrix(p) == split.payoff_matrix(p)
+    with pytest.raises(InputError, match="player 0 needs"):
+        Game._from_rows(counts, [rows[0][1:]] + rows[1:], g._scales)
+
+
 def test_game_from_json_validation():
     with pytest.raises(InputError, match="missing keys"):
         game_from_json({"players": 2})
