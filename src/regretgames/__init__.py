@@ -33,20 +33,16 @@ _EXPORTS = {
     "solver": (
         "RegretReport", "all_player_reports", "minimax_regret", "regret", "worst_case_regret",
     ),
-    "dominance": (
-        "RationalSet", "iterated_rational_sets", "rational_restriction", "rational_set",
-        "weakly_dominates",
-    ),
+    "dominance": ("RationalSet", "iterated_rational_sets", "rational_restriction", "rational_set"),
     "bidding": (
         "BiddingSpec", "ClaimPrediction", "DivergenceReport", "bidding_utility",
         "closed_form_competitive", "closed_form_rational", "make_bidding_game",
         "verify_claims",
     ),
     "repeated": (
-        "ExpandedGame", "FolkReport", "GameSequence", "HistoryStrategy", "PayoffExtremes",
-        "RandomGameSpec", "SequenceAnalysis", "decision_points", "expand_sequence",
-        "folk_condition_holds", "folk_strategy", "is_competitive_in_all_subgames",
-        "payoff_extremes", "random_realizations", "subgames", "verify_folk_theorem",
+        "ExpandedGame", "FolkReport", "GameSequence", "PayoffExtremes", "RandomGameSpec",
+        "SequenceAnalysis", "decision_points", "expand_sequence", "folk_strategy",
+        "payoff_extremes", "random_realizations", "verify_folk_theorem",
     ),
     "trading": (
         "PASS", "TAKE", "SingleAgentAudit", "SweepResult", "TradingOutcome", "TradingSpec",

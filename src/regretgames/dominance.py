@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .game import Game, Restriction
+from .rational import strict_int
 
 
 @dataclass(frozen=True)
@@ -29,20 +30,6 @@ class RationalSet:
                 {"strategy": s, "dominated_by": w} for s, w in self.eliminated
             ],
         }
-
-
-def _dominates(row_s, row_p) -> bool:
-    # s weakly dominates s_prime: never worse, strictly better somewhere.
-    return row_s != row_p and all(map(operator.ge, row_s, row_p))
-
-
-def weakly_dominates(game: Game, player: int, s: int, s_prime: int) -> bool:
-    """True iff strategy ``s`` weakly dominates ``s_prime`` for ``player``."""
-    rows, _ = game.payoff_matrix(player)
-    for idx in (s, s_prime):
-        if not 0 <= idx < len(rows):
-            raise InputError(f"strategy {idx} out of range for player {player}")
-    return _dominates(rows[s], rows[s_prime])
 
 
 def _surviving(rows, candidates):
@@ -82,7 +69,7 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
     :func:`rational_set` exactly. Stops early at a fixed point. This is an
     opt-in extension; single-round elimination is the default everywhere else.
     """
-    if not isinstance(rounds, int) or rounds < 1:
+    if strict_int(rounds, "rounds") < 1:
         raise InputError(f"rounds must be a positive integer, got {rounds!r}")
     n = game.player_count
     allowed = [list(range(c)) for c in game.strategy_counts]

@@ -22,8 +22,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_DENSE_CAP, InputError
-from .rational import (coerce_rational, format_rational, over_lcm, rational_column,
-                       rational_parts, strict_int)
+from .rational import format_rational, over_lcm, rational_column, rational_parts, strict_int
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,8 @@ class Restriction:
     label: str = "custom"
 
     def __post_init__(self):
-        normalized = tuple(tuple(sorted(set(s))) for s in self.allowed)
+        normalized = tuple(tuple(sorted({strict_int(i, "a restricted strategy") for i in s}))
+                           for s in self.allowed)
         object.__setattr__(self, "allowed", normalized)
 
     def validate_for(self, game: "Game") -> None:
@@ -365,24 +365,6 @@ class Game:
                 player_rows = [[v // divisor for v in row] for row in player_rows]
             game._matrix_cache[player] = (tuple(map(tuple, player_rows)), game._scales[player])
         return game
-
-    # -- transforms ----------------------------------------------------------
-
-    def affine_transform(self, player: int, scale, shift) -> "Game":
-        """New game with this player's utilities mapped to ``scale*u + shift``."""
-        player = self._validate_player(player)
-        scale = coerce_rational(scale, "scale")
-        shift = coerce_rational(shift, "shift")
-        if scale <= 0:
-            raise InputError(f"scale must be positive, got {scale}")
-        # (a/b) * (v/s) + c/d = (a*d*v + c*b*s) / (b*d*s)
-        own = self._scales[player]
-        factor = scale.numerator * shift.denominator
-        offset = shift.numerator * scale.denominator * own
-        columns, scales = list(self._columns), list(self._scales)
-        columns[player] = [factor * v + offset for v in columns[player]]
-        scales[player] = scale.denominator * shift.denominator * own
-        return Game(self._counts, columns=columns, scales=scales, labels=self._labels)
 
     # -- equality ------------------------------------------------------------
 

@@ -67,39 +67,6 @@ class GameSequence:
         return GameSequence(self.stages[start - 1:])
 
 
-def subgames(sequence: GameSequence) -> list[GameSequence]:
-    """All suffixes, longest first: lengths m, m-1, ..., 1."""
-    return [sequence.suffix(q) for q in range(1, len(sequence) + 1)]
-
-
-@dataclass
-class HistoryStrategy:
-    """A stage choice for every (iteration, opponents' past choices) pair."""
-
-    player: int
-    decisions: dict
-
-    def decision(self, iteration: int, history) -> int:
-        key = (iteration, tuple(history))
-        try:
-            return self.decisions[key]
-        except KeyError:
-            raise InputError(
-                f"history strategy for player {self.player} is not total: "
-                f"no decision at iteration {iteration} for history {history}"
-            ) from None
-
-    def check_player(self, player: int) -> None:
-        if self.player != player:
-            raise InputError(f"the strategy is for player {self.player}, not player {player}")
-
-    def is_history_independent(self) -> bool:
-        per_iteration: dict[int, set] = {}
-        for (iteration, _), choice in self.decisions.items():
-            per_iteration.setdefault(iteration, set()).add(choice)
-        return all(len(choices) == 1 for choices in per_iteration.values())
-
-
 def others_choice_tuples(stage: Game, player: int) -> tuple[tuple[int, ...], ...]:
     """Every combination the other players can play in one stage, lex order."""
     ranges = [range(c) for i, c in enumerate(stage.strategy_counts) if i != player]
@@ -149,12 +116,6 @@ class ExpandedGame:
         for d, c in zip(decisions, counts):
             index = index * c + d
         return index
-
-    def index_of_strategy(self, player: int, strategy: HistoryStrategy) -> int:
-        strategy.check_player(player)
-        decisions = tuple(strategy.decision(idx, history)
-                          for idx, history in decision_points(self.sequence, player))
-        return self.index_of_tuple(player, decisions)
 
 
 def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) -> ExpandedGame:
@@ -255,12 +216,6 @@ def payoff_extremes(game: Game, player: int) -> PayoffExtremes:
     return PayoffExtremes(player, Fraction(values[0], scale), Fraction(values[1], scale))
 
 
-def folk_condition_holds(sequence: GameSequence, player: int) -> bool:
-    """Worst highest payoff across stages at least twice the best second-highest."""
-    extremes = [payoff_extremes(stage, player) for stage in sequence.stages]
-    return min(e.highest for e in extremes) >= 2 * max(e.second_highest for e in extremes)
-
-
 def _check_stage_condition(games, n: int, noun: str) -> None:
     """Non-negative payoffs, all distinct per player, in every stage game, and
     the stage condition; a violation of it names the games by ``noun``."""
@@ -301,24 +256,18 @@ def stage_pick(game: Game, player: int, mode: str) -> int:
     return minimax_regret(game, player, mode_restriction(game, mode)).canonical_pick
 
 
-def folk_strategy(sequence: GameSequence, player: int) -> HistoryStrategy:
-    """History-independent strategy: stage competitive picks, then the
-    rationally competitive pick of the last stage.
+def folk_strategy(sequence: GameSequence, player: int) -> tuple[int, ...]:
+    """The folk strategy's stage pick per iteration, played after every
+    history alike: the stage competitive pick, then the rationally
+    competitive pick of the last stage.
 
     Requires the stage condition for every player; the error names the first
     violating (stage, stage, player) triple.
     """
     _check_stage_condition(sequence.stages, sequence.player_count, "stage")
     m = len(sequence)
-    picks = {}
-    for idx in range(1, m + 1):
-        mode = "rational" if idx == m else "full"
-        picks[idx] = stage_pick(sequence.stages[idx - 1], player, mode)
-    decisions = {
-        (idx, history): picks[idx]
-        for idx, history in decision_points(sequence, player)
-    }
-    return HistoryStrategy(player, decisions)
+    return tuple(stage_pick(stage, player, "rational" if idx == m else "full")
+                 for idx, stage in enumerate(sequence.stages, start=1))
 
 
 class SequenceAnalysis:
@@ -346,38 +295,6 @@ class SequenceAnalysis:
         if (start, mode) not in self._reports:
             self._reports[start, mode] = all_player_reports(game, mode)
         return self._reports[start, mode][player]
-
-
-def is_competitive_in_all_subgames(
-    sequence: GameSequence,
-    player: int,
-    strategy: HistoryStrategy,
-    mode: str = "full",
-    dense_cap: int = DEFAULT_DENSE_CAP,
-) -> bool:
-    """Check the strategy's continuation at every suffix and opponent history.
-
-    The continuation after history ``h`` must land in the argmin set of the
-    expanded suffix game solved under ``mode``. This is the reference for the
-    verdicts of :func:`verify_folk_theorem`, which reads them off the folk
-    strategy's picks alone.
-    """
-    check_mode(mode)
-    strategy.check_player(player)
-    analysis = SequenceAnalysis(sequence, dense_cap)
-    m = len(sequence)
-    for start in range(1, m + 1):
-        expansion = analysis.expansion(start)
-        admissible = set(analysis.report(start, player, mode).argmin)
-        points = decision_points(expansion.sequence, player)
-        for prefix in opponent_histories(sequence, player, start - 1):
-            continuation = tuple(
-                strategy.decision(start - 1 + idx, prefix + history)
-                for idx, history in points
-            )
-            if expansion.index_of_tuple(player, continuation) not in admissible:
-                return False
-    return True
 
 
 # -- random pools --------------------------------------------------------------
@@ -536,11 +453,10 @@ def verify_folk_theorem(
     stage condition has two profiles or more, and an expansion has at least
     the product of its stages' profile counts, so the smallest pool profile
     count to the power ``length`` bounds every realization's expansion from
-    below. The folk strategy is built once per realization and player, after
-    the largest expansion has passed its size check: its picks do not depend
-    on history, and a suffix's last stage is the sequence's last stage, so
-    the suffix's own folk strategy is the sequence's picks from the suffix
-    start on, after every history alike.
+    below. The folk picks are built once per realization and player, after
+    the largest expansion has passed its size check: a suffix's last stage is
+    the sequence's last stage, so the suffix's own folk strategy plays the
+    sequence's picks from the suffix start on.
     """
     check_mode(mode)
     if not isinstance(subject, (GameSequence, RandomGameSpec)):
@@ -563,13 +479,12 @@ def verify_folk_theorem(
         analysis = SequenceAnalysis(sequence, dense_cap)
         analysis.expansion(1)
         for player in range(n):
-            strategy = folk_strategy(sequence, player)
-            picks = {idx: choice for (idx, _), choice in strategy.decisions.items()}
+            picks = folk_strategy(sequence, player)
             details = []
             for start in range(1, len(sequence) + 1):
                 expansion = analysis.expansion(start)
                 index = expansion.index_of_tuple(player, tuple(
-                    picks[start - 1 + idx]
+                    picks[start - 2 + idx]
                     for idx, _ in decision_points(expansion.sequence, player)))
                 rational = analysis.report(start, player, "rational").argmin
                 full = analysis.report(start, player, "full").argmin

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .dominance import rational_restriction
 from .errors import InputError, check_mode
 from .game import Game, OpponentProfile, Restriction
+from .rational import strict_int
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def worst_case_regret(
     set; only the opponents are restricted.
     """
     worst, scale = _worst_regrets(game, player, restriction)
-    if not 0 <= own_strategy < len(worst):
+    if not 0 <= strict_int(own_strategy, "own strategy") < len(worst):
         raise InputError(f"strategy {own_strategy} out of range for player {player}")
     return Fraction(worst[own_strategy], scale)
 

@@ -191,7 +191,7 @@ def reference_strategy(spec: TradingSpec, player: int, mode: str) -> TradingStra
 
 
 def _check_iteration(iteration, last):
-    if not isinstance(iteration, int) or not 1 <= iteration <= last:
+    if not 1 <= strict_int(iteration, "iteration") <= last:
         raise InputError(f"iteration {iteration!r} outside 1..{last}")
 
 

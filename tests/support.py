@@ -22,6 +22,7 @@ from regretgames import (
     competitive_trading_strategy,
     make_dense_game,
     minimal_regret_sweep,
+    payoff_extremes,
     rational_trading_strategy,
     single_agent_threshold,
     trading_payoff,
@@ -75,13 +76,17 @@ def random_stage_game(rng: random.Random, high=29) -> Game:
             return make_dense_game((2, 2), cells)
 
 
+def folk_condition_holds(sequence: GameSequence, player: int) -> bool:
+    """Worst highest payoff across stages at least twice the best second-highest."""
+    extremes = [payoff_extremes(stage, player) for stage in sequence.stages]
+    return min(e.highest for e in extremes) >= 2 * max(e.second_highest for e in extremes)
+
+
 def random_stage_pair(rng: random.Random) -> tuple[Game, Game]:
     """Two stage games jointly satisfying the cross-stage payoff condition."""
     while True:
         a, b = random_stage_game(rng), random_stage_game(rng)
         seq = GameSequence((a, b))
-        from regretgames import folk_condition_holds
-
         if all(folk_condition_holds(seq, p) for p in (0, 1)):
             return a, b
 
@@ -161,6 +166,21 @@ def _weakly_dominates(row, other) -> bool:
     return row != other and all(a >= b for a, b in zip(row, other))
 
 
+def weakly_dominates(game: Game, player: int, s: int, s_prime: int) -> bool:
+    """True iff strategy ``s`` weakly dominates ``s_prime`` for ``player``,
+    read off the player's payoff matrix."""
+    rows, _ = game.payoff_matrix(player)
+    return _weakly_dominates(rows[s], rows[s_prime])
+
+
+def affine_transform(game: Game, player: int, scale, shift) -> Game:
+    """``game`` with ``player``'s payoffs mapped to ``scale * u + shift``."""
+    cells = [list(game.payoff_cell(profile)) for profile in game.profiles()]
+    for cell in cells:
+        cell[player] = scale * cell[player] + shift
+    return Game.from_cells(game.strategy_counts, cells, game.strategy_labels)
+
+
 def worst_regrets(sequence: GameSequence, player: int, rational: bool = True):
     """The player's decision points and strategies, and the worst-case regret
     of each strategy against every opponent strategy (``rational=False``) or
@@ -198,7 +218,9 @@ class FolkCheck:
     """Reference verdict on one player's folk strategy.
 
     ``failing_start`` is the first suffix start where the folk strategy is
-    not a minimizer against rational opponents, or None if there is none.
+    not a minimizer against the opponents of the checked mode (every
+    strategy in "full" mode, the undominated ones in "rational" mode), or
+    None if there is none.
     The other fields describe that suffix game: the worst-case regret of
     every strategy (expanded-game index order), the folk strategy's, and the
     stage picks of the lowest-index history-independent minimizer.
@@ -218,9 +240,10 @@ class FolkCheck:
         return min(self.worst)
 
 
-def folk_reference(sequence: GameSequence, player: int) -> FolkCheck:
+def folk_reference(sequence: GameSequence, player: int, mode: str = "rational") -> FolkCheck:
     """Check the folk construction (lowest-index competitive stage picks,
-    rationally competitive at the last stage) at every suffix."""
+    rationally competitive at the last stage) at every suffix, against the
+    opponents of ``mode``."""
     m = len(sequence)
     picks = []
     for idx, stage in enumerate(sequence.stages, start=1):
@@ -228,7 +251,7 @@ def folk_reference(sequence: GameSequence, player: int) -> FolkCheck:
         picks.append(worst.index(min(worst)))
     for start in range(1, m + 1):
         suffix = sequence.suffix(start)
-        (points, strategies), worst = worst_regrets(suffix, player)
+        (points, strategies), worst = worst_regrets(suffix, player, rational=mode == "rational")
 
         def regret_of(stage_picks):
             return worst[strategies.index(tuple(stage_picks[idx - 1] for idx, _ in points))]

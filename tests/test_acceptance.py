@@ -33,9 +33,9 @@ from regretgames import (
     regret,
     verify_claims,
     verify_folk_theorem,
-    weakly_dominates,
 )
 from support import (
+    affine_transform,
     criterion6_subjects,
     criterion7_horizon_rows,
     folk_failure_row,
@@ -46,6 +46,7 @@ from support import (
     realized,
     replay,
     single_agent_prediction,
+    weakly_dominates,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -309,7 +310,7 @@ def test_criterion_9_property_suites():
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         shift = Fraction(rng.randint(-8, 8))
         base = minimax_regret(game, player)
-        moved = minimax_regret(game.affine_transform(player, scale, shift), player)
+        moved = minimax_regret(affine_transform(game, player, scale, shift), player)
         assert moved.argmin == base.argmin
         assert moved.worst_regret_per_strategy == tuple(
             scale * w for w in base.worst_regret_per_strategy
@@ -327,6 +328,11 @@ def test_criterion_9_property_suites():
                     weakly_dominates(game, player, s, s_prime)
                     and weakly_dominates(game, player, s_prime, s)
                 )
+        # the library's rational set agrees with the helper's relation
+        rs = rational_set(game, player)
+        assert all(weakly_dominates(game, player, w, s) for s, w in rs.eliminated)
+        assert not any(weakly_dominates(game, player, w, s)
+                       for s in rs.allowed for w in range(count))
 
     # surviving sets are never empty
     for _ in range(100):

@@ -8,9 +8,8 @@ from regretgames import (
     iterated_rational_sets,
     rational_restriction,
     rational_set,
-    weakly_dominates,
 )
-from support import anchor_game
+from support import affine_transform, anchor_game, weakly_dominates
 
 
 def rows_game(row_a, row_b):
@@ -122,7 +121,7 @@ def test_rational_restriction_full_when_no_dominance():
 
 def test_affine_invariance_of_rational_set():
     g = anchor_game()
-    transformed = g.affine_transform(1, 3, -7)
+    transformed = affine_transform(g, 1, 3, -7)
     assert rational_set(g, 1).allowed == rational_set(transformed, 1).allowed
 
 

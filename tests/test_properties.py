@@ -14,9 +14,8 @@ from regretgames import (
     rational_restriction,
     rational_set,
     regret,
-    weakly_dominates,
 )
-from support import history_strategies
+from support import affine_transform, history_strategies, weakly_dominates
 
 COMMON = settings(max_examples=100, derandomize=True, deadline=None)
 
@@ -66,7 +65,7 @@ def test_affine_argmin_invariance(game, numerator, shift):
     scale = Fraction(numerator, 2)
     for player in range(game.player_count):
         base = minimax_regret(game, player)
-        transformed = minimax_regret(game.affine_transform(player, scale, shift), player)
+        transformed = minimax_regret(affine_transform(game, player, scale, shift), player)
         assert transformed.argmin == base.argmin
         assert transformed.worst_regret_per_strategy == tuple(
             scale * w for w in base.worst_regret_per_strategy
@@ -84,6 +83,11 @@ def test_dominance_irreflexive_antisymmetric(game):
                 forward = weakly_dominates(game, player, s, s_prime)
                 backward = weakly_dominates(game, player, s_prime, s)
                 assert not (forward and backward)
+        # the library's rational set agrees with the helper's relation
+        rs = rational_set(game, player)
+        assert all(weakly_dominates(game, player, w, s) for s, w in rs.eliminated)
+        assert not any(weakly_dominates(game, player, w, s)
+                       for s in rs.allowed for w in range(count))
 
 
 @COMMON

@@ -8,27 +8,22 @@ from regretgames import (
     AssumptionError,
     Game,
     GameSequence,
-    HistoryStrategy,
     InputError,
     RandomGameSpec,
     SizeError,
     decision_points,
     expand_sequence,
-    folk_condition_holds,
     folk_strategy,
-    is_competitive_in_all_subgames,
     make_dense_game,
-    minimax_regret,
     payoff_extremes,
     random_realizations,
-    subgames,
     verify_folk_theorem,
 )
 from regretgames import repeated
-from regretgames.repeated import SequenceAnalysis
+from regretgames.repeated import SequenceAnalysis, stage_pick
 from support import (
-    anchor_game, criterion6_subjects, folk_reference, history_strategies, random_stage_game,
-    realized, replay,
+    anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, history_strategies,
+    random_stage_game, realized, replay,
 )
 
 
@@ -44,6 +39,14 @@ def extremes_game(values0, values1):
 # h0=10 >= 2*2 and h1=9 >= 2*3: the stage condition holds for both players
 def condition_game():
     return extremes_game((10, 0, 1, 2), (9, 0, 3, 1))
+
+
+def folk_index_in(expansion, player):
+    """The index in ``expansion`` of the player's folk strategy: its stage
+    pick at each decision point's iteration."""
+    picks = folk_strategy(expansion.sequence, player)
+    return expansion.index_of_tuple(player, tuple(
+        picks[idx - 1] for idx, _ in decision_points(expansion.sequence, player)))
 
 
 def test_payoff_extremes():
@@ -72,10 +75,10 @@ def test_folk_condition_arithmetic():
 def test_subgames_are_suffixes():
     g = anchor_game()
     seq = GameSequence.repeat(g, 3)
-    assert [len(s) for s in subgames(seq)] == [3, 2, 1]
+    assert [len(seq.suffix(q)) for q in (1, 2, 3)] == [3, 2, 1]
     other = condition_game()
     mixed = GameSequence((g, other))
-    assert [tuple(s.stages) for s in subgames(mixed)] == [(g, other), (other,)]
+    assert [mixed.suffix(q).stages for q in (1, 2)] == [(g, other), (other,)]
 
 
 def test_expansion_counts():
@@ -209,15 +212,6 @@ def test_index_of_tuple_rejects_invalid_decisions(decisions):
         expansion.index_of_tuple(0, decisions)
 
 
-def test_a_history_strategy_for_another_player_is_rejected():
-    seq = GameSequence.repeat(condition_game(), 2)
-    other = folk_strategy(seq, 0)
-    with pytest.raises(InputError, match="strategy is for player 0, not player 1"):
-        expand_sequence(seq).index_of_strategy(1, other)
-    with pytest.raises(InputError, match="strategy is for player 0, not player 1"):
-        is_competitive_in_all_subgames(seq, 1, other)
-
-
 def test_long_horizon_chain_and_index():
     """A 1x1 stage repeated 300 times: one strategy per player, one decision
     point per iteration, and a rest chain with a link per suffix."""
@@ -263,21 +257,12 @@ def test_suffix_consistency():
     assert whole.game == first_suffix.game
 
 
-def test_history_strategy_totality_error():
-    g = anchor_game()
-    seq = GameSequence.repeat(g, 2)
-    partial = HistoryStrategy(0, {(1, ()): 0})
-    with pytest.raises(InputError, match="not total"):
-        is_competitive_in_all_subgames(seq, 0, partial, "full")
-
-
 def test_folk_strategy_structure():
-    seq = GameSequence.repeat(condition_game(), 3)
-    folk = folk_strategy(seq, 0)
-    assert folk.is_history_independent()
-    assert len(folk.decisions) == 1 + 2 + 4
-    single = folk_strategy(GameSequence.repeat(condition_game(), 1), 0)
-    assert len(single.decisions) == 1
+    """One stage pick per iteration: competitive early, rationally competitive last."""
+    g = condition_game()
+    full, rational = stage_pick(g, 0, "full"), stage_pick(g, 0, "rational")
+    assert folk_strategy(GameSequence.repeat(g, 3), 0) == (full, full, rational)
+    assert folk_strategy(GameSequence.repeat(g, 1), 0) == (rational,)
 
 
 def test_folk_strategy_condition_error_names_pair():
@@ -318,27 +303,6 @@ def test_folk_assumption_validation():
         folk_strategy(GameSequence.repeat(repeated_values, 2), 0)
 
 
-def test_competitive_check_single_stage():
-    g = condition_game()
-    seq = GameSequence.repeat(g, 1)
-    pick = minimax_regret(g, 0).canonical_pick
-    strategy = HistoryStrategy(0, {(1, ()): pick})
-    assert is_competitive_in_all_subgames(seq, 0, strategy, "full")
-
-
-def test_competitive_check_rejects_bad_last_stage():
-    g = condition_game()
-    seq = GameSequence.repeat(g, 2)
-    folk = folk_strategy(seq, 0)
-    assert is_competitive_in_all_subgames(seq, 0, folk, "rational")
-    worse = dict(folk.decisions)
-    # stage argmin under rational opponents is {0}; play 1 at one last-stage history
-    worse[(2, ((1,),))] = 1
-    assert not is_competitive_in_all_subgames(
-        seq, 0, HistoryStrategy(0, worse), "rational"
-    )
-
-
 def test_folk_passes_on_condition_instance_l2():
     report = verify_folk_theorem(GameSequence.repeat(condition_game(), 2))
     assert report.all_pass
@@ -362,7 +326,7 @@ def test_reactive_strategies_can_beat_folk_at_l3():
     seq = GameSequence.repeat(condition_game(), 3)
     analysis = SequenceAnalysis(seq)
     expansion = analysis.expansion(1)
-    folk_index = expansion.index_of_strategy(0, folk_strategy(seq, 0))
+    folk_index = folk_index_in(expansion, 0)
     report_whole = analysis.report(1, 0, "rational")
     assert report_whole.minimax_value == 11
     assert report_whole.worst_regret_per_strategy[folk_index] == 12
@@ -448,9 +412,8 @@ def test_folk_details_index_each_suffix_own_folk_strategy():
         for entry in verify_folk_theorem(sequence).entries:
             for detail in entry.details:
                 suffix = sequence.suffix(detail.start_iteration)
-                own = folk_strategy(suffix, entry.player)
                 assert detail.strategy_index == \
-                    expand_sequence(suffix).index_of_strategy(entry.player, own)
+                    folk_index_in(expand_sequence(suffix), entry.player)
 
 
 def test_verify_folk_theorem_condition_violation_is_an_error():
@@ -462,15 +425,17 @@ def test_verify_folk_theorem_condition_violation_is_an_error():
 @pytest.mark.parametrize("mode", ["full", "rational"])
 def test_folk_verdicts_match_the_all_histories_check(mode):
     """A verdict read off the folk picks, one history per suffix, is the
-    check over every opponent history."""
+    play-path reference's, which scores the folk strategy against every
+    opponent strategy in the mode, and so after every opponent history.
+    Criterion 6 already checks the rational verdicts of its subjects against
+    the same reference, so rational mode runs on the pool alone."""
     pool = RandomGameSpec((condition_game(), extremes_game((12, 1, 0, 3), (11, 0, 2, 4))),
                           2, "exhaustive")
-    subjects = [subject for _, _, subject in criterion6_subjects()] + [pool]
+    subjects = [pool]
+    if mode == "full":
+        subjects += [subject for _, _, subject in criterion6_subjects()]
     for subject in subjects:
         for entry in verify_folk_theorem(subject, mode).entries:
-            sequence = realized(subject, entry.realization)
-            strategy = folk_strategy(sequence, entry.player)
-            assert entry.passed == is_competitive_in_all_subgames(
-                sequence, entry.player, strategy, mode
-            ), (entry.realization, entry.player)
+            reference = folk_reference(realized(subject, entry.realization), entry.player, mode)
+            assert entry.passed == reference.passed, (entry.realization, entry.player)
 

@@ -12,7 +12,7 @@ from regretgames import (
     regret,
     worst_case_regret,
 )
-from support import anchor_game
+from support import affine_transform, anchor_game
 
 
 def test_regret_values():
@@ -114,7 +114,7 @@ def test_determinism_byte_identical():
 def test_affine_argmin_invariance_anchor():
     g = anchor_game()
     base = minimax_regret(g, 0)
-    scaled = minimax_regret(g.affine_transform(0, Fraction(7, 2), -3), 0)
+    scaled = minimax_regret(affine_transform(g, 0, Fraction(7, 2), -3), 0)
     assert scaled.argmin == base.argmin
     assert scaled.worst_regret_per_strategy == tuple(
         Fraction(7, 2) * w for w in base.worst_regret_per_strategy
