@@ -191,7 +191,7 @@ def _emit(args, payload: dict, rows=None) -> None:
 
 
 def _write(args, text: str) -> None:
-    if args.output:
+    if args.output is not None:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
@@ -344,7 +344,7 @@ def _cmd_repeated(args) -> int:
 
     if (args.sequence is None) == (args.random is None):
         raise InputError("exactly one of --sequence or --random is required")
-    if args.sequence:
+    if args.sequence is not None:
         subject = _load_sequence(args.sequence)
         subject_json = {"sequence": args.sequence, "stages": len(subject)}
     else:
@@ -387,7 +387,8 @@ def _cmd_trading(args) -> int:
         raise InputError("--sweep needs --oracle")
     # each of these picks the whole output, so a second one would be dropped
     actions = [flag for flag, given in (("--audit-single", args.audit_single),
-                                        ("--simulate", args.simulate), ("--oracle", args.oracle))
+                                        ("--simulate", args.simulate is not None),
+                                        ("--oracle", args.oracle))
                if given]
     if len(actions) > 1:
         raise InputError(f"{' and '.join(actions)} cannot be combined")
@@ -412,7 +413,7 @@ def _cmd_trading(args) -> int:
     modes = _MODES[args.mode]
     payload = {"command": "trading", "input": spec.to_json()}
     rows = None
-    if args.simulate:
+    if args.simulate is not None:
         pairs = read_json(args.simulate)
         if not isinstance(pairs, list) or not all(isinstance(pair, list) for pair in pairs):
             raise InputError(f"{args.simulate}: announcements must be a list of pairs")

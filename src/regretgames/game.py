@@ -291,13 +291,10 @@ class Game:
         cached = self._class_cache.get(player)
         if cached is None:
             rows, scale = self.payoff_matrix(player)
-            keys = range(len(rows[0]))
-            # distinct hashes prove distinct columns without holding them all
-            if len(set(map(hash, zip(*rows)))) < len(keys):
-                classes: dict[tuple, int] = {}
-                keys = [classes.setdefault(column, len(classes)) for column in zip(*rows)]
-                if len(classes) < len(keys):
-                    rows = tuple(zip(*classes))
+            classes: dict[tuple, int] = {}
+            keys = [classes.setdefault(column, len(classes)) for column in zip(*rows)]
+            if len(classes) < len(keys):
+                rows = tuple(zip(*classes))
             cached = self._class_cache[player] = (rows, keys, scale)
         return cached
 
@@ -504,6 +501,8 @@ def read_json(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -515,39 +514,40 @@ def read_json(path):
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, built without recursion.
 
+    The domain is what the package writes: dicts with str keys, lists,
+    tuples, strs, ints, bools and None, each of exactly that type. Any other
+    value raises json's ``TypeError``, and so does a key that is not a str.
     With ``indent`` the standard library writes JSON through one Python
     generator per nesting level, which is slow on payoff grids and fails past
     the recursion limit. Here dicts and lists are walked in document order on
-    an explicit stack. The containers that need no stack frame, dicts of atoms
-    and lists nested only in lists down to atoms, are written at once by
-    :func:`_flat_dict` and :func:`_nested_lists`. Values of any other type
-    go to ``json.dumps``, so they fail as they do there.
+    an explicit stack, and lists nested only in lists down to atoms are
+    written at once by :func:`_nested_lists`.
     """
     out: list[str] = []
-    stack = []  # (entries, is_dict, separator, closing text, id) per open container
-    open_ids = set()  # json.dumps's check for a container that holds itself
+    stack = []  # (entries, is_dict, separator, closing text) per open container
     value, depth = obj, 0
     while True:
-        if _write_inline(value, depth, out):
-            prefix = None  # the next entry takes its container's separator
-        else:
-            if id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            open_ids.add(id(value))
-            is_dict = isinstance(value, dict)
+        kind, prefix = type(value), None  # None: the next entry takes its container's separator
+        if kind in _ATOMS:
+            out.append(_ATOMS[kind](value))
+        elif kind not in _BRACKETS:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        elif not value:
+            out.append(_BRACKETS[kind])
+        elif kind is dict or not _nested_lists(value, depth, out):
+            is_dict = kind is dict
             newline = _newline(depth + 1)
-            prefix = ("{" if is_dict else "[") + newline
+            prefix = _BRACKETS[kind][0] + newline
             stack.append((iter(value.items() if is_dict else value), is_dict, "," + newline,
-                          _newline(depth) + ("}" if is_dict else "]"), id(value)))
+                          _newline(depth) + _BRACKETS[kind][1]))
             depth += 1
         while stack:
-            entries, is_dict, separator, closing, marker = stack[-1]
+            entries, is_dict, separator, closing = stack[-1]
             entry = next(entries, _END)
             if entry is not _END:
                 break
             out.append(closing)
             stack.pop()
-            open_ids.remove(marker)
             depth, prefix = depth - 1, None
         else:
             return "".join(out)
@@ -555,20 +555,22 @@ def json_text(obj) -> str:
             prefix = separator
         if is_dict:
             key, entry = entry
-            prefix = f"{prefix}{_ESCAPE(key) if type(key) is str else _key(key)}: "
+            prefix = f"{prefix}{_ESCAPE(key)}: "  # a TypeError unless key is a str
         out.append(prefix)
         value = entry
 
 
 _END = object()
 _ESCAPE = json.encoder.encode_basestring_ascii
-#: How json writes each atom type; subclasses take the slower :func:`_scalar`.
+#: How json writes each atom type.
 _ATOMS = {
     str: _ESCAPE,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+#: The containers' brackets, which are also their empty texts.
+_BRACKETS = {list: "[]", tuple: "[]", dict: "{}"}
 
 #: Lists nested deeper than this are left to the stack walk of
 #: :func:`json_text`, because :func:`_nested_lists` copies the text once per
@@ -581,65 +583,6 @@ def _newline(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-def _write_inline(value, depth: int, out: list) -> bool:
-    """Append the JSON text of ``value`` at ``depth`` to ``out`` if it needs no
-    stack frame: an atom, an empty container, a list of lists of atoms, or a
-    dict whose values are all of those. Returns whether it did."""
-    kind = type(value)
-    if kind in _ATOMS:
-        out.append(_ATOMS[kind](value))
-    elif isinstance(value, (list, tuple)):
-        if value:
-            return _nested_lists(value, depth, out)
-        out.append("[]")
-    elif isinstance(value, dict):
-        if value:
-            return _flat_dict(value, depth, out)
-        out.append("{}")
-    else:
-        out.append(_scalar(value))
-    return True
-
-
-def _scalar(value) -> str:
-    """JSON text of a value that is not an atom of an exact type, a list, a
-    tuple or a dict, as json writes it."""
-    if isinstance(value, str):
-        return _ESCAPE(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value)  # floats; any other type raises json's TypeError
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: a str, or a number, bool or None as text."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-        key = json.dumps(key)
-    return _ESCAPE(key)
-
-
-def _flat_dict(obj: dict, depth: int, out: list) -> bool:
-    """Append the JSON text of a dict whose values are atoms or lists of lists
-    of atoms to ``out``; append nothing and return False for any other dict."""
-    start = len(out)
-    newline = _newline(depth + 1)
-    prefix, separator = "{" + newline, "," + newline
-    for key, value in obj.items():
-        out.append(f"{prefix}{_ESCAPE(key) if type(key) is str else _key(key)}: ")
-        prefix = separator
-        kind = type(value)
-        if kind in _ATOMS:
-            out.append(_ATOMS[kind](value))
-        elif (isinstance(value, dict) and value) or not _write_inline(value, depth + 1, out):
-            del out[start:]
-            return False
-    out.append(_newline(depth) + "}")
-    return True
-
-
 def _nested_lists(root, depth: int, out: list) -> bool:
     """Append the JSON text of a list nested only in non-empty lists, down to
     atoms, to ``out``; append nothing and return False for any other list.
@@ -648,35 +591,27 @@ def _nested_lists(root, depth: int, out: list) -> bool:
     atoms are written in one pass, and then each level, from the deepest up,
     is one join per list of its slice of the level below.
     """
-    if type(root[0]) in _ATOMS:  # a flat list, the most common case
-        texts = _atom_texts(root)
-        if texts is None:
+    entries, sizes = root, [[len(root)]]  # per level, the entry count of each list on it
+    while type(entries[0]) not in _ATOMS:
+        if not _SEQUENCES.issuperset(map(type, entries)):
             return False
-        newline = _newline(depth + 1)
-        out.append(f"[{newline}{(',' + newline).join(texts)}{_newline(depth)}]")
-        return True
-    lists = list(root)
-    sizes = [[len(lists)]]  # per level, the entry count of each list on it
-    parents, held = {id(root)}, 1  # lists that hold lists; one met twice is left to the walk
-    while True:
-        if not set(map(type, lists)) <= _SEQUENCES:
-            return False
-        counts = list(map(len, lists))
+        counts = list(map(len, entries))
         if 0 in counts or len(sizes) == _MAX_LEVELS:
             return False
         sizes.append(counts)
-        entries = list(itertools.chain.from_iterable(lists))
-        if type(entries[0]) in _ATOMS:
-            break
-        parents.update(map(id, lists))
-        held += len(lists)
-        if len(parents) != held:
+        entries = list(itertools.chain.from_iterable(entries))
+    try:
+        texts = list(map(_ESCAPE, entries))
+    except TypeError:  # not all strs
+        try:
+            texts = [_ATOMS[type(v)](v) for v in entries]
+        except KeyError:
             return False
-        lists = entries
-    texts = _atom_texts(entries)
-    if texts is None:
-        return False
-    del entries, lists
+    del entries
+    if len(sizes) == 1:  # a flat list, the most common case
+        newline = _newline(depth + 1)
+        out.append(f"[{newline}{(',' + newline).join(texts)}{_newline(depth)}]")
+        return True
     # A list's text is the openings of its first descendants, its core, and
     # the closings of its last ones. Moving the inner openings and closings
     # into the separator of each level makes a level one join per list.
@@ -693,20 +628,6 @@ def _nested_lists(root, depth: int, out: list) -> bool:
         texts = list(map(separator.join, groups))
     out += ("".join(openings), texts[0], "".join(closings))
     return True
-
-
-def _atom_texts(atoms):
-    """The JSON texts of a list of atoms; ``None`` if it holds anything else."""
-    if type(atoms[0]) is str:
-        try:
-            return list(map(_ESCAPE, atoms))
-        except TypeError:  # not all strs
-            pass
-    escape, write = _ESCAPE, _ATOMS.__getitem__
-    try:
-        return [escape(v) if type(v) is str else write(type(v))(v) for v in atoms]
-    except KeyError:
-        return None
 
 
 def load_game(path) -> Game:

@@ -512,6 +512,33 @@ def test_simulate_rejects_non_pair_announcements(tmp_path, capsys, announcements
     assert_one_line_input_error(capsys, argv, "announcements must be a list of pairs")
 
 
+
+def test_files_that_are_not_utf8_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    for argv in (
+        ["solve", "--game", str(path)],
+        ["repeated", "--sequence", str(path)],
+        ["verify", "--manifest", str(path)],
+        ["trading", "--m1", "2", "--M1", "6", "--m2", "2", "--M2", "6", "--t", "3",
+         "--K", "1", "--simulate", str(path)],
+    ):
+        assert_one_line_input_error(capsys, argv, f"{path} is not UTF-8")
+
+
+_SIMULATE = ["trading", "--m1", "2", "--M1", "6", "--m2", "2", "--M2", "6", "--t", "3",
+             "--K", "1", "--simulate", ""]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["repeated", "--sequence", ""], "cannot read"),
+    (_SIMULATE, "cannot read"),
+    (_SIMULATE + ["--oracle"], "--simulate and --oracle cannot be combined"),
+    (["bidding", "--l", "3,2", "--T", "4", "--k", "1", "--output", ""], "cannot write"),
+], ids=["sequence", "simulate", "simulate-and-oracle", "output"])
+def test_empty_path_flags_exit_two(capsys, argv, fragment):
+    assert_one_line_input_error(capsys, argv, fragment)
+
 _STAGE = {"players": 2, "strategy_counts": [2, 2],
           "payoffs": [[[10, 9], [0, 0]], [[1, 3], [2, 1]]]}
 _TRADING = ["trading", "--m1", "1", "--M1", "2"]

@@ -1,7 +1,9 @@
 """The JSON writer ``json_text`` against ``json.dumps(obj, indent=2)``.
 
 Every CLI output, game file and schema print goes through ``json_text``, so
-it must reproduce the standard encoder byte for byte, errors included.
+it must reproduce the standard encoder byte for byte on what the package
+writes: exact dicts with str keys, lists, tuples, strs, ints, bools and None.
+Anything else must raise ``TypeError``.
 """
 
 import inspect
@@ -30,15 +32,13 @@ ATOMS = st.one_of(
     st.integers(),
     st.integers(-(2**300), 2**300),
     TEXTS,
-    st.floats(),
 )
-KEYS = st.one_of(TEXTS, st.integers(-5, 5), st.booleans(), st.none(), st.floats(-2, 2))
 VALUES = st.recursive(
     ATOMS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(KEYS, inner, max_size=4),
+        st.dictionaries(TEXTS, inner, max_size=4),
         # grids: lists of lists of one length, the payoff tables' shape
         st.integers(1, 3).flatmap(
             lambda n: st.lists(st.lists(inner, min_size=n, max_size=n), min_size=1, max_size=3)),
@@ -48,14 +48,7 @@ VALUES = st.recursive(
 
 
 def _same_as_dumps(value):
-    try:
-        expected = json.dumps(value, indent=2)
-    except (TypeError, ValueError) as exc:
-        with pytest.raises(type(exc)) as raised:
-            json_text(value)
-        assert str(raised.value) == str(exc)
-    else:
-        assert json_text(value) == expected
+    assert json_text(value) == json.dumps(value, indent=2)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -68,56 +61,24 @@ def test_writer_equals_json_dumps(value):
     [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [1]], [[1], []], [[1, 2], [3]],
     [[[1, 2], [3, 4]], [[5, 6], [7, 8]]], [[["1/3", 1], [0, "7/2"]]], [(1, "a"), [True, None]],
     [[1, [2]]], [[1], [[2]]], {"payoffs": [[[1, 2]]], "next": {"k": [1]}},
-    "é \"\\", 10**400, -(10**400), 1.5, float("nan"), float("-inf"), True, None,
-    {1: "a", 2.5: "b", True: "c", None: "d", "e": [False]},
+    "é \"\\", 10**400, -(10**400), True, None,
+    [[[1, 2]] * 2] * 2,  # one list held four times
 ])
 def test_writer_edge_cases(value):
     _same_as_dumps(value)
 
 
-class _Int(int):
-    pass
-
-
-class _Str(str):
-    pass
-
-
-class _List(list):
-    pass
-
-
-class _Dict(dict):
-    pass
-
-
-def test_writer_takes_subclasses_as_json_does():
-    value = _Dict(a=_List([_Int(3), _Str("x"), [_Int(1), _Int(2)]]), b=[[_Str("y")]])
-    _same_as_dumps(value)
-    _same_as_dumps([[1, 2], _List([3, 4])])
-    _same_as_dumps(_List([[1, 2], (3, 4)]))
-
-
-def test_writer_raises_what_json_dumps_raises():
-    for value in (
-        [[1, 2], [3, Fraction(1, 2)]],  # a stray Fraction in a grid
-        {"a": 1, "b": {"c": Fraction(1, 2)}, "d": object()},  # the first one in document order
-        {(1, 2): 3},  # a key json cannot write
-        {"a": {(1, 2): Fraction(1, 2)}},
+def test_writer_raises_type_error_outside_its_domain():
+    for value, name in (
+        ([[1, 2], [3, Fraction(1, 2)]], "Fraction"),  # a stray Fraction in a grid
+        ({"a": 1, "b": {"c": 0.5}, "d": object()}, "float"),  # the first one in document order
+        ([1, "a", object()], "object"),
     ):
-        _same_as_dumps(value)
-
-
-def test_writer_reports_containers_that_hold_themselves():
-    looped_list, looped_dict, pair = [], {}, [[1]]
-    looped_list.append(looped_list)
-    looped_dict["a"] = [looped_dict]
-    pair.append(pair)
-    for value in (looped_list, looped_dict, [[looped_list]], pair):
-        with pytest.raises(ValueError, match="Circular reference detected"):
+        with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
             json_text(value)
-    shared = [1, 2]
-    _same_as_dumps([[shared, shared], [shared, shared]])  # shared, not circular
+    for value in ({1: "a"}, {"a": [{None: []}]}):  # keys must be strs
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 @pytest.mark.parametrize("make, levels", [
