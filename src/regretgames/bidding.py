@@ -78,6 +78,11 @@ class BiddingSpec:
     def player_count(self) -> int:
         return len(self.valuations)
 
+    def _validate_player(self, player) -> int:
+        if not 0 <= strict_int(player, "player index") < self.player_count:
+            raise InputError(f"player {player} out of range 0..{self.player_count - 1}")
+        return player
+
     def to_json(self) -> dict:
         return {
             "l": list(self.valuations),
@@ -101,8 +106,7 @@ def bidding_utility(spec: BiddingSpec, bids, player: int) -> Fraction:
             raise InputError(
                 f"bid {b!r} of player {i} outside the grid 0..{spec.grid_size}"
             )
-    if not 0 <= player < n:
-        raise InputError(f"player {player} out of range 0..{n - 1}")
+    player = spec._validate_player(player)
     by_size = sorted(bids, reverse=True)
     top = by_size[0]
     if bids[player] != top:
@@ -192,7 +196,7 @@ class ClaimPrediction:
 def closed_form_competitive(spec: BiddingSpec, player: int) -> ClaimPrediction | None:
     """Closed form with unrestricted opponents; None when no form is known (k > 3)."""
     k = spec.price_rank
-    value = spec.valuations[player]
+    value = spec.valuations[spec._validate_player(player)]
     if k == 1:
         numerator = math.ceil(Fraction(value - 1, 2))
         return ClaimPrediction(
@@ -215,7 +219,7 @@ def closed_form_competitive(spec: BiddingSpec, player: int) -> ClaimPrediction |
 def closed_form_rational(spec: BiddingSpec, player: int) -> ClaimPrediction | None:
     """Closed form against non-dominated opponents; None when k > 3."""
     k = spec.price_rank
-    value = spec.valuations[player]
+    value = spec.valuations[spec._validate_player(player)]
     if k == 1:
         highest_other = max(v for i, v in enumerate(spec.valuations) if i != player)
         numerator = math.ceil(Fraction(min(value, highest_other) - 2, 2))

@@ -19,24 +19,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DEFAULT_DENSE_CAP, InputError
 from .rational import format_rational, over_lcm, rational_column, rational_parts, strict_int
-
-
-@dataclass(frozen=True)
-class OpponentProfile:
-    """Strategy choices for everyone except ``player``, in ascending player order."""
-
-    player: int
-    choices: tuple[int, ...]
-
-    def combine(self, own_choice: int) -> tuple[int, ...]:
-        """Insert ``own_choice`` at the excluded player's slot, giving a full profile."""
-        full = list(self.choices)
-        full.insert(self.player, own_choice)
-        return tuple(full)
 
 
 @dataclass(frozen=True)
@@ -52,6 +38,10 @@ class Restriction:
     label: str = "custom"
 
     def __post_init__(self):
+        for player, s in enumerate(self.allowed):
+            if not isinstance(s, Iterable):
+                raise InputError(f"restriction of player {player} must list strategies, "
+                                 f"got {s!r}")
         normalized = tuple(tuple(sorted({strict_int(i, "a restricted strategy") for i in s}))
                            for s in self.allowed)
         object.__setattr__(self, "allowed", normalized)
@@ -79,14 +69,6 @@ def _checked_counts(strategy_counts) -> tuple[int, ...]:
     if any(c < 1 for c in counts):
         raise InputError(f"every player needs at least one strategy, got {counts}")
     return counts
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """Exact rationals as (int numerators, their least common denominator)."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise InputError(f"payoff {v!r} is not an exact rational (int or Fraction)")
-    return over_lcm([v.numerator for v in values], [v.denominator for v in values])
 
 
 #: Cells per ``math.gcd`` call in :func:`_reduced`, which stops at gcd 1.
@@ -155,24 +137,6 @@ class Game:
             out.append(per_player)
         return tuple(out)
 
-    @classmethod
-    def from_cells(cls, strategy_counts, cells, labels=None) -> "Game":
-        """Build a dense game from a flat lex-ordered list of payoff tuples.
-
-        Payoffs are ints or Fractions; each player's are stored as numerators
-        over the least common denominator of that player's payoffs.
-        """
-        counts = _checked_counts(strategy_counts)
-        cells = list(cells)
-        expected = math.prod(counts)
-        if len(cells) != expected:
-            raise InputError(f"expected {expected} cells, got {len(cells)}")
-        n = len(counts)
-        if any(len(cell) != n for cell in cells):
-            raise InputError(f"every payoff cell must list {n} payoffs")
-        columns, scales = zip(*(_scaled(values) for values in zip(*cells)))
-        return cls(counts, columns=columns, scales=scales, labels=labels)
-
     # -- basic shape -------------------------------------------------------
 
     @property
@@ -190,10 +154,6 @@ class Game:
     @property
     def profile_count(self) -> int:
         return math.prod(self._counts)
-
-    def profiles(self) -> Iterator[tuple[int, ...]]:
-        """All strategy profiles in lexicographic order."""
-        return itertools.product(*(range(c) for c in self._counts))
 
     def _flat_index(self, profile) -> int:
         return sum(c * s for c, s in zip(profile, self._strides))
@@ -227,36 +187,6 @@ class Game:
         profile = self.validate_profile(profile)
         player = self._validate_player(player)
         return Fraction(self._columns[player][self._flat_index(profile)], self._scales[player])
-
-    def payoff_cell(self, profile) -> tuple[Fraction, ...]:
-        """All players' utilities at ``profile``."""
-        index = self._flat_index(self.validate_profile(profile))
-        return tuple(
-            Fraction(column[index], scale) for column, scale in zip(self._columns, self._scales)
-        )
-
-    # -- enumeration and best responses -------------------------------------
-
-    def opponent_profiles(self, player: int) -> Iterator[OpponentProfile]:
-        """Everyone-but-``player`` choice combinations, lexicographic in player order."""
-        player = self._validate_player(player)
-        others = [c for i, c in enumerate(self._counts) if i != player]
-        for choices in itertools.product(*(range(c) for c in others)):
-            yield OpponentProfile(player, choices)
-
-    def best_response_value(self, player: int, opponents) -> Fraction:
-        """Highest utility ``player`` can get against fixed opponent choices."""
-        player = self._validate_player(player)
-        if isinstance(opponents, OpponentProfile):
-            if opponents.player != player:
-                raise InputError(
-                    f"opponent profile excludes player {opponents.player}, not {player}"
-                )
-            choices = opponents.choices
-        else:
-            choices = tuple(opponents)
-        opp = OpponentProfile(player, choices)
-        return max(self.payoff(opp.combine(t), player) for t in range(self._counts[player]))
 
     def payoff_matrix(self, player: int):
         """``player``'s payoffs as int rows over one denominator.

@@ -40,12 +40,12 @@ class GameSequence:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise InputError("a game sequence needs at least one stage")
-        n = self.stages[0].player_count
         for i, g in enumerate(self.stages):
-            if g.player_count != n:
-                raise InputError(
-                    f"stage {i} has {g.player_count} players, stage 0 has {n}"
-                )
+            if not isinstance(g, Game):
+                raise InputError(f"stage {i} must be a Game, got {type(g).__name__}")
+            if g.player_count != self.stages[0].player_count:
+                raise InputError(f"stage {i} has {g.player_count} players, "
+                                 f"stage 0 has {self.stages[0].player_count}")
 
     @classmethod
     def repeat(cls, game: Game, times: int) -> "GameSequence":
@@ -81,6 +81,7 @@ def opponent_histories(sequence: GameSequence, player: int, length: int):
 
 def decision_points(sequence: GameSequence, player: int) -> tuple[tuple[int, tuple], ...]:
     """A history strategy's ``(iteration, others' history)`` keys: iteration-major, history lex."""
+    player = sequence.stages[0]._validate_player(player)
     return tuple((idx, history) for idx in range(1, len(sequence) + 1)
                  for history in opponent_histories(sequence, player, idx - 1))
 
@@ -319,10 +320,12 @@ class RandomGameSpec:
         object.__setattr__(self, "pool", tuple(self.pool))
         if not self.pool:
             raise InputError("the game pool must not be empty")
-        n = self.pool[0].player_count
         for i, g in enumerate(self.pool):
-            if g.player_count != n:
-                raise InputError(f"pool game {i} has {g.player_count} players, game 0 has {n}")
+            if not isinstance(g, Game):
+                raise InputError(f"pool game {i} must be a Game, got {type(g).__name__}")
+            if g.player_count != self.pool[0].player_count:
+                raise InputError(f"pool game {i} has {g.player_count} players, "
+                                 f"game 0 has {self.pool[0].player_count}")
         strict_int(self.length, "length")
         strict_int(self.samples, "samples")
         if self.seed is not None:

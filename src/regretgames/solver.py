@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dominance import rational_restriction
-from .errors import InputError, check_mode
-from .game import Game, OpponentProfile, Restriction
-from .rational import strict_int
+from .errors import check_mode
+from .game import Game, Restriction
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,6 @@ class RegretReport:
         }
 
 
-def regret(game: Game, player: int, profile) -> Fraction:
-    """Best-response payoff against the profile's opponents minus the achieved payoff."""
-    achieved = game.payoff(profile, player)
-    opponents = tuple(c for i, c in enumerate(profile) if i != player)
-    return game.best_response_value(player, OpponentProfile(player, opponents)) - achieved
-
-
 def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
     """Worst-case regret of every own strategy, times the payoff scale, and the scale."""
     rows, _, scale = game._opponent_classes(player)
@@ -64,20 +56,6 @@ def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
         rows = [[row[c] for c in columns] for row in rows]
     best = list(map(max, zip(*rows)))
     return [max(map(operator.sub, best, row)) for row in rows], scale
-
-
-def worst_case_regret(
-    game: Game, player: int, own_strategy: int, restriction: Restriction | None = None
-) -> Fraction:
-    """Max regret of one strategy over all restricted opponent profiles.
-
-    The inner best response always ranges over the player's full strategy
-    set; only the opponents are restricted.
-    """
-    worst, scale = _worst_regrets(game, player, restriction)
-    if not 0 <= strict_int(own_strategy, "own strategy") < len(worst):
-        raise InputError(f"strategy {own_strategy} out of range for player {player}")
-    return Fraction(worst[own_strategy], scale)
 
 
 def minimax_regret(

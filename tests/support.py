@@ -30,6 +30,35 @@ from regretgames import (
 from regretgames.trading import SweepViolation, _steps, _strategy_takes
 
 
+def game_from_cells(counts, cells, labels=None) -> Game:
+    """The game whose payoffs at the lex-ordered profiles are ``cells``, each
+    a tuple of ints or Fractions, one per player."""
+    table = [list(cell) for cell in cells]
+    for count in reversed(counts):
+        table = [table[i:i + count] for i in range(0, len(table), count)]
+    return make_dense_game(counts, table[0], labels)
+
+
+def payoffs(game: Game, profile) -> tuple:
+    """Every player's payoff at ``profile``, read one at a time with ``Game.payoff``."""
+    return tuple(game.payoff(profile, player) for player in range(game.player_count))
+
+
+def regret(game: Game, player: int, profile) -> Fraction:
+    """The best payoff ``player`` could get by changing only its own choice at
+    ``profile``, minus the payoff it gets: the paper's regret of one profile."""
+    profile = tuple(profile)
+    best = max(game.payoff(profile[:player] + (t,) + profile[player + 1:], player)
+               for t in range(game.strategy_counts[player]))
+    return best - game.payoff(profile, player)
+
+
+def opponent_profiles(game: Game, player: int) -> list[tuple]:
+    """The profiles in which ``player`` plays 0, one per choice of the others, in lex order."""
+    return list(itertools.product(*(range(c) if j != player else (0,)
+                                    for j, c in enumerate(game.strategy_counts))))
+
+
 def anchor_game() -> Game:
     """The running 2x2 example: minimax regret 1 at strategy 1 for player 0."""
     return make_dense_game((2, 2), [[[4, 0], [0, 3]], [[3, 1], [3, 2]]])
@@ -45,7 +74,7 @@ def random_dense_game(rng: random.Random, max_players=3, max_strategies=5,
         total *= c
     for _ in range(total):
         cells.append(tuple(rng.randint(low, high) for _ in range(n)))
-    return Game.from_cells(counts, cells)
+    return game_from_cells(counts, cells)
 
 
 def random_bidding_spec(rng: random.Random, price_rank: int, players=(2, 3),
@@ -142,7 +171,7 @@ def replay(sequence: GameSequence, decisions) -> tuple:
     totals = [Fraction(0)] * n
     for idx, stage in enumerate(sequence.stages, start=1):
         moves = tuple(decisions[p][(idx, histories[p])] for p in range(n))
-        cell = stage.payoff_cell(moves)
+        cell = payoffs(stage, moves)
         totals = [total + value for total, value in zip(totals, cell)]
         histories = [histories[p] + (moves[:p] + moves[p + 1:],) for p in range(n)]
     return tuple(totals)
@@ -175,10 +204,11 @@ def weakly_dominates(game: Game, player: int, s: int, s_prime: int) -> bool:
 
 def affine_transform(game: Game, player: int, scale, shift) -> Game:
     """``game`` with ``player``'s payoffs mapped to ``scale * u + shift``."""
-    cells = [list(game.payoff_cell(profile)) for profile in game.profiles()]
+    cells = [list(payoffs(game, profile))
+             for profile in itertools.product(*map(range, game.strategy_counts))]
     for cell in cells:
         cell[player] = scale * cell[player] + shift
-    return Game.from_cells(game.strategy_counts, cells, game.strategy_labels)
+    return game_from_cells(game.strategy_counts, cells, game.strategy_labels)
 
 
 def worst_regrets(sequence: GameSequence, player: int, rational: bool = True):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from regretgames import (
     GameSequence,
+    Restriction,
     TradingSpec,
     audit_single_agent,
     decision_points,
@@ -30,7 +31,6 @@ from regretgames import (
     minimax_regret,
     rational_restriction,
     rational_set,
-    regret,
     verify_claims,
     verify_folk_theorem,
 )
@@ -41,9 +41,12 @@ from support import (
     folk_failure_row,
     folk_reference,
     history_strategies,
+    opponent_profiles,
+    payoffs,
     random_bidding_spec,
     random_dense_game,
     realized,
+    regret,
     replay,
     single_agent_prediction,
     weakly_dominates,
@@ -286,22 +289,22 @@ def test_criterion_9_property_suites():
     started = time.monotonic()
     rng = random.Random(909)
 
-    # regret non-negativity
+    # worst regrets are the reference's maxima over opponent profiles, and non-negative
     for _ in range(100):
         game = random_dense_game(rng)
-        profile = tuple(rng.randrange(c) for c in game.strategy_counts)
         player = rng.randrange(game.player_count)
-        assert regret(game, player, profile) >= 0
+        opponents = opponent_profiles(game, player)
+        for s, w in enumerate(minimax_regret(game, player).worst_regret_per_strategy):
+            assert w == max(regret(game, player, o[:player] + (s,) + o[player + 1:])
+                            for o in opponents) >= 0
 
     # zero-regret best response against every opponent profile
     for _ in range(100):
         game = random_dense_game(rng, max_strategies=4)
         player = rng.randrange(game.player_count)
-        for opp in game.opponent_profiles(player):
-            assert any(
-                regret(game, player, opp.combine(t)) == 0
-                for t in range(game.strategy_counts[player])
-            )
+        for o in opponent_profiles(game, player):
+            pinned = Restriction(tuple((c,) for c in o))
+            assert minimax_regret(game, player, pinned).minimax_value == 0
 
     # affine argmin invariance
     for _ in range(100):
@@ -351,7 +354,7 @@ def test_criterion_9_property_suites():
             dict(zip(decision_points(sequence, p), history_strategies(sequence, p)[1][profile[p]]))
             for p in (0, 1)
         ]
-        assert expansion.game.payoff_cell(profile) == replay(sequence, decisions)
+        assert payoffs(expansion.game, profile) == replay(sequence, decisions)
 
     elapsed = time.monotonic() - started
     _report(9, True, f"6 suites x 100 instances, {elapsed:.1f}s")

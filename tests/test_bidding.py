@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from regretgames import (
     rational_restriction,
     verify_claims,
 )
-from support import random_bidding_spec
+from support import game_from_cells, payoffs, random_bidding_spec
 
 
 def test_utility_first_price_examples():
@@ -89,18 +90,17 @@ def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
     for k in range(1, n + 1):
         spec = BiddingSpec(valuations, grid, k)
         game = make_bidding_game(spec)
-        cells = [tuple(bidding_utility(spec, bids, p) for p in range(n))
-                 for bids in game.profiles()]
-        assert [game.payoff_cell(bids) for bids in game.profiles()] == cells
-        assert game == Game.from_cells(game.strategy_counts, cells,
-                                       labels=game.strategy_labels)
+        profiles = list(itertools.product(*map(range, game.strategy_counts)))
+        cells = [tuple(bidding_utility(spec, bids, p) for p in range(n)) for bids in profiles]
+        assert [payoffs(game, bids) for bids in profiles] == cells
+        assert game == game_from_cells(game.strategy_counts, cells, labels=game.strategy_labels)
         # the builder caches its rows; they must be the rows of its own columns
         fresh = Game(game.strategy_counts, columns=game._columns, scales=game._scales)
         for p in range(n):
             assert (game.payoff_matrix(p), game._opponent_classes(p)) == (
                 fresh.payoff_matrix(p), fresh._opponent_classes(p))
         tied_losses = [
-            bids for bids, cell in zip(game.profiles(), cells)
+            bids for bids, cell in zip(profiles, cells)
             if bids.count(max(bids)) > 1 and min(cell) < 0
         ]
         assert tied_losses, (valuations, k)  # tied winners sharing a negative surplus

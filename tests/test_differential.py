@@ -23,7 +23,6 @@ from regretgames import (
     PASS,
     TAKE,
     BiddingSpec,
-    Game,
     GameSequence,
     TradingSpec,
     TradingStrategy,
@@ -51,8 +50,10 @@ from support import (
     _worst_regret,
     advance_reference,
     audit_reference,
+    game_from_cells,
     history_strategies,
     opponent_stops,
+    payoffs,
     replay,
     stop_regret,
     strategy_stop,
@@ -152,7 +153,7 @@ def subsets(draw, counts):
 def assert_kernels_match_reference(counts, cells, custom):
     """``minimax_regret`` in full mode, rational mode and under the ``custom``
     restriction, then the dominance kernels, against the reference."""
-    game = Game.from_cells(counts, cells)
+    game = game_from_cells(counts, cells)
     table = dict(zip(itertools.product(*map(range, counts)), cells))
     full = [list(range(c)) for c in counts]
 
@@ -204,7 +205,7 @@ def test_kernels_match_reference_on_auctions(data):
 def assert_dominance_matches_reference(counts, cells):
     """``rational_set`` and one and three rounds of ``iterated_rational_sets``
     against the reference elimination."""
-    game = Game.from_cells(counts, cells)
+    game = game_from_cells(counts, cells)
     table = dict(zip(itertools.product(*map(range, counts)), cells))
     full = [list(range(c)) for c in counts]
     first_round = ref_elimination_round(table, counts, full)
@@ -255,30 +256,29 @@ def test_dominance_matches_reference_on_prefilter_edge_rows(own, other):
 @given(rational_games())
 def test_payoffs_round_trip_exactly(case):
     counts, cells = case
-    game = Game.from_cells(counts, cells)
+    game = game_from_cells(counts, cells)
     for profile, cell in zip(itertools.product(*map(range, counts)), cells):
-        assert game.payoff_cell(profile) == cell
         for player, value in enumerate(cell):
             read = game.payoff(profile, player)
             assert type(read) is Fraction and read == value
     assert game_from_json(game_to_json(game)) == game
     # the same values given as ints where integral build an equal game
     as_ints = [tuple(int(v) if v.denominator == 1 else v for v in cell) for cell in cells]
-    assert Game.from_cells(counts, as_ints) == game
+    assert game_from_cells(counts, as_ints) == game
 
 
 @COMMON
 @given(st.lists(rational_games(max_players=2, max_strategies=2), min_size=2, max_size=2))
 def test_expansion_sums_stages_over_unrelated_scales(stages):
-    sequence = GameSequence(tuple(Game.from_cells(counts, cells) for counts, cells in stages))
+    sequence = GameSequence(tuple(game_from_cells(counts, cells) for counts, cells in stages))
     expansion = expand_sequence(sequence)
     game = expansion.game
-    for profile in game.profiles():
+    for profile in itertools.product(*map(range, game.strategy_counts)):
         decisions = [
             dict(zip(decision_points(sequence, p), history_strategies(sequence, p)[1][profile[p]]))
             for p in range(2)
         ]
-        assert game.payoff_cell(profile) == replay(sequence, decisions)
+        assert payoffs(game, profile) == replay(sequence, decisions)
     assert game_from_json(game_to_json(game)) == game
 
 

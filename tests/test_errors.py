@@ -1,14 +1,20 @@
 import pytest
 
 from regretgames import (
+    BiddingSpec,
     GameSequence,
     InputError,
+    RandomGameSpec,
     Restriction,
     SequenceAnalysis,
     SizeError,
     TradingSpec,
     all_player_reports,
+    bidding_utility,
+    closed_form_competitive,
+    closed_form_rational,
     competitive_trading_strategy,
+    decision_points,
     iterated_rational_sets,
     make_dense_game,
     minimal_regret_sweep,
@@ -16,7 +22,6 @@ from regretgames import (
     reference_strategy,
     trading_oracle,
     verify_folk_theorem,
-    worst_case_regret,
 )
 from regretgames.errors import check_size
 from regretgames.repeated import stage_pick
@@ -75,12 +80,21 @@ def test_every_solve_mode_entry_rejects_unknown_modes(entry, mode):
         _MODE_ENTRIES[entry](mode)
 
 
+_AUCTION = BiddingSpec((8, 6, 3), 10, 1)
+
+_PLAYER_SITES = {
+    "bidding_utility": lambda value: bidding_utility(_AUCTION, (4, 2, 1), value),
+    "closed_form_competitive": lambda value: closed_form_competitive(_AUCTION, value),
+    "closed_form_rational": lambda value: closed_form_rational(_AUCTION, value),
+    "decision_points": lambda value: decision_points(_SEQUENCE, value),
+}
+
 _INTEGER_SITES = {
     "Restriction": lambda value: minimax_regret(_STAGE, 0, Restriction(((0, 1), (value,)))),
-    "worst_case_regret": lambda value: worst_case_regret(_STAGE, 0, value),
     "iterated_rational_sets": lambda value: iterated_rational_sets(_STAGE, value),
     "trading iteration": lambda value: competitive_trading_strategy(_SPEC, 0).action(
         value, (2, 2), False),
+    **_PLAYER_SITES,
 }
 
 
@@ -89,3 +103,26 @@ _INTEGER_SITES = {
 def test_integer_arguments_reject_bools_floats_and_strings(site, value):
     with pytest.raises(InputError, match=f"must be an integer, got {value!r}"):
         _INTEGER_SITES[site](value)
+
+
+@pytest.mark.parametrize("value", [5, -1])
+@pytest.mark.parametrize("site", list(_PLAYER_SITES))
+def test_player_arguments_reject_players_that_do_not_exist(site, value):
+    with pytest.raises(InputError, match=f"player {value} out of range"):
+        _PLAYER_SITES[site](value)
+
+
+_MALFORMED_ENTRIES = {
+    "Restriction": (lambda: Restriction(((0, 1), 5)),
+                    "restriction of player 1 must list strategies, got 5"),
+    "GameSequence": (lambda: GameSequence([_STAGE, 3]), "stage 1 must be a Game, got int"),
+    "RandomGameSpec": (lambda: RandomGameSpec((_STAGE, "g"), 2),
+                       "pool game 1 must be a Game, got str"),
+}
+
+
+@pytest.mark.parametrize("site", list(_MALFORMED_ENTRIES))
+def test_constructors_name_the_malformed_entry(site):
+    build, message = _MALFORMED_ENTRIES[site]
+    with pytest.raises(InputError, match=message):
+        build()

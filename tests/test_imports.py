@@ -22,10 +22,9 @@ KERNELS = ("bidding", "dominance", "repeated", "solver", "trading")
 EXPORTED = {
     "errors": ("AssumptionError", "ContractError", "InputError", "RegretGamesError",
                "SizeError"),
-    "game": ("DEFAULT_DENSE_CAP", "Game", "OpponentProfile", "Restriction", "game_from_json",
-             "game_to_json", "load_game", "make_dense_game", "save_game"),
-    "solver": ("RegretReport", "all_player_reports", "minimax_regret", "regret",
-               "worst_case_regret"),
+    "game": ("DEFAULT_DENSE_CAP", "Game", "Restriction", "game_from_json", "game_to_json",
+             "load_game", "make_dense_game", "save_game"),
+    "solver": ("RegretReport", "all_player_reports", "minimax_regret"),
     "dominance": ("RationalSet", "iterated_rational_sets", "rational_restriction",
                   "rational_set"),
     "bidding": ("BiddingSpec", "ClaimPrediction", "DivergenceReport", "bidding_utility",

@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretgames import (
-    Game,
     GameSequence,
+    Restriction,
     decision_points,
     expand_sequence,
     minimax_regret,
     rational_restriction,
     rational_set,
-    regret,
 )
-from support import affine_transform, history_strategies, weakly_dominates
+from support import (
+    affine_transform, game_from_cells, history_strategies, opponent_profiles, payoffs, regret,
+    weakly_dominates,
+)
 
 COMMON = settings(max_examples=100, derandomize=True, deadline=None)
 
@@ -30,33 +32,29 @@ def dense_games(draw, max_players=3, max_strategies=4):
     cells = [
         tuple(draw(st.integers(-8, 8)) for _ in range(n)) for _ in range(total)
     ]
-    return Game.from_cells(counts, cells)
-
-
-@st.composite
-def games_with_profiles(draw):
-    game = draw(dense_games())
-    profile = tuple(draw(st.integers(0, c - 1)) for c in game.strategy_counts)
-    player = draw(st.integers(0, game.player_count - 1))
-    return game, profile, player
+    return game_from_cells(counts, cells)
 
 
 @COMMON
-@given(games_with_profiles())
-def test_regret_non_negative(case):
-    game, profile, player = case
-    assert regret(game, player, profile) >= 0
+@given(dense_games())
+def test_regret_non_negative(game):
+    # each strategy's worst regret is the largest reference regret over the
+    # opponent profiles, and none is negative
+    for player in range(game.player_count):
+        opponents = opponent_profiles(game, player)
+        for s, w in enumerate(minimax_regret(game, player).worst_regret_per_strategy):
+            assert w == max(regret(game, player, o[:player] + (s,) + o[player + 1:])
+                            for o in opponents) >= 0
 
 
 @COMMON
 @given(dense_games())
 def test_zero_regret_best_response_exists(game):
+    # against any one opponent profile, some strategy has no regret
     for player in range(game.player_count):
-        for opp in game.opponent_profiles(player):
-            assert any(
-                regret(game, player, opp.combine(t)) == 0
-                for t in range(game.strategy_counts[player])
-            )
+        for o in opponent_profiles(game, player):
+            pinned = Restriction(tuple((c,) for c in o))
+            assert minimax_regret(game, player, pinned).minimax_value == 0
 
 
 @COMMON
@@ -135,7 +133,7 @@ def short_sequences(draw):
     stages = []
     for _ in range(length):
         cells = [tuple(draw(st.integers(0, 9)) for _ in range(2)) for _ in range(4)]
-        stages.append(Game.from_cells((2, 2), cells))
+        stages.append(game_from_cells((2, 2), cells))
     return GameSequence(tuple(stages))
 
 
@@ -155,4 +153,4 @@ def test_expanded_payoff_additivity(sequence, rng):
         for p in range(2):
             expected[p] += stage.payoff(moves, p)
         histories = [histories[p] + ((moves[1 - p],),) for p in range(2)]
-    assert expansion.game.payoff_cell(profile) == tuple(expected)
+    assert payoffs(expansion.game, profile) == tuple(expected)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,8 +23,8 @@ from regretgames import (
 from regretgames import repeated
 from regretgames.repeated import SequenceAnalysis, stage_pick
 from support import (
-    anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, history_strategies,
-    random_stage_game, realized, replay,
+    anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, game_from_cells,
+    history_strategies, payoffs, random_stage_game, realized, replay,
 )
 
 
@@ -91,7 +92,7 @@ def test_expansion_length_one_is_stage_game():
     g = anchor_game()
     expansion = expand_sequence(GameSequence.repeat(g, 1))
     assert expansion.game.strategy_counts == g.strategy_counts
-    for profile in g.profiles():
+    for profile in itertools.product(range(2), repeat=2):
         for p in (0, 1):
             assert expansion.game.payoff(profile, p) == g.payoff(profile, p)
 
@@ -121,7 +122,7 @@ def test_expansion_payoff_additivity_by_replay():
                 for p in (0, 1)
             ],
         )
-        assert expansion.game.payoff_cell(profile) == expected
+        assert payoffs(expansion.game, profile) == expected
 
 
 def pq_stage(rng: random.Random, counts) -> Game:
@@ -129,7 +130,7 @@ def pq_stage(rng: random.Random, counts) -> Game:
     denominators = [rng.choice((1, 2, 3, 5, 7, 11, 13)) for _ in counts]
     cells = [tuple(Fraction(rng.randint(-9, 20), q) for q in denominators)
              for _ in range(math.prod(counts))]
-    return Game.from_cells(counts, cells)
+    return game_from_cells(counts, cells)
 
 
 def uneven_sequence(rng: random.Random, players: int, length: int, cap: int = 400):
@@ -152,9 +153,9 @@ def assert_chain_replays(sequence, expansion):
     assert [decision_points(sequence, p) for p in range(players)] \
         == [tuple(points) for points, _ in spaces]
     lookups = [[dict(zip(points, t)) for t in tuples] for points, tuples in spaces]
-    for profile in expansion.game.profiles():
+    for profile in itertools.product(*map(range, expansion.game.strategy_counts)):
         expected = replay(sequence, [lookups[p][s] for p, s in enumerate(profile)])
-        assert expansion.game.payoff_cell(profile) == expected
+        assert payoffs(expansion.game, profile) == expected
     rest = expansion
     for k in range(1, length + 1):
         assert rest == expand_sequence(sequence.suffix(k))  # sequence, game, rest

@@ -9,32 +9,30 @@ from regretgames import (
     all_player_reports,
     minimax_regret,
     rational_restriction,
-    regret,
-    worst_case_regret,
 )
 from support import affine_transform, anchor_game
 
 
 def test_regret_values():
+    # pinned to one opponent choice, a strategy's worst regret is its regret there
     g = anchor_game()
-    assert regret(g, 0, (0, 0)) == 0
-    assert regret(g, 0, (1, 0)) == 1
-    assert regret(g, 0, (0, 1)) == 3
-    assert regret(g, 0, (1, 1)) == 0
+    by_opponent = [minimax_regret(g, 0, Restriction(((0, 1), (o,)))) for o in (0, 1)]
+    assert by_opponent[0].worst_regret_per_strategy == (0, 1)
+    assert by_opponent[1].worst_regret_per_strategy == (3, 0)
 
 
 def test_worst_case_regret_full():
     g = anchor_game()
-    assert worst_case_regret(g, 0, 0) == 3
-    assert worst_case_regret(g, 0, 1) == 1
+    assert minimax_regret(g, 0).worst_regret_per_strategy == (3, 1)
+    assert minimax_regret(g, 1).worst_regret_per_strategy == (3, 0)
 
 
 def test_worst_case_regret_custom_restriction():
     g = anchor_game()
     pinned = Restriction(((0, 1), (0,)))
-    assert worst_case_regret(g, 0, 1, pinned) == 1
+    assert minimax_regret(g, 0, pinned).worst_regret_per_strategy[1] == 1
     with pytest.raises(InputError, match="no strategies"):
-        worst_case_regret(g, 0, 1, Restriction(((0, 1), ())))
+        minimax_regret(g, 0, Restriction(((0, 1), ())))
 
 
 def test_minimax_report_full():
