@@ -19,10 +19,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DEFAULT_DENSE_CAP, InputError
-from .rational import format_rational, over_lcm, rational_column, rational_parts, strict_int
+from .rational import format_rational, parse_rational, rational_column, strict_int, strict_list
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,11 @@ class Restriction:
     label: str = "custom"
 
     def __post_init__(self):
-        for player, s in enumerate(self.allowed):
-            if not isinstance(s, Iterable):
-                raise InputError(f"restriction of player {player} must list strategies, "
-                                 f"got {s!r}")
+        allowed = strict_list(self.allowed, "a restriction must list one strategy set per player")
+        allowed = [strict_list(s, f"restriction of player {player} must list strategies")
+                   for player, s in enumerate(allowed)]
         normalized = tuple(tuple(sorted({strict_int(i, "a restricted strategy") for i in s}))
-                           for s in self.allowed)
+                           for s in allowed)
         object.__setattr__(self, "allowed", normalized)
 
     def validate_for(self, game: "Game") -> None:
@@ -63,7 +62,8 @@ class Restriction:
 
 
 def _checked_counts(strategy_counts) -> tuple[int, ...]:
-    counts = tuple(strict_int(c, "strategy count") for c in strategy_counts)
+    counts = tuple(strict_int(c, "strategy count")
+                   for c in strict_list(strategy_counts, "strategy counts must be a list"))
     if len(counts) < 2:
         raise InputError(f"a game needs at least 2 players, got {len(counts)}")
     if any(c < 1 for c in counts):
@@ -316,25 +316,21 @@ _SEQUENCES = {list, tuple}
 def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
     """Build a game from a nested payoff table.
 
-    The table nests one level per player in player order; the innermost lists
-    hold one exact rational per player ("p/q" strings or integers). Dimension
-    errors name the offending axis.
+    The table nests one level per player in player order, in lists or
+    tuples; the innermost lists hold one exact rational per player (ints,
+    Fractions or "p/q" strings). Dimension errors name the offending axis.
 
     The cells are collected one level at a time and each player's column is
-    parsed at once by :func:`rational_column`. Only when that fails is the
-    table read again cell by cell, so that the first bad entry in cell order
-    is the one an error names.
+    parsed at once by :func:`rational_column`. When either fails,
+    :func:`_raise_first_error` names the first bad entry in cell order.
     """
     counts = _checked_counts(strategy_counts)
     cells = _cells(counts, payoff_table)
-    parsed = []
-    for player in range(len(counts)) if cells is not None else ():
-        column = rational_column(list(map(operator.itemgetter(player), cells)))
-        if column is None:
-            break
-        parsed.append(column)
-    if len(parsed) != len(counts):
-        parsed = _parsed_in_cell_order(counts, payoff_table)
+    parsed = None if cells is None else [
+        rational_column(list(map(operator.itemgetter(player), cells)))
+        for player in range(len(counts))]
+    if parsed is None or None in parsed:
+        _raise_first_error(counts, payoff_table)
     columns, scales = zip(*parsed)
     return Game(counts, columns=columns, scales=scales, labels=labels)
 
@@ -354,30 +350,31 @@ def _lists_of(nodes, length: int) -> bool:
     return _SEQUENCES.issuperset(map(type, nodes)) and set(map(len, nodes)) == {length}
 
 
-def _parsed_in_cell_order(counts, table) -> list[tuple[list[int], int]]:
-    """Each player's numerators and scale, read cell by cell in lex order with
-    :func:`rational_parts`; :class:`InputError` names the first bad entry."""
+def _raise_first_error(counts, table) -> None:
+    """Walk a payoff table cell by cell in lex order and raise the
+    :class:`InputError` of its first bad entry.
+
+    Its tests are those of :func:`_cells` and :func:`rational_column`, so it
+    raises whenever either of them fails.
+    """
     n = len(counts)
-    parts: list[tuple[int, int]] = []  # (numerator, denominator), cell by cell
     stack = [(table, ())]
     while stack:
         node, path = stack.pop()
         depth = len(path)
+        is_list = type(node) in _SEQUENCES
         if depth == n:
-            if not isinstance(node, (list, tuple)) or len(node) != n:
-                raise InputError(
-                    f"cell at {path} must list {n} payoffs, got {node!r}"
-                )
-            parts.extend(map(rational_parts, node))
-            continue
-        if not isinstance(node, (list, tuple)) or len(node) != counts[depth]:
-            have = len(node) if isinstance(node, (list, tuple)) else node
+            if not is_list or len(node) != n:
+                raise InputError(f"cell at {path} must list {n} payoffs, got {node!r}")
+            for value in node:
+                parse_rational(value)
+        elif not is_list or len(node) != counts[depth]:
             raise InputError(
                 f"axis {depth} (player {depth}) expects {counts[depth]} entries, "
-                f"got {have!r} at {path}"
+                f"got {len(node) if is_list else node!r} at {path}"
             )
-        stack.extend((node[i], path + (i,)) for i in range(len(node) - 1, -1, -1))
-    return [over_lcm(*zip(*parts[p::n])) for p in range(n)]
+        else:
+            stack.extend((node[i], path + (i,)) for i in range(len(node) - 1, -1, -1))
 
 
 # -- JSON interface ----------------------------------------------------------

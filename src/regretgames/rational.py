@@ -7,84 +7,43 @@ import math
 import operator
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InputError
 
 
-#: The one string form of an exact rational: ASCII ``[+-]digits`` or
-#: ``[+-]digits/digits``; no spaces, underscores, decimals or exponents.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-#: Rationals of that form, each followed by a newline, which none contains.
-_RATIONAL_LINES = re.compile(f"(?:{_RATIONAL.pattern}\n)*")
-
-
-def rational_parts(value) -> tuple[int, int]:
-    """``value`` as ``(numerator, denominator)`` in lowest terms, denominator > 0.
-
-    Accepts an int, a Fraction, or a string matching ``_RATIONAL`` with a
-    nonzero denominator and no more digits than Python converts to an int.
-    Everything else, floats included, raises :class:`InputError`, so the
-    size of a parsed number is bounded by the length of its text.
-    """
-    if isinstance(value, str):
-        if _RATIONAL.fullmatch(value):
-            numerator, _, denominator = value.partition("/")
-            try:  # int() refuses strings past Python's int-string digit limit
-                numerator, denominator = int(numerator), int(denominator or 1)
-            except ValueError:
-                denominator = 0
-            if denominator:
-                divisor = math.gcd(numerator, denominator)
-                return numerator // divisor, denominator // divisor
-        raise InputError(f"not a rational number: {value!r}")
-    if isinstance(value, bool):
-        raise InputError(f"not a rational number: {value!r}")
-    if isinstance(value, int):
-        return value, 1
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    raise InputError(f"not a rational number: {value!r} (floats are not accepted)")
-
-
-#: Columns shorter than this are parsed value by value, which is faster
-#: there than the dozen calls of the bulk parse.
-_BULK_MIN = 16
-
-
-def over_lcm(numerators, denominators) -> tuple[list[int], int]:
-    """The fractions ``n / d`` as int numerators over their least common denominator."""
-    scale = math.lcm(*set(denominators))
-    return [n * (scale // d) for n, d in zip(numerators, denominators)], scale
+#: Rational strings, each followed by a newline, which none contains: ASCII
+#: ``[+-]digits`` or ``[+-]digits/digits``; no spaces, underscores, decimals
+#: or exponents.
+_RATIONAL_LINES = re.compile(r"(?:[+-]?[0-9]+(?:/[0-9]+)?\n)*")
 
 
 def rational_column(values) -> tuple[list[int], int] | None:
-    """Ints and strings of the grammar of :func:`rational_parts` as int
-    numerators over one positive common denominator, parsed in bulk.
+    """Exact rationals as int numerators over one positive common denominator.
 
-    Neither the values nor the result are reduced; :class:`~.game.Game`
-    reduces each column by its gcd. Returns ``None`` when some value is of
-    another type or not in the grammar, without saying which: the caller asks
-    :func:`rational_parts` value by value.
+    The values are ints, Fractions and strings of ASCII ``[+-]digits`` or
+    ``[+-]digits/digits`` with a nonzero denominator and no more digits than
+    Python converts to an int, each of exactly that type (``type()``, not
+    ``isinstance``). Neither the values nor the result are reduced;
+    :class:`~.game.Game` reduces each column by its gcd. Returns ``None``
+    when some value is of another type or not in the grammar, without saying
+    which: :func:`parse_rational` names a bad value.
     """
     kinds = set(map(type, values))
-    if kinds == {int}:
+    if kinds <= {int}:
         return list(values), 1
-    if not kinds <= {int, str}:
+    if not kinds <= {int, str, Fraction}:
         return None
-    if len(values) < _BULK_MIN:
-        try:
-            return over_lcm(*zip(*map(rational_parts, values)))
-        except InputError:
-            return None
     if kinds == {str}:
         texts = values
         parts = map(str.partition, values, itertools.repeat("/"))
     else:
         texts = [v for v in values if type(v) is str]
-        parts = [v.partition("/") if type(v) is str else (v, "", "") for v in values]
-    joined = "\n".join(texts) + "\n"
-    if joined.count("\n") != len(texts) or not _RATIONAL_LINES.fullmatch(joined):
+        parts = [v.partition("/") if type(v) is str
+                 else (v, "", "") if type(v) is int else (v.numerator, "/", v.denominator)
+                 for v in values]
+    joined = "\n".join(texts) + "\n"  # "\n" for no texts: one line too many
+    if texts and (joined.count("\n") != len(texts) or not _RATIONAL_LINES.fullmatch(joined)):
         return None
     heads, _, tails = zip(*parts)
     keys = set(tails)
@@ -103,14 +62,17 @@ def rational_column(values) -> tuple[list[int], int] | None:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an int, a Fraction or a ``"p"`` / ``"p/q"`` string into a Fraction,
-    by the grammar of :func:`rational_parts`.
+    """One value of the domain of :func:`rational_column` as a Fraction.
 
-    Floats are rejected: every number in this package is exact.
+    Everything else, floats included, raises :class:`InputError`, so the
+    size of a parsed number is bounded by the length of its text.
     """
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*rational_parts(value))
+    parsed = rational_column([value])
+    if parsed is None:
+        inexact = "" if isinstance(value, (str, bool)) else " (floats are not accepted)"
+        raise InputError(f"not a rational number: {value!r}{inexact}")
+    (numerator,), denominator = parsed
+    return Fraction(numerator, denominator)
 
 
 def format_rational(numerator: int, denominator: int):
@@ -120,6 +82,15 @@ def format_rational(numerator: int, denominator: int):
     if divisor == denominator:
         return numerator // divisor
     return f"{numerator // divisor}/{denominator // divisor}"
+
+
+def strict_list(value, what: str) -> tuple:
+    """The entries of ``value`` as a tuple. If it is not iterable,
+    :class:`InputError` says ``what``, for example "stages must list Games",
+    and what it got."""
+    if not isinstance(value, Iterable):
+        raise InputError(f"{what}, got {value!r}")
+    return tuple(value)
 
 
 def strict_int(value, what: str) -> int:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import (DEFAULT_DENSE_CAP, DEFAULT_REALIZATION_CAP, AssumptionError, InputError,
                      check_mode, check_size)
 from .game import Game
-from .rational import strict_int
+from .rational import strict_int, strict_list
 from .solver import RegretReport, all_player_reports, minimax_regret, mode_restriction
 
 
@@ -37,7 +37,7 @@ class GameSequence:
     stages: tuple[Game, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
+        object.__setattr__(self, "stages", strict_list(self.stages, "stages must list Games"))
         if not self.stages:
             raise InputError("a game sequence needs at least one stage")
         for i, g in enumerate(self.stages):
@@ -317,7 +317,7 @@ class RandomGameSpec:
     realization: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pool", tuple(self.pool))
+        object.__setattr__(self, "pool", strict_list(self.pool, "the game pool must list Games"))
         if not self.pool:
             raise InputError("the game pool must not be empty")
         for i, g in enumerate(self.pool):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DEFAULT_ENUM_CAP, ContractError, InputError, check_mode, check_size
-from .rational import coerce_rational, format_rational, strict_int
+from .rational import coerce_rational, format_rational, strict_int, strict_list
 
 TAKE = "take"
 PASS = "pass"
@@ -196,7 +196,9 @@ def _check_iteration(iteration, last):
 
 
 def _validate_announcements(spec: TradingSpec, announcements) -> list[tuple]:
-    rows = [tuple(pair) for pair in announcements]
+    announcements = strict_list(announcements, "announcements must list one pair per iteration")
+    rows = [strict_list(pair, "an announcement pair must list 2 announcements")
+            for pair in announcements]
     if len(rows) != spec.iterations:
         raise InputError(
             f"expected {spec.iterations} announcement pairs, got {len(rows)}"
@@ -224,7 +226,8 @@ def trading_payoff(spec: TradingSpec, announcements, actions) -> TradingOutcome:
     is a contract violation.
     """
     rows = _validate_announcements(spec, announcements)
-    acts = [tuple(pair) for pair in actions]
+    acts = [strict_list(pair, f"an action pair must list 2 of {TAKE!r}/{PASS!r}")
+            for pair in strict_list(actions, "actions must list one pair per iteration")]
     if len(acts) != spec.iterations:
         raise InputError(f"expected {spec.iterations} action pairs, got {len(acts)}")
     for j, pair in enumerate(acts, start=1):
@@ -262,9 +265,10 @@ def simulate(spec: TradingSpec, strategies, announcements):
     iteration. Strategies are consulted even after a take so that contract
     violations (anything but PASS) surface as errors.
     """
-    strategies = tuple(strategies)
+    needs = "simulate needs one strategy for player 0 and one for player 1"
+    strategies = strict_list(strategies, needs)
     if len(strategies) != 2 or {s.player for s in strategies} != {0, 1}:
-        raise InputError("simulate needs one strategy for player 0 and one for player 1")
+        raise InputError(needs)
     by_player = sorted(strategies, key=lambda s: s.player)
     rows = _validate_announcements(spec, announcements)
     taken = False

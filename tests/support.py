@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +39,53 @@ def game_from_cells(counts, cells, labels=None) -> Game:
     for count in reversed(counts):
         table = [table[i:i + count] for i in range(0, len(table), count)]
     return make_dense_game(counts, table[0], labels)
+
+
+#: The one string form of an exact rational: ASCII ``[+-]digits`` or
+#: ``[+-]digits/digits``; no spaces, underscores, decimals or exponents.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def rational_reference(value) -> tuple[int, int]:
+    """``value`` as ``(numerator, denominator)`` in lowest terms, read on its
+    own: the reference the package's column parser is checked against.
+
+    Accepts exactly an int, a Fraction, or a string matching ``_RATIONAL``
+    with a nonzero denominator and no more digits than Python converts to an
+    int; everything else raises the package's :class:`InputError` text.
+    """
+    if type(value) is str and _RATIONAL.fullmatch(value):
+        numerator, _, denominator = value.partition("/")
+        try:  # int() refuses strings past Python's int-string digit limit
+            numerator, denominator = int(numerator), int(denominator or 1)
+        except ValueError:
+            denominator = 0
+        if denominator:
+            divisor = math.gcd(numerator, denominator)
+            return numerator // divisor, denominator // divisor
+    if type(value) is int:
+        return value, 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
+    if isinstance(value, (str, bool)):
+        raise InputError(f"not a rational number: {value!r}")
+    raise InputError(f"not a rational number: {value!r} (floats are not accepted)")
+
+
+#: 2x2 payoff tables with more than one bad entry, and the error that names
+#: the first of them in cell order.
+FIRST_ERRORS = [
+    # a bad value is named in cell order, not column by column
+    ([[["1", "y"], ["x", "1"]], [["1", "1"], ["1", "1"]]], "not a rational number: 'y'"),
+    # a bad value comes before a shape error in a later cell
+    ([[["z", 1], [1, 1]], [[1, 1], [1]]], "not a rational number: 'z'"),
+    # a shape error comes before a bad value in a later cell
+    ([[[1], [1, "x"]], [[1, 1], [1, 1]]], "cell at (0, 0) must list 2 payoffs, got [1]"),
+    ([[[1, 1], [1, 1], [1, 1]], [["x", 1], [1, 1]]],
+     "axis 1 (player 1) expects 2 entries, got 3 at (0,)"),
+    ([[[1, 1], [1, "1/0"]], [[True, 1], [1, 1]]], "not a rational number: '1/0'"),
+    ([[[1, 1], "ab"], [[1, 1], [1, 1]]], "cell at (0, 1) must list 2 payoffs, got 'ab'"),
+]
 
 
 def payoffs(game: Game, profile) -> tuple:

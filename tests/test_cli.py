@@ -12,7 +12,7 @@ import pytest
 
 from regretgames import cli, game_from_json, game_to_json, load_game, save_game
 from regretgames.cli import run
-from support import anchor_game
+from support import FIRST_ERRORS, anchor_game
 
 
 @pytest.fixture()
@@ -667,11 +667,9 @@ def test_trading_grids_are_sized_before_they_are_built(capsys, argv, err):
     assert time.perf_counter() - started < 1.0 and peak < 2**20
 
 
-@pytest.mark.parametrize("payoffs, err", [
-    ([[["1", "y"], ["x", "1"]], [["1", "1"], ["1", "1"]]], "not a rational number: 'y'"),
-    ([[["z", 1], [1, 1]], [[1, 1], [1]]], "not a rational number: 'z'"),
-    ([[[1], [1, "x"]], [[1, 1], [1, 1]]], "cell at (0, 0) must list 2 payoffs, got [1]"),
-], ids=["value-before-value", "value-before-shape", "shape-before-value"])
+@pytest.mark.parametrize("payoffs, err", FIRST_ERRORS, ids=[
+    "value-before-value", "value-before-shape", "shape-before-value", "axis-before-value",
+    "value-before-bool", "cell-not-a-list"])
 def test_game_files_name_the_first_bad_entry_in_cell_order(tmp_path, capsys, payoffs, err):
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"players": 2, "strategy_counts": [2, 2], "payoffs": payoffs}))

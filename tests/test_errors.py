@@ -1,7 +1,10 @@
 import pytest
 
 from regretgames import (
+    PASS,
+    TAKE,
     BiddingSpec,
+    Game,
     GameSequence,
     InputError,
     RandomGameSpec,
@@ -20,7 +23,9 @@ from regretgames import (
     minimal_regret_sweep,
     minimax_regret,
     reference_strategy,
+    simulate,
     trading_oracle,
+    trading_payoff,
     verify_folk_theorem,
 )
 from regretgames.errors import check_size
@@ -120,9 +125,54 @@ _MALFORMED_ENTRIES = {
                        "pool game 1 must be a Game, got str"),
 }
 
+_PASSES = [(PASS, PASS)] * 3
+_ANNOUNCED = [(2, 2)] * 3
+_STRATEGIES = [competitive_trading_strategy(_SPEC, player) for player in (0, 1)]
+
+#: Outer arguments that are not lists, each named in one line.
+_MALFORMED_ARGUMENTS = {
+    "Restriction": (lambda: Restriction(5),
+                    "a restriction must list one strategy set per player, got 5"),
+    "Restriction-None": (lambda: Restriction(None),
+                         "a restriction must list one strategy set per player, got None"),
+    "GameSequence": (lambda: GameSequence(3), "stages must list Games, got 3"),
+    "RandomGameSpec": (lambda: RandomGameSpec(3, 2), "the game pool must list Games, got 3"),
+    "make_dense_game": (lambda: make_dense_game(5, []), "strategy counts must be a list, got 5"),
+    "Game": (lambda: Game(5, columns=[], scales=[]), "strategy counts must be a list, got 5"),
+    "trading_payoff-announcements": (
+        lambda: trading_payoff(_SPEC, 5, _PASSES),
+        "announcements must list one pair per iteration, got 5"),
+    "trading_payoff-announcement-pair": (
+        lambda: trading_payoff(_SPEC, [(2, 2), 3, (2, 2)], _PASSES),
+        "an announcement pair must list 2 announcements, got 3"),
+    "trading_payoff-actions": (
+        lambda: trading_payoff(_SPEC, _ANNOUNCED, 5),
+        "actions must list one pair per iteration, got 5"),
+    "trading_payoff-action-pair": (
+        lambda: trading_payoff(_SPEC, _ANNOUNCED, [(PASS, PASS), 1, (PASS, PASS)]),
+        f"an action pair must list 2 of {TAKE!r}/{PASS!r}, got 1"),
+    "simulate-announcements": (
+        lambda: simulate(_SPEC, _STRATEGIES, None),
+        "announcements must list one pair per iteration, got None"),
+    "simulate-announcement-pair": (
+        lambda: simulate(_SPEC, _STRATEGIES, [(2, 2), (2, 2), 7]),
+        "an announcement pair must list 2 announcements, got 7"),
+    "simulate-strategies": (
+        lambda: simulate(_SPEC, 4, _ANNOUNCED),
+        "simulate needs one strategy for player 0 and one for player 1, got 4"),
+}
+
 
 @pytest.mark.parametrize("site", list(_MALFORMED_ENTRIES))
 def test_constructors_name_the_malformed_entry(site):
     build, message = _MALFORMED_ENTRIES[site]
     with pytest.raises(InputError, match=message):
         build()
+
+
+@pytest.mark.parametrize("site", list(_MALFORMED_ARGUMENTS))
+def test_arguments_that_are_not_lists_are_named(site):
+    build, message = _MALFORMED_ARGUMENTS[site]
+    with pytest.raises(InputError) as raised:
+        build()
+    assert str(raised.value) == message

@@ -16,10 +16,11 @@ from regretgames import (
     make_dense_game,
     save_game,
 )
-from regretgames import rational
+from regretgames import game as game_module
 from regretgames.game import json_text
-from regretgames.rational import parse_rational, rational_column, rational_parts
-from support import affine_transform, anchor_game, game_from_cells
+from regretgames.rational import parse_rational, rational_column
+from support import (FIRST_ERRORS, affine_transform, anchor_game, game_from_cells, payoffs,
+                     rational_reference)
 
 
 def test_dense_construction_and_reads():
@@ -219,7 +220,6 @@ _PAST_THE_DIGIT_LIMIT = [
 ])
 def test_rational_grammar_accepts_integers_and_fractions(text):
     assert parse_rational(text) == Fraction(text)
-    assert rational_parts(text) == (Fraction(text).numerator, Fraction(text).denominator)
     game = make_dense_game((1, 1), [[[text, 0]]])
     assert game.payoff((0, 0), 0) == Fraction(text)
 
@@ -238,20 +238,6 @@ def test_rational_grammar_rejects_everything_else(value):
 
 # -- the first bad entry, in cell order ----------------------------------------
 
-FIRST_ERRORS = [
-    # a bad value is named in cell order, not column by column
-    ([[["1", "y"], ["x", "1"]], [["1", "1"], ["1", "1"]]], "not a rational number: 'y'"),
-    # a bad value comes before a shape error in a later cell
-    ([[["z", 1], [1, 1]], [[1, 1], [1]]], "not a rational number: 'z'"),
-    # a shape error comes before a bad value in a later cell
-    ([[[1], [1, "x"]], [[1, 1], [1, 1]]], "cell at (0, 0) must list 2 payoffs, got [1]"),
-    ([[[1, 1], [1, 1], [1, 1]], [["x", 1], [1, 1]]],
-     "axis 1 (player 1) expects 2 entries, got 3 at (0,)"),
-    ([[[1, 1], [1, "1/0"]], [[True, 1], [1, 1]]], "not a rational number: '1/0'"),
-    ([[[1, 1], "ab"], [[1, 1], [1, 1]]], "cell at (0, 1) must list 2 payoffs, got 'ab'"),
-]
-
-
 @pytest.mark.parametrize("table, message", FIRST_ERRORS)
 def test_the_first_bad_entry_in_cell_order_is_named(table, message):
     with pytest.raises(InputError) as raised:
@@ -259,7 +245,7 @@ def test_the_first_bad_entry_in_cell_order_is_named(table, message):
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("size", [4, 40])  # below and above the bulk parse's minimum
+@pytest.mark.parametrize("size", [4, 40])  # a short and a long column
 def test_the_first_bad_value_is_named_in_long_tables_too(size):
     table = [[[f"{i}/7", i], [i, "1/2"]] for i in range(size)]
     table[1][0][1] = "bad"  # player 1's column, early in cell order
@@ -289,14 +275,14 @@ def test_games_of_many_players_build_and_serialize_without_recursion(players):
         sys.setrecursionlimit(limit)
 
 
-# -- the bulk column parser against rational_parts ------------------------------
+# -- the column parser against the per-value reference ---------------------------
 
 
 def _reference(values):
-    """The column as rational_parts reads it, value by value: Fractions, or
-    the error text of the first bad value."""
+    """The column as support.rational_reference reads it, value by value:
+    Fractions, or the error text of the first bad value."""
     try:
-        return [Fraction(*rational_parts(v)) for v in values]
+        return [Fraction(*rational_reference(v)) for v in values]
     except InputError as exc:
         return str(exc)
 
@@ -319,18 +305,19 @@ def _bulk(values):
 SPECIAL = [
     "-0", "+5", "007/014", "-006/4", "1/0", "1/00", "1//2", "1/-2", "1/+2", " 1", "1 ", "1_0",
     "١", "1\n2", "1\n", "\n-1", "1/2\n", "\n", "", "1" * 4301, "1/" + "1" * 4301, "9" * 4300, True, False, 1.5, None,
-    Fraction(1, 3), 10**5000, -(10**40),
+    Fraction(1, 3), Fraction(6, 3), Fraction(-(10**4999) - 7, 3), 10**5000, -(10**40),
 ]
 
 
 def _label(value):
-    if isinstance(value, int) and abs(value) > 10**100:
-        return f"int-of-{len(str(abs(value) // 10**4000)) + 4000}-digits"
+    numerator = getattr(value, "numerator", 0)  # of ints and Fractions
+    if abs(numerator) > 10**100:  # too long for repr past Python's int-string digit limit
+        return f"{type(value).__name__}-of-{len(str(abs(numerator) // 10**4000)) + 4000}-digits"
     return repr(value)[:20]
 
 
 @pytest.mark.parametrize("special", SPECIAL, ids=_label)
-@pytest.mark.parametrize("length", [3, 40])  # below and above the bulk parse's minimum
+@pytest.mark.parametrize("length", [3, 40])  # a short and a long column
 def test_bulk_parse_reads_what_rational_parts_reads(special, length):
     for position in (0, length // 2, length - 1):
         values = [f"{i - 7}/{i % 5 + 1}" if i % 3 else i - 20 for i in range(length)]
@@ -345,7 +332,7 @@ VALID_TEXTS = st.builds(
     st.integers(0, 2), st.booleans(),
 )
 COLUMN_VALUES = st.one_of(
-    VALID_TEXTS, VALID_TEXTS, st.integers(-10**30, 10**30),
+    VALID_TEXTS, VALID_TEXTS, st.integers(-10**30, 10**30), st.fractions(),
     st.sampled_from([s for s in SPECIAL if not (isinstance(s, str) and len(s) > 100)]),
 )
 
@@ -356,14 +343,44 @@ def test_bulk_parse_matches_rational_parts_on_random_columns(values):
     assert _bulk(values) == _reference(values)
 
 
-def test_long_mixed_columns_parse_in_bulk(monkeypatch):
+def test_long_mixed_columns_parse_in_bulk():
     values = [f"{i}/{i % 7 + 1}" if i % 4 else i for i in range(-30, 30)]
-    expected = [Fraction(*rational_parts(v)) for v in values]
-
-    def per_value(value):
-        raise AssertionError("parsed value by value")
-
-    monkeypatch.setattr(rational, "rational_parts", per_value)
+    expected = [Fraction(*rational_reference(v)) for v in values]
     numerators, scale = rational_column(values)
     assert [Fraction(n, scale) for n in numerators] == expected
     assert rational_column([10**5000, -1, 7] * 10) == ([10**5000, -1, 7] * 10, 1)
+
+
+def test_tables_of_fractions_build_without_the_cell_order_walk(monkeypatch):
+    def walk(counts, table):
+        raise AssertionError("walked the table")
+
+    monkeypatch.setattr(game_module, "_raise_first_error", walk)
+    cells = [(Fraction(i, 3), Fraction(-i, 7), i, f"{i}/5") for i in range(4 * 3 * 2 * 2)]
+    game = game_from_cells((4, 3, 2, 2), cells)
+    profiles = itertools.product(range(4), range(3), range(2), range(2))
+    for profile, cell in zip(profiles, cells):
+        assert payoffs(game, profile) == tuple(map(Fraction, cell))
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[[_Int(1), 0]]], "not a rational number: 1 (floats are not accepted)"),
+    ([[[_Str("1"), 0]]], "not a rational number: '1'"),
+    ([_List([[1, 0]])], "axis 1 (player 1) expects 1 entries, got [[1, 0]] at (0,)"),
+], ids=["int", "str", "list"])
+def test_subclasses_of_the_table_types_are_refused(table, message):
+    with pytest.raises(InputError) as raised:
+        make_dense_game((1, 1), table)
+    assert str(raised.value) == message
