@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dominance import rational_restriction
-from .errors import check_mode
+from .errors import InputError, check_mode
 from .game import Game, Restriction
 
 
@@ -51,6 +51,8 @@ def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
     """Worst-case regret of every own strategy, times the payoff scale, and the scale."""
     rows, _, scale = game._opponent_classes(player)
     if restriction is not None:
+        if not isinstance(restriction, Restriction):
+            raise InputError(f"the restriction must be a Restriction or None, got {restriction!r}")
         restriction.validate_for(game)
         columns = game._class_columns(player, restriction.allowed)
         rows = [[row[c] for c in columns] for row in rows]

@@ -76,8 +76,8 @@ class TradingSpec:
         return 2 * self.half_supply
 
     def bounds(self, player: int) -> tuple[int, int]:
-        if isinstance(player, bool) or player not in (0, 1):
-            raise InputError(f"player must be 0 or 1, got {player}")
+        if type(player) is not int or player not in (0, 1):
+            raise InputError(f"player must be 0 or 1, got {player!r}")
         return self.price_floors[player], self.price_caps[player]
 
     def to_json(self) -> dict:
@@ -190,6 +190,12 @@ def reference_strategy(spec: TradingSpec, player: int, mode: str) -> TradingStra
     return rational_trading_strategy(spec, player)
 
 
+def _check_strategy(strategy) -> TradingStrategy:
+    if not isinstance(strategy, TradingStrategy):
+        raise InputError(f"a strategy must be a TradingStrategy, got {strategy!r}")
+    return strategy
+
+
 def _check_iteration(iteration, last):
     if not 1 <= strict_int(iteration, "iteration") <= last:
         raise InputError(f"iteration {iteration!r} outside 1..{last}")
@@ -266,7 +272,7 @@ def simulate(spec: TradingSpec, strategies, announcements):
     violations (anything but PASS) surface as errors.
     """
     needs = "simulate needs one strategy for player 0 and one for player 1"
-    strategies = strict_list(strategies, needs)
+    strategies = [_check_strategy(s) for s in strict_list(strategies, needs)]
     if len(strategies) != 2 or {s.player for s in strategies} != {0, 1}:
         raise InputError(needs)
     by_player = sorted(strategies, key=lambda s: s.player)
@@ -286,22 +292,16 @@ def simulate(spec: TradingSpec, strategies, announcements):
     trace = []
     running = [Fraction(0), Fraction(0)]
     for j, (pair, current) in enumerate(zip(rows, actions), start=1):
-        earned = [
-            outcome.payoffs[i]
-            if outcome.take_iterations[i] == j
-            else Fraction(0)
-            for i in range(2)
-        ]
+        earned = [payoff if at == j else Fraction(0)
+                  for payoff, at in zip(outcome.payoffs, outcome.take_iterations)]
         running = [running[i] + earned[i] for i in range(2)]
-        trace.append(
-            {
-                "iteration": j,
-                "announcements": [str(Fraction(v)) for v in pair],
-                "actions": list(current),
-                "iteration_payoffs": [str(v) for v in earned],
-                "cumulative_payoffs": [str(v) for v in running],
-            }
-        )
+        trace.append({
+            "iteration": j,
+            "announcements": [str(Fraction(v)) for v in pair],
+            "actions": list(current),
+            "iteration_payoffs": [str(v) for v in earned],
+            "cumulative_payoffs": [str(v) for v in running],
+        })
     return outcome, trace
 
 
@@ -437,14 +437,14 @@ def _grid(floor: int, cap: int, step) -> tuple:
     step = coerce_rational(step, "grid step")
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
-    span = Fraction(cap - floor)
-    if span % step != 0:
+    p, q = step.numerator, step.denominator
+    count, rest = divmod((cap - floor) * q, p)
+    if rest:
         raise InputError(
             f"grid step {step} does not divide the band [{floor}, {cap}] evenly"
         )
-    count = int(span / step) + 1
-    values = (floor + k * step for k in range(count))
-    return count, (int(v) if v.denominator == 1 else v for v in values)
+    return count + 1, (floor + k * p // q if k * p % q == 0 else floor + Fraction(k * p, q)
+                       for k in range(count + 1))
 
 
 def _steps(spec: TradingSpec, player: int, grid_step, signature: bool, enum_cap: int) -> list:
@@ -486,9 +486,9 @@ class _Reach:
     iteration itself ("rational"); or only never ("single", the one-agent
     problem). Stop ``t + 1`` means never.
 
-    :meth:`edge` and :meth:`witness` walk single steps. :meth:`advance`
-    settles an iteration for a whole set of running maxima at once, from
-    four numbers of the take row (:meth:`summary`, kept per distinct row in
+    :meth:`witness` walks one step per kind. :meth:`advance` settles an
+    iteration for a whole set of running maxima at once, from four numbers
+    of the take row (:meth:`summary`, kept per distinct row in
     ``summaries``; rows are tuples of booleans).
     """
 
@@ -496,26 +496,6 @@ class _Reach:
         self.steps, self.t, self.mode = steps, t, mode
         self.cap = max(value for value, _, _ in steps)
         self.summaries = {}
-
-    def edge(self, j, high, stop_value, s, take):
-        """Iteration j on step s from the state ``(high, stop_value)``: the
-        ``(tau, regret)`` of each opponent stop decided there, and the next
-        state, or None once no opponent stop is left."""
-        value, peak, _ = self.steps[s]
-        hindsight = max(2 * high, value)
-        if stop_value is not None:
-            regret = hindsight - 2 * stop_value
-        elif take:
-            regret, stop_value = hindsight - value, value
-        else:
-            regret = hindsight
-        high = max(high, value)
-        taus = [] if self.mode == "single" else [(j, regret)]
-        if j == self.t:
-            if self.mode != "rational":
-                taus.append((j + 1, 2 * high - (0 if stop_value is None else 2 * stop_value)))
-            return taus, None
-        return taus, None if peak and self.mode == "rational" else (high, stop_value)
 
     def stopped(self, j, high, stop_value) -> int:
         """The worst regret over the opponent stops at iteration j or later,
@@ -537,25 +517,39 @@ class _Reach:
         reaching ``worst``. Each state keeps the first prefix reaching it,
         its smallest, as parents go in that order and steps ascending; a
         prefix whose step reaches ``worst`` ends there, padded with step 0,
-        and the smallest of those wins, the earlier stop on a tie."""
+        and the smallest of those wins, the earlier stop on a tie.
+
+        Steps of one kind ``(own value, peak, take)`` give the same regrets
+        and next state, so each iteration walks the first step of each kind
+        only, in step order. Stop values are positive, so ``or 0`` reads
+        None as no stop."""
+        t, rational, single = self.t, self.mode == "rational", self.mode == "single"
         found = None
         prefixes = {(0, None): ()}
-        for j in range(1, self.t + 1):
+        for j in range(1, t + 1):
+            kinds = {}
+            for s, ((value, peak, _), take) in enumerate(zip(self.steps, takes[j - 1])):
+                kinds.setdefault((value, peak, take), s)
             reached, first = {}, None
             for (high, stop_value), prefix in prefixes.items():
-                for s in range(len(self.steps)):
-                    taus, after = self.edge(j, high, stop_value, s,
-                                            stop_value is None and takes[j - 1][s])
-                    tau = next((at for at, regret in taus if regret == worst), None)
-                    if tau is not None and first is None:
-                        first = prefix + (s,) + (0,) * (self.t - j), tau
-                    if after is not None and after not in reached:
-                        reached[after] = prefix + (s,)
+                for (value, peak, take), s in kinds.items():
+                    if stop_value is None and take:
+                        stop, paid = value, value
+                    else:
+                        stop, paid = stop_value, 2 * (stop_value or 0)
+                    top = max(high, value)
+                    if first is None:
+                        if not single and max(2 * high, value) - paid == worst:
+                            first = prefix + (s,) + (0,) * (t - j), j
+                        elif j == t and not rational and 2 * (top - (stop or 0)) == worst:
+                            first = prefix + (s,), t + 1
+                    if j < t and not (peak and rational) and (top, stop) not in reached:
+                        reached[top, stop] = prefix + (s,)
             if first is not None:
                 found = first if found is None else min(found, first)
             prefixes = reached
         indices, tau = found
-        stop = next((j for j, s in enumerate(indices, start=1) if takes[j - 1][s]), self.t + 1)
+        stop = next((j for j, s in enumerate(indices, start=1) if takes[j - 1][s]), t + 1)
         return list(indices), stop, tau
 
     def summary(self, row) -> tuple:
@@ -582,8 +576,8 @@ class _Reach:
         marks: the worst regret that iteration settles (every later stop
         included on the paths that take) and the running maxima passed on.
 
-        With no stop value yet, every regret :meth:`edge` reports rises with
-        the running max and with a passed value and falls with a taken one,
+        With no stop value yet, every regret decided at j rises with the
+        running max and with a passed value and falls with a taken one,
         so the worst is read at ``max(highs)`` from the row's
         :meth:`summary`; from running max h a step passed on with value v
         goes on at ``max(h, v)``."""
@@ -674,7 +668,8 @@ def trading_oracle_report(
     sequence in lex order that reaches it, with its first maximizing
     opponent stop.
     """
-    if strategy.player != player:
+    spec.bounds(player)
+    if _check_strategy(strategy).player != player:
         raise InputError(f"the strategy is for player {strategy.player}, not player {player}")
     check_mode(mode)
     steps = _steps(spec, player, grid_step, signature=False, enum_cap=enum_cap)

@@ -554,14 +554,36 @@ def _worst_regret(records, takes, bound=None):
     return worst, witness
 
 
+def edge_reference(reach, j, high, stop_value, s, take):
+    """Iteration j on step s from the state ``(high, stop_value)``, as the
+    library's ``_Reach.edge`` had it: the ``(tau, regret)`` of each opponent
+    stop decided there, and the next state, or None once no opponent stop is
+    left."""
+    value, peak, _ = reach.steps[s]
+    hindsight = max(2 * high, value)
+    if stop_value is not None:
+        regret = hindsight - 2 * stop_value
+    elif take:
+        regret, stop_value = hindsight - value, value
+    else:
+        regret = hindsight
+    high = max(high, value)
+    taus = [] if reach.mode == "single" else [(j, regret)]
+    if j == reach.t:
+        if reach.mode != "rational":
+            taus.append((j + 1, 2 * high - (0 if stop_value is None else 2 * stop_value)))
+        return taus, None
+    return taus, None if peak and reach.mode == "rational" else (high, stop_value)
+
+
 def advance_reference(reach, j, highs, row) -> tuple:
     """``_Reach.advance`` as the library had it before its per-row summary:
-    one ``edge`` per (running max, step), the worst regret and the running
-    maxima passed on collected edge by edge."""
+    one :func:`edge_reference` per (running max, step), the worst regret and
+    the running maxima passed on collected edge by edge."""
     worst, passed = 0, set()
     for high in highs:
         for s, take in enumerate(row):
-            taus, after = reach.edge(j, high, None, s, take)
+            taus, after = edge_reference(reach, j, high, None, s, take)
             worst = max([worst, *(r for _, r in taus)])
             if after is None:
                 continue
@@ -570,6 +592,33 @@ def advance_reference(reach, j, highs, row) -> tuple:
             else:
                 passed.add(after[0])
     return worst, frozenset(passed)
+
+
+def witness_reference(reach, takes, worst) -> tuple:
+    """``_Reach.witness`` as the library had it before it walked step kinds:
+    one :func:`edge_reference` per (state, step). Each state keeps the first
+    prefix reaching it; a prefix whose step reaches ``worst`` ends there,
+    padded with step 0, and the smallest of those wins."""
+    t = reach.t
+    found = None
+    prefixes = {(0, None): ()}
+    for j in range(1, t + 1):
+        reached, first = {}, None
+        for (high, stop_value), prefix in prefixes.items():
+            for s in range(len(reach.steps)):
+                taus, after = edge_reference(reach, j, high, stop_value, s,
+                                             stop_value is None and takes[j - 1][s])
+                tau = next((at for at, regret in taus if regret == worst), None)
+                if tau is not None and first is None:
+                    first = prefix + (s,) + (0,) * (t - j), tau
+                if after is not None and after not in reached:
+                    reached[after] = prefix + (s,)
+        if first is not None:
+            found = first if found is None else min(found, first)
+        prefixes = reached
+    indices, tau = found
+    stop = next((j for j, s in enumerate(indices, start=1) if takes[j - 1][s]), t + 1)
+    return list(indices), stop, tau
 
 
 def sweep_reference(spec, player: int, mode: str = "full", grid_step=1) -> SweepResult:

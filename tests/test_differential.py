@@ -8,7 +8,8 @@ stop-time reference in ``support``, which scores explicit stop times with
 ``trading_payoff`` only, and its reachability kernel, sweep and audit against
 the enumerating references there; the kernel's closed-form tail after the
 rule's own take is checked against a brute-force maximum below, and its
-per-row ``advance`` against the per-edge loop it replaced.
+per-row ``advance`` and its walk over step kinds in ``witness`` against the
+per-edge loops they replaced.
 """
 
 import itertools
@@ -60,6 +61,7 @@ from support import (
     sweep_reference,
     trading_grid,
     trading_reference,
+    witness_reference,
 )
 
 COMMON = settings(max_examples=100, derandomize=True, deadline=None)
@@ -436,6 +438,45 @@ def test_kernel_matches_the_enumerating_reference(case):
         (indices, _, _), stop, tau = witness
         indices_found, stop_found, tau_found = reach.witness(takes, worst)
         assert (tuple(indices_found), stop_found, tau_found) == (indices, stop, tau)
+
+
+@st.composite
+def witness_cases(draw):
+    """t = 3-5; grids of up to 5 x 5 pairs, on the unit grid or the half
+    grid; the full grid or the signature quotient, in builder order or
+    shuffled (the builder puts a peak step after the other steps of its own
+    value, the shuffle also before them); every mode; take rows drawn at
+    random, or taking on every step, or on none."""
+    t = draw(st.integers(3, 5))
+    step = draw(st.sampled_from((1, Fraction(1, 2))))
+    limit = 4 if step == 1 else 2
+    floors = [draw(st.integers(1, 3)) for _ in range(2)]
+    caps = [floor + draw(st.integers(1, limit)) for floor in floors]
+    spec = TradingSpec(tuple(floors), tuple(caps), t, 1)
+    # the walks are polynomial in t, so the enumeration cap does not apply
+    steps = _steps(spec, draw(st.integers(0, 1)), step, draw(st.booleans()), 10**8)
+    mode = draw(st.sampled_from(("full", "rational", "single")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        rng.shuffle(steps)
+    rows = [draw(st.sampled_from(("all", "none", 0.1, 0.3, 0.6))) for _ in range(t)]
+    takes = tuple(
+        tuple(row == "all" or (row != "none" and rng.random() < row) for _ in steps)
+        for row in rows)
+    return steps, t, mode, takes
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(witness_cases())
+def test_witness_matches_the_per_edge_walk(case):
+    """The walk over step kinds picks the witness the walk over every step
+    picks: the same sequence, rule stop and opponent stop."""
+    steps, t, mode, takes = case
+    reach = _Reach(steps, t, mode)
+    worst = reach.worst(takes)
+    if worst == 0:  # no scenario has positive regret, so there is no witness
+        return
+    assert reach.witness(takes, worst) == witness_reference(reach, takes, worst)
 
 
 def stopped_reference(steps, t: int, mode: str, j: int, high, stop):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from regretgames import (
@@ -25,6 +27,7 @@ from regretgames import (
     reference_strategy,
     simulate,
     trading_oracle,
+    trading_oracle_report,
     trading_payoff,
     verify_folk_theorem,
 )
@@ -173,6 +176,52 @@ def test_constructors_name_the_malformed_entry(site):
 @pytest.mark.parametrize("site", list(_MALFORMED_ARGUMENTS))
 def test_arguments_that_are_not_lists_are_named(site):
     build, message = _MALFORMED_ARGUMENTS[site]
+    with pytest.raises(InputError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+#: Entries of the trading game that take a player index, which must be
+#: exactly the int 0 or 1: checked before the player is used as an index or
+#: compared with a strategy's player.
+_TRADING_PLAYER_SITES = {
+    "TradingSpec.bounds": lambda value: _SPEC.bounds(value),
+    "competitive_trading_strategy": lambda value: competitive_trading_strategy(_SPEC, value),
+    "reference_strategy": lambda value: reference_strategy(_SPEC, value, "full"),
+    "minimal_regret_sweep": lambda value: minimal_regret_sweep(_SPEC, value),
+    "trading_oracle_report": lambda value: trading_oracle_report(_SPEC, value, _STRATEGIES[0]),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, Fraction(1), "0"])
+@pytest.mark.parametrize("site", list(_TRADING_PLAYER_SITES))
+def test_trading_players_must_be_the_ints_0_or_1(site, value):
+    with pytest.raises(InputError) as raised:
+        _TRADING_PLAYER_SITES[site](value)
+    assert str(raised.value) == f"player must be 0 or 1, got {value!r}"
+
+
+#: Arguments of the wrong type where a strategy or a restriction belongs,
+#: each named in one line.
+_WRONG_TYPES = {
+    "simulate": (lambda: simulate(_SPEC, [1, 2], _ANNOUNCED),
+                 "a strategy must be a TradingStrategy, got 1"),
+    "simulate-one": (lambda: simulate(_SPEC, [_STRATEGIES[0], None], _ANNOUNCED),
+                     "a strategy must be a TradingStrategy, got None"),
+    "trading_oracle_report": (lambda: trading_oracle_report(_SPEC, 0, "x"),
+                              "a strategy must be a TradingStrategy, got 'x'"),
+    "trading_oracle": (lambda: trading_oracle(_SPEC, 1, 5, "rational"),
+                       "a strategy must be a TradingStrategy, got 5"),
+    "minimax_regret-mode": (lambda: minimax_regret(_STAGE, 0, "full"),
+                            "the restriction must be a Restriction or None, got 'full'"),
+    "minimax_regret-int": (lambda: minimax_regret(_STAGE, 0, 5),
+                           "the restriction must be a Restriction or None, got 5"),
+}
+
+
+@pytest.mark.parametrize("site", list(_WRONG_TYPES))
+def test_arguments_of_the_wrong_type_are_named(site):
+    build, message = _WRONG_TYPES[site]
     with pytest.raises(InputError) as raised:
         build()
     assert str(raised.value) == message
