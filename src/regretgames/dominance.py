@@ -80,9 +80,9 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
         for player in range(n):
             rows = game._opponent_classes(player)[0]
             columns = game._class_columns(player, allowed)
-            kept, removed = _surviving(
-                [[row[c] for c in columns] for row in rows], allowed[player]
-            )
+            if len(columns) < len(rows[0]):
+                rows = [[row[c] for c in columns] for row in rows]
+            kept, removed = _surviving(rows, allowed[player])
             new_allowed.append(kept)
             new_eliminated.append(removed)
         if new_allowed == allowed:
@@ -99,7 +99,9 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
 def rational_restriction(game: Game) -> Restriction:
     """Package every player's surviving set for the solver's RATIONAL mode.
 
-    Computed once per game object and kept on it, like its payoff matrices.
+    Kept on the game object, like its payoff matrices. An expansion's is
+    filled by ``repeated.expand_sequence``, which derives it from the rest's;
+    any other game's is computed here by :func:`rational_set` on first use.
     """
     if game._rational_restriction is None:
         game._rational_restriction = Restriction(

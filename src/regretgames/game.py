@@ -115,7 +115,8 @@ class Game:
         self._columns, self._scales = zip(*map(_reduced, columns, scales))
         self._matrix_cache: dict[int, tuple] = {}
         self._class_cache: dict[int, tuple] = {}
-        self._rational_restriction: Restriction | None = None  # kept by rational_restriction
+        # filled by expand_sequence for an expansion, else by rational_restriction
+        self._rational_restriction: Restriction | None = None
 
     @staticmethod
     def _check_labels(labels, counts):

@@ -16,6 +16,7 @@ is consistent with the strategy under test; that is the strictest reading.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .errors import (DEFAULT_DENSE_CAP, DEFAULT_REALIZATION_CAP, AssumptionError, InputError,
                      check_mode, check_size)
-from .game import Game
+from .game import Game, Restriction
 from .rational import strict_int, strict_list
 from .solver import RegretReport, all_player_reports, minimax_regret, mode_restriction
 
@@ -131,6 +132,9 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     runs, one per profile of the others' strategies and the last player's
     first decision, in which only the last player's continuation moves; each
     run is gathered from the rest's columns at once.
+    Each game's rational restriction is derived from the rest's at the same
+    step by :func:`_rational_step` and kept on the game, so no weak-dominance
+    scan runs on an expansion.
     Raises :class:`SizeError` before allocating when a player's strategy space
     or the joint profile space exceeds the cap.
     """
@@ -146,6 +150,7 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     # the empty suffix: one strategy per player, no decision points, payoff 0
     columns, expansion = [[0]] * n, None
     game = Game((1,) * n, columns=columns, scales=[1] * n)
+    rational = [((0,), [0], [0])] * n  # per player: the rest's (rational set, highs, lows)
     for start in range(len(sequence), 0, -1):
         stage = sequence.stages[start - 1]
         strategies, seen, heads = [], [], []
@@ -173,6 +178,8 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                          for f in range(stage.profile_count)])
             head, scale = stage._column(player)
             heads.append([v * (scales[player] // scale) for v in head])
+            rational[player] = _rational_step(stage._split_rows(heads[-1], player),
+                                              continuations, *rational[player])
 
         # along a run the stage profile ``at`` and the others' share ``base`` of
         # the rest's index stay fixed; ``offsets[o]`` lists the last player's
@@ -189,8 +196,54 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                 values = gather(tail)  # one index gives the item, not a 1-tuple
                 column.extend(map(head[at].__add__, values if run > 1 else (values,)))
         game = Game(tuple(map(len, strategies)), columns=columns, scales=scales)
+        game._rational_restriction = Restriction(tuple(kept for kept, _, _ in rational),
+                                                 "rational")
         expansion = ExpandedGame(sequence.suffix(start), game, expansion)
     return expansion
+
+
+def _rational_step(gains, continuations, allowed, highs, lows):
+    """One player's rational set in an expansion, derived from the rest's, and
+    each strategy's highest and lowest payoff over the opponent profiles.
+
+    ``gains[a][o]`` is the stage payoff of choice ``a`` against the others'
+    choice ``o``. A strategy is a choice ``a`` and, after each ``o``, a rest
+    strategy ``continuation[o]``; the strategies are the choices times
+    ``continuations``, in index order. ``allowed``, ``highs`` and ``lows`` are
+    the rest's rational set and the highest and lowest payoff of each rest
+    strategy, on the scale of ``gains``. The others pick their continuation
+    apart after each first-stage choice of the player and of each of them, so
+    a strategy survives one round of weak dominance exactly when every
+    continuation is rational in the rest, and no other choice ``b`` with the
+    best continuations after it is never worse and somewhere better; the proof
+    is in ``docs/DECISIONS.md``.
+    """
+    choices, blocks, size = range(len(gains)), range(len(gains[0])), len(continuations)
+    # rest strategies by lowest payoff, and the largest highest payoff from each on
+    order = sorted(range(len(lows)), key=lows.__getitem__)
+    floors = [lows[r] for r in order]
+    tops = list(itertools.accumulate((highs[r] for r in reversed(order)), max))[::-1]
+
+    def verdict(a, b, o, r):
+        # None when no continuation after b reaches r's highest after a at
+        # block o; else whether the highest such continuation beats r's lowest
+        k = bisect.bisect_left(floors, gains[a][o] + highs[r] - gains[b][o])
+        return None if k == len(floors) else gains[b][o] + tops[k] > gains[a][o] + lows[r]
+
+    members, kept = set(allowed), []
+    for a in choices:
+        tables = [[{r: verdict(a, b, o, r) for r in allowed} for o in blocks]
+                  for b in choices if b != a]
+        for index, continuation in enumerate(continuations, a * size):
+            if members.issuperset(continuation) and not any(
+                    None not in codes and True in codes
+                    for codes in (list(map(dict.__getitem__, table, continuation))
+                                  for table in tables)):
+                kept.append(index)
+    bounds = [[f(map(operator.add, gains[a], map(extremes.__getitem__, continuation)))
+               for a in choices for continuation in continuations]
+              for f, extremes in ((max, highs), (min, lows))]
+    return tuple(kept), *bounds
 
 
 # -- payoff extremes and the stage condition ---------------------------------

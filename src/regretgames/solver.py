@@ -55,7 +55,8 @@ def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
             raise InputError(f"the restriction must be a Restriction or None, got {restriction!r}")
         restriction.validate_for(game)
         columns = game._class_columns(player, restriction.allowed)
-        rows = [[row[c] for c in columns] for row in rows]
+        if len(columns) < len(rows[0]):  # a restriction keeping every class changes nothing
+            rows = [[row[c] for c in columns] for row in rows]
     best = list(map(max, zip(*rows)))
     return [max(map(operator.sub, best, row)) for row in rows], scale
 

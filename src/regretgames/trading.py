@@ -76,8 +76,7 @@ class TradingSpec:
         return 2 * self.half_supply
 
     def bounds(self, player: int) -> tuple[int, int]:
-        if type(player) is not int or player not in (0, 1):
-            raise InputError(f"player must be 0 or 1, got {player!r}")
+        player = _check_player(player)
         return self.price_floors[player], self.price_caps[player]
 
     def to_json(self) -> dict:
@@ -115,6 +114,9 @@ class TradingStrategy:
     kind: str
     rule: Callable[[int, tuple, bool], str]
     params: dict | None = None
+
+    def __post_init__(self):
+        _check_player(self.player)
 
     def action(self, iteration: int, pair, taken: bool) -> str:
         result = self.rule(iteration, tuple(pair), taken)
@@ -188,6 +190,12 @@ def reference_strategy(spec: TradingSpec, player: int, mode: str) -> TradingStra
     if mode == "full":
         return competitive_trading_strategy(spec, player)
     return rational_trading_strategy(spec, player)
+
+
+def _check_player(player) -> int:
+    if type(player) is not int or player not in (0, 1):
+        raise InputError(f"player must be 0 or 1, got {player!r}")
+    return player
 
 
 def _check_strategy(strategy) -> TradingStrategy:

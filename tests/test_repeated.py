@@ -18,9 +18,10 @@ from regretgames import (
     make_dense_game,
     payoff_extremes,
     random_realizations,
+    rational_set,
     verify_folk_theorem,
 )
-from regretgames import repeated
+from regretgames import dominance, repeated
 from regretgames.repeated import SequenceAnalysis, stage_pick
 from support import (
     anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, game_from_cells,
@@ -194,6 +195,51 @@ def test_expansion_chain_on_run_edge_shapes(shapes):
         assert_chain_replays(sequence, expand_sequence(sequence))
 
 
+def tied_stage(rng: random.Random, counts) -> Game:
+    """A stage of the given shape whose payoffs, three values from -4..4 over
+    one scale of 1, 2, 3 or 7, tie often and go negative."""
+    scale = rng.choice((1, 2, 3, 7))
+    values = [Fraction(v, scale) for v in rng.sample(range(-4, 5), 3)]
+    return game_from_cells(counts, [tuple(rng.choice(values) for _ in counts)
+                                    for _ in range(math.prod(counts))])
+
+
+def assert_rational_sets_derived(expansion) -> int:
+    """Every suffix on the rest chain carries the rational restriction that
+    the pairwise scan of its own matrix finds; returns the suffixes checked."""
+    checked = 0
+    while expansion is not None:
+        game = expansion.game
+        derived = game._rational_restriction  # filled by the expansion, not by a scan
+        assert derived is not None and derived.label == "rational"
+        assert derived.allowed == tuple(rational_set(game, player).allowed
+                                        for player in range(game.player_count))
+        expansion, checked = expansion.rest, checked + 1
+    return checked
+
+
+@pytest.mark.parametrize("players", [2, 3])
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_expansion_derives_the_rational_set_of_every_suffix(players, length):
+    rng, checked = random.Random(f"rational-{players}-{length}"), 0
+    while checked < 40:
+        counts = [tuple(rng.randint(1, 3) for _ in range(players)) for _ in range(length)]
+        try:
+            expansion = expand_sequence(
+                GameSequence([tied_stage(rng, shape) for shape in counts]), 2000)
+        except SizeError:
+            continue
+        checked += assert_rational_sets_derived(expansion)
+
+
+def test_expansion_derives_the_rational_sets_of_criterion_6():
+    for _, _, subject in criterion6_subjects():
+        draws = [None] if isinstance(subject, GameSequence) else random_realizations(subject)
+        for draw in draws:
+            sequence = subject if draw is None else draw[1]
+            assert assert_rational_sets_derived(expand_sequence(sequence)) == len(sequence)
+
+
 def test_index_of_tuple_is_the_reference_position():
     rng = random.Random(5)
     for players, length in ((2, 1), (2, 2), (3, 2), (2, 3)):
@@ -248,6 +294,20 @@ def test_folk_verifier_expands_each_suffix_once(monkeypatch):
     monkeypatch.setattr(repeated, "expand_sequence", counted)
     verify_folk_theorem(GameSequence.repeat(condition_game(), 3))
     assert lengths == [3]
+
+
+def test_folk_verifier_scans_stage_games_only_for_rational_sets(monkeypatch):
+    scan, games = dominance.rational_set, []
+
+    def counted(game, player):
+        games.append(game)
+        return scan(game, player)
+
+    monkeypatch.setattr(dominance, "rational_set", counted)
+    stage = condition_game()
+    verify_folk_theorem(GameSequence.repeat(stage, 3))
+    # identity, not equality: the one-stage expansion equals the stage game
+    assert len(games) == 2 and all(game is stage for game in games)
 
 
 def test_suffix_consistency():

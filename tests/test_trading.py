@@ -287,6 +287,12 @@ def test_player_must_be_an_int_not_a_bool():
     assert trading_oracle_report(spec, 1, strategy)["player"] == 1
 
 
+@pytest.mark.parametrize("player", [True, 1.0, 2], ids=["bool", "float", "out-of-range"])
+def test_strategy_player_must_be_an_exact_int_0_or_1(player):
+    with pytest.raises(InputError, match=re.escape(f"player must be 0 or 1, got {player!r}")):
+        TradingStrategy(player, "always-pass", lambda j, pair, taken: PASS)
+
+
 def test_oracle_report_witness():
     spec = TradingSpec((1, 1), (4, 4), 3, 1)
     report = trading_oracle_report(spec, 0, competitive_trading_strategy(spec, 0), "full")
