@@ -117,6 +117,8 @@ class Game:
         self._class_cache: dict[int, tuple] = {}
         # filled by expand_sequence for an expansion, else by rational_restriction
         self._rational_restriction: Restriction | None = None
+        # an expansion's per-player (full-mode worst regrets, scale), from expand_sequence
+        self._full_regrets: list[tuple[list[int], int]] | None = None
 
     @staticmethod
     def _check_labels(labels, counts):

@@ -28,7 +28,8 @@ from .errors import (DEFAULT_DENSE_CAP, DEFAULT_REALIZATION_CAP, AssumptionError
                      check_mode, check_size)
 from .game import Game, Restriction
 from .rational import strict_int, strict_list
-from .solver import RegretReport, all_player_reports, minimax_regret, mode_restriction
+from .solver import (RegretReport, _argmin, _report, _worst_regrets, minimax_regret,
+                     mode_restriction)
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,18 @@ def _strategy_factors(sequence: GameSequence, player: int) -> list[tuple[int, in
     return factors
 
 
+def _fixed_index(sequence: GameSequence, player: int, picks) -> int:
+    """The index of the history strategy that plays ``picks[k]`` at every
+    decision point of iteration ``k + 1``, whatever the history: per
+    iteration, one digit per history, all equal to the pick."""
+    index = 0
+    for (count, histories), pick in zip(_strategy_factors(sequence, player), picks):
+        size = count ** histories
+        # the digit ``pick`` repeated ``histories`` times in base ``count``
+        index = index * size + (pick * (size - 1) // (count - 1) if pick else 0)
+    return index
+
+
 @dataclass
 class ExpandedGame:
     """A sequence flattened to normal form; ``rest`` is the expansion from its
@@ -132,9 +145,9 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     runs, one per profile of the others' strategies and the last player's
     first decision, in which only the last player's continuation moves; each
     run is gathered from the rest's columns at once.
-    Each game's rational restriction is derived from the rest's at the same
-    step by :func:`_rational_step` and kept on the game, so no weak-dominance
-    scan runs on an expansion.
+    Each game's rational restriction and full-mode worst regrets are derived
+    from the rest's at the same step by :func:`_rational_step` and kept on the
+    game, so no weak-dominance scan and no full-mode solve runs on an expansion.
     Raises :class:`SizeError` before allocating when a player's strategy space
     or the joint profile space exceeds the cap.
     """
@@ -150,7 +163,8 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     # the empty suffix: one strategy per player, no decision points, payoff 0
     columns, expansion = [[0]] * n, None
     game = Game((1,) * n, columns=columns, scales=[1] * n)
-    rational = [((0,), [0], [0])] * n  # per player: the rest's (rational set, highs, lows)
+    # per player: the rest's rational set, highs, lows and worst regrets
+    derived = [((0,), [0], [0], [0])] * n
     for start in range(len(sequence), 0, -1):
         stage = sequence.stages[start - 1]
         strategies, seen, heads = [], [], []
@@ -178,8 +192,8 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                          for f in range(stage.profile_count)])
             head, scale = stage._column(player)
             heads.append([v * (scales[player] // scale) for v in head])
-            rational[player] = _rational_step(stage._split_rows(heads[-1], player),
-                                              continuations, *rational[player])
+            derived[player] = _rational_step(stage._split_rows(heads[-1], player),
+                                             continuations, *derived[player])
 
         # along a run the stage profile ``at`` and the others' share ``base`` of
         # the rest's index stay fixed; ``offsets[o]`` lists the last player's
@@ -196,27 +210,30 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                 values = gather(tail)  # one index gives the item, not a 1-tuple
                 column.extend(map(head[at].__add__, values if run > 1 else (values,)))
         game = Game(tuple(map(len, strategies)), columns=columns, scales=scales)
-        game._rational_restriction = Restriction(tuple(kept for kept, _, _ in rational),
-                                                 "rational")
+        game._rational_restriction = Restriction(tuple(step[0] for step in derived), "rational")
+        game._full_regrets = [(step[3], scale) for step, scale in zip(derived, scales)]
         expansion = ExpandedGame(sequence.suffix(start), game, expansion)
     return expansion
 
 
-def _rational_step(gains, continuations, allowed, highs, lows):
+def _rational_step(gains, continuations, allowed, highs, lows, regrets):
     """One player's rational set in an expansion, derived from the rest's, and
-    each strategy's highest and lowest payoff over the opponent profiles.
+    each strategy's highest and lowest payoff and full-mode worst regret.
 
     ``gains[a][o]`` is the stage payoff of choice ``a`` against the others'
     choice ``o``. A strategy is a choice ``a`` and, after each ``o``, a rest
     strategy ``continuation[o]``; the strategies are the choices times
-    ``continuations``, in index order. ``allowed``, ``highs`` and ``lows`` are
-    the rest's rational set and the highest and lowest payoff of each rest
-    strategy, on the scale of ``gains``. The others pick their continuation
-    apart after each first-stage choice of the player and of each of them, so
-    a strategy survives one round of weak dominance exactly when every
-    continuation is rational in the rest, and no other choice ``b`` with the
-    best continuations after it is never worse and somewhere better; the proof
-    is in ``docs/DECISIONS.md``.
+    ``continuations``, in index order. ``allowed``, ``highs``, ``lows`` and
+    ``regrets`` are the rest's rational set and the highest and lowest payoff
+    and worst regret of each rest strategy, on the scale of ``gains``. The
+    others pick their continuation apart after each first-stage choice of the
+    player and of each of them, so a strategy survives one round of weak
+    dominance exactly when every continuation is rational in the rest, and no
+    other choice ``b`` with the best continuations after it is never worse and
+    somewhere better. For the same reason a strategy's worst regret at block
+    ``o`` is its continuation's worst regret in the rest, or, if some ``b``
+    gains more, ``b``'s stage gain over ``a`` plus the rest's largest payoff
+    less the continuation's lowest; the proofs are in ``docs/DECISIONS.md``.
     """
     choices, blocks, size = range(len(gains)), range(len(gains[0])), len(continuations)
     # rest strategies by lowest payoff, and the largest highest payoff from each on
@@ -243,7 +260,22 @@ def _rational_step(gains, continuations, allowed, highs, lows):
     bounds = [[f(map(operator.add, gains[a], map(extremes.__getitem__, continuation)))
                for a in choices for continuation in continuations]
               for f, extremes in ((max, highs), (min, lows))]
-    return tuple(kept), *bounds
+    top, worst = max(highs), []
+    for a in choices:
+        # per block, each rest strategy's worst regret as the continuation after
+        # ``a``: its own in the rest, or the best rival choice's stage gain over
+        # ``a`` with the rest's top payoff after it, against its own lowest
+        tables = []
+        for o in blocks:
+            rival = max((gains[b][o] for b in choices if b != a), default=None)
+            if rival is None:
+                tables.append(regrets)
+                continue
+            reach = rival - gains[a][o] + top
+            tables.append([max(regret, reach - low) for regret, low in zip(regrets, lows)])
+        worst.extend(max(map(operator.getitem, tables, continuation))
+                     for continuation in continuations)
+    return tuple(kept), *bounds, worst
 
 
 # -- payoff extremes and the stage condition ---------------------------------
@@ -272,8 +304,15 @@ def payoff_extremes(game: Game, player: int) -> PayoffExtremes:
 
 def _check_stage_condition(games, n: int, noun: str) -> None:
     """Non-negative payoffs, all distinct per player, in every stage game, and
-    the stage condition; a violation of it names the games by ``noun``."""
-    for stage_index, game in enumerate(games):
+    the stage condition; a violation of it names the games by ``noun``.
+
+    Stages read from one file share a ``Game``: each distinct one is read
+    once, at its first position, which is the position any error names.
+    """
+    firsts = {}
+    for index, game in enumerate(games):
+        firsts.setdefault(id(game), (index, game))
+    for stage_index, game in firsts.values():
         for player in range(n):
             rows, _ = game.payoff_matrix(player)
             values = list(itertools.chain.from_iterable(rows))
@@ -285,9 +324,9 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
                 raise AssumptionError(
                     f"stage {stage_index} payoffs are not all distinct for player {player}"
                 )
-    extremes = [
-        [payoff_extremes(game, player) for player in range(n)] for game in games
-    ]
+    read = {key: [payoff_extremes(game, player) for player in range(n)]
+            for key, (_, game) in firsts.items()}
+    extremes = [read[id(game)] for game in games]
     for player in range(n):
         seconds = [row[player].second_highest for row in extremes]
         bound = 2 * max(seconds)
@@ -325,13 +364,13 @@ def folk_strategy(sequence: GameSequence, player: int) -> tuple[int, ...]:
 
 
 class SequenceAnalysis:
-    """Caches suffix expansions and solved reports across subgame checks."""
+    """Caches suffix expansions and their worst regrets across subgame checks."""
 
     def __init__(self, sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP):
         self.sequence = sequence
         self.dense_cap = dense_cap
         self._expansions: dict[int, ExpandedGame] = {}
-        self._reports: dict[tuple, list[RegretReport]] = {}
+        self._regrets: dict[tuple, list[tuple[list[int], int]]] = {}
 
     def expansion(self, start: int) -> ExpandedGame:
         """The suffix from ``start``; building it caches every later suffix too."""
@@ -341,14 +380,22 @@ class SequenceAnalysis:
                 self._expansions[later], chain = chain, chain.rest
         return self._expansions[start]
 
+    def _worst(self, start: int, mode: str) -> list[tuple[list[int], int]]:
+        """Every player's int worst regrets on the suffix from ``start`` under
+        ``mode``, each with its scale: full mode reads those the expansion
+        derived, rational mode solves the expansion against its rational set."""
+        if (start, mode) not in self._regrets:
+            game = self.expansion(start).game
+            self._regrets[start, mode] = game._full_regrets if mode == "full" else [
+                _worst_regrets(game, player, game._rational_restriction)
+                for player in range(game.player_count)]
+        return self._regrets[start, mode]
+
     def report(self, start: int, player: int, mode: str) -> RegretReport:
-        """``player``'s report on the suffix from ``start``, solved under
-        ``mode``; every player's report is solved and kept at once."""
-        game = self.expansion(start).game
-        player = game._validate_player(player)
-        if (start, mode) not in self._reports:
-            self._reports[start, mode] = all_player_reports(game, mode)
-        return self._reports[start, mode][player]
+        """``player``'s report on the suffix from ``start``, solved under ``mode``."""
+        player = self.sequence.stages[0]._validate_player(player)
+        check_mode(mode)
+        return _report(player, mode, *self._worst(start, mode)[player])
 
 
 # -- random pools --------------------------------------------------------------
@@ -538,13 +585,11 @@ def verify_folk_theorem(
             picks = folk_strategy(sequence, player)
             details = []
             for start in range(1, len(sequence) + 1):
-                expansion = analysis.expansion(start)
-                index = expansion.index_of_tuple(player, tuple(
-                    picks[start - 2 + idx]
-                    for idx, _ in decision_points(expansion.sequence, player)))
-                rational = analysis.report(start, player, "rational").argmin
-                full = analysis.report(start, player, "full").argmin
-                member = index in analysis.report(start, player, mode).argmin
+                index = _fixed_index(analysis.expansion(start).sequence, player,
+                                     picks[start - 1:])
+                full, rational = (_argmin(analysis._worst(start, m)[player][0])
+                                  for m in ("full", "rational"))
+                member = index in (full if mode == "full" else rational)
                 details.append(SubgameDetail(start, index, full, rational, member))
             entries.append(FolkEntry(tag, player, all(d.member for d in details),
                                      tuple(details)))

@@ -73,13 +73,19 @@ def minimax_regret(
     scaled int payoffs; only the report divides by the scale.
     """
     worst, scale = _worst_regrets(game, player, restriction)
+    return _report(player, "full" if restriction is None else restriction.label, worst, scale)
+
+
+def _argmin(worst) -> tuple[int, ...]:
+    """The strategies whose worst regret is the least, ascending."""
     minimax = min(worst)
-    argmin = tuple(s for s, w in enumerate(worst) if w == minimax)
-    label = "full" if restriction is None else restriction.label
-    return RegretReport(
-        player, label, Fraction(minimax, scale), argmin,
-        tuple(Fraction(w, scale) for w in worst),
-    )
+    return tuple(s for s, w in enumerate(worst) if w == minimax)
+
+
+def _report(player: int, label: str, worst, scale: int) -> RegretReport:
+    """The report of int worst regrets over ``scale``; only here do they become Fractions."""
+    return RegretReport(player, label, Fraction(min(worst), scale), _argmin(worst),
+                        tuple(Fraction(w, scale) for w in worst))
 
 
 def mode_restriction(game: Game, mode: str) -> Restriction | None:

@@ -16,13 +16,15 @@ from regretgames import (
     expand_sequence,
     folk_strategy,
     make_dense_game,
+    minimax_regret,
     payoff_extremes,
     random_realizations,
     rational_set,
     verify_folk_theorem,
 )
-from regretgames import dominance, repeated
+from regretgames import dominance, repeated, solver
 from regretgames.repeated import SequenceAnalysis, stage_pick
+from regretgames.solver import mode_restriction
 from support import (
     anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, game_from_cells,
     history_strategies, payoffs, random_stage_game, realized, replay,
@@ -232,12 +234,67 @@ def test_expansion_derives_the_rational_set_of_every_suffix(players, length):
         checked += assert_rational_sets_derived(expansion)
 
 
-def test_expansion_derives_the_rational_sets_of_criterion_6():
+def criterion6_sequences():
+    """Every sequence the criterion-6 instances verify, pool draws included."""
     for _, _, subject in criterion6_subjects():
-        draws = [None] if isinstance(subject, GameSequence) else random_realizations(subject)
-        for draw in draws:
-            sequence = subject if draw is None else draw[1]
-            assert assert_rational_sets_derived(expand_sequence(sequence)) == len(sequence)
+        if isinstance(subject, GameSequence):
+            yield subject
+        else:
+            yield from (sequence for _, sequence in random_realizations(subject))
+
+
+def test_expansion_derives_the_rational_sets_of_criterion_6():
+    for sequence in criterion6_sequences():
+        assert assert_rational_sets_derived(expand_sequence(sequence)) == len(sequence)
+
+
+def assert_full_regrets_derived(expansion) -> int:
+    """Every suffix on the rest chain carries, per player, the full-mode
+    worst regrets that solving its own matrix gives; returns the suffixes."""
+    checked = 0
+    while expansion is not None:
+        game = expansion.game
+        for player in range(game.player_count):
+            worst, scale = game._full_regrets[player]  # filled by the expansion, not a solve
+            assert tuple(Fraction(w, scale) for w in worst) \
+                == minimax_regret(game, player).worst_regret_per_strategy
+        expansion, checked = expansion.rest, checked + 1
+    return checked
+
+
+@pytest.mark.parametrize("players", [2, 3])
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_expansion_derives_the_full_worst_regrets_of_every_suffix(players, length):
+    rng, checked = random.Random(f"full-{players}-{length}"), 0
+    while checked < 40:
+        counts = [tuple(rng.randint(1, 3) for _ in range(players)) for _ in range(length)]
+        try:
+            expansion = expand_sequence(
+                GameSequence([tied_stage(rng, shape) for shape in counts]), 2000)
+        except SizeError:
+            continue
+        checked += assert_full_regrets_derived(expansion)
+
+
+def test_expansion_derives_the_full_worst_regrets_of_criterion_6():
+    for sequence in criterion6_sequences():
+        assert assert_full_regrets_derived(expand_sequence(sequence)) == len(sequence)
+
+
+def test_sequence_reports_equal_the_solver_on_the_expansion():
+    """The derived ints sit on the unreduced lcm scale of the stages, the
+    expansion's payoffs on its gcd-reduced one: the reports must not differ."""
+    rng = random.Random(9)
+    sequences = [uneven_sequence(rng, players, length)[0]
+                 for players, length in ((2, 2), (3, 2), (2, 3))]
+    for sequence in [*criterion6_sequences(), *sequences]:
+        analysis = SequenceAnalysis(sequence)
+        for start in range(1, len(sequence) + 1):
+            game = analysis.expansion(start).game
+            for player in range(sequence.player_count):
+                for mode in ("full", "rational"):
+                    expected = minimax_regret(game, player, mode_restriction(game, mode))
+                    assert analysis.report(start, player, mode).to_json() == expected.to_json()
 
 
 def test_index_of_tuple_is_the_reference_position():
@@ -247,6 +304,20 @@ def test_index_of_tuple_is_the_reference_position():
         for p in range(players):
             _, tuples = history_strategies(sequence, p)
             assert [expansion.index_of_tuple(p, t) for t in tuples] == list(range(len(tuples)))
+
+
+def test_fixed_index_is_the_index_of_the_repeated_picks():
+    """A strategy playing one pick per iteration after every history has the
+    index that ``index_of_tuple`` gives its decisions at ``decision_points``."""
+    rng = random.Random(5)
+    for players, length in ((2, 1), (2, 2), (3, 2), (2, 3)):
+        sequence, expansion = uneven_sequence(rng, players, length)
+        for p in range(players):
+            counts = [stage.strategy_counts[p] for stage in sequence.stages]
+            for picks in itertools.product(*map(range, counts)):
+                decisions = tuple(picks[idx - 1] for idx, _ in decision_points(sequence, p))
+                assert repeated._fixed_index(sequence, p, picks) \
+                    == expansion.index_of_tuple(p, decisions)
 
 
 @pytest.mark.parametrize("decisions", [
@@ -310,6 +381,26 @@ def test_folk_verifier_scans_stage_games_only_for_rational_sets(monkeypatch):
     assert len(games) == 2 and all(game is stage for game in games)
 
 
+def test_folk_verifier_solves_no_expansion_in_full_mode(monkeypatch):
+    """Full-mode worst regrets of an expansion are derived with it: the only
+    unrestricted solves are the stage picks', on the stage games themselves."""
+    kernel, solved = solver._worst_regrets, []
+
+    def counted(game, player, restriction):
+        solved.append((game, restriction))
+        return kernel(game, player, restriction)
+
+    monkeypatch.setattr(solver, "_worst_regrets", counted)
+    monkeypatch.setattr(repeated, "_worst_regrets", counted)
+    stage = condition_game()
+    for mode in ("full", "rational"):
+        solved.clear()
+        verify_folk_theorem(GameSequence.repeat(stage, 3), mode)
+        # identity, not equality: the one-stage expansion equals the stage game
+        assert all(game is stage for game, restriction in solved if restriction is None)
+        assert sum(game is not stage for game, _ in solved) == 3 * 2  # rational, per suffix
+
+
 def test_suffix_consistency():
     g = condition_game()
     seq = GameSequence.repeat(g, 2)
@@ -353,6 +444,35 @@ def test_stage_condition_error_names_the_first_failing_pair():
             verify_folk_theorem(spec)
         named.add(k != l)
     assert named == {False, True}
+
+
+def test_stage_condition_reads_each_distinct_game_once(monkeypatch):
+    """A game at several positions is read once, and an error names its first
+    position, and the first (k, l) pair, as a read of every position would."""
+    read, extremes = [], repeated.payoff_extremes
+
+    def counted(game, player):
+        read.append((id(game), player))
+        return extremes(game, player)
+
+    monkeypatch.setattr(repeated, "payoff_extremes", counted)
+    good = condition_game()
+    negative = extremes_game((10, -1, 2, 4), (9, 0, 3, 1))
+    with pytest.raises(AssumptionError) as info:
+        verify_folk_theorem(GameSequence((good, negative, good, negative)))
+    assert str(info.value) == "stage 1 has a negative payoff for player 0"
+    # highest 7 is below twice the second highest 4 of itself and 6 of ``high``
+    low = extremes_game((7, 1, 2, 4), (9, 0, 3, 1))
+    high = extremes_game((20, 1, 2, 6), (9, 0, 3, 1))
+    read.clear()
+    with pytest.raises(AssumptionError) as info:
+        verify_folk_theorem(GameSequence((high, low, high, low)))
+    assert str(info.value) == ("stage condition fails: highest payoff of game 1 is below "
+                               "twice the second highest of game 0 for player 0")
+    assert sorted(read) == sorted((id(g), p) for g in (high, low) for p in (0, 1))
+    with pytest.raises(AssumptionError, match="of stage 1 is below twice the second highest "
+                                              "of stage 0 for player 0$"):
+        folk_strategy(GameSequence((high, low, low, high)), 1)
 
 
 def test_folk_assumption_validation():
@@ -403,6 +523,19 @@ def test_sequence_analysis_report_rejects_players_out_of_range(player):
     analysis = SequenceAnalysis(GameSequence.repeat(condition_game(), 2))
     with pytest.raises(InputError, match=f"player {player} out of range"):
         analysis.report(1, player, "full")
+
+
+@pytest.mark.parametrize("player, mode, message", [
+    (0, "bogus", "mode must be 'full' or 'rational', got 'bogus'"),
+    (5, "full", "player 5 out of range 0..1"),
+    (True, "full", "player index must be an integer, got True"),
+])
+def test_sequence_analysis_report_checks_arguments_before_expanding(player, mode, message):
+    # the expansion of four repetitions would need 2**30 payoff cells
+    analysis = SequenceAnalysis(GameSequence.repeat(condition_game(), 4))
+    with pytest.raises(InputError) as info:
+        analysis.report(1, player, mode)
+    assert str(info.value) == message
 
 
 def test_random_realizations_exhaustive_lex():
