@@ -13,13 +13,15 @@ universe drops weakly dominated behavior: an agent must take whenever its own
 announcement sits at its cap (before the last iteration) and must take at the
 last iteration. Everything else stays admissible.
 
-The maximum is exact but enumerates no sequence. A rule reads only
-(iteration, announcement pair), and the regret of a scenario depends on the
-sequence only through the running own maximum, the own stop value and, in
-rational mode, whether the other agent has peaked. So the worst case is a
-forward walk over those reachable states, one iteration at a time and with
-no recursion (``_Reach``); the optimality sweep and the single-agent audit
-are searches over rules on the same walk.
+The maximum is exact but enumerates no sequence. Every rule is a schedule
+of one (threshold, trigger) entry per iteration, so it reads only the
+iteration, its own announcement and whether the other agent is at its cap,
+and the regret of a scenario depends on the sequence only through the
+running own maximum, the own stop value and, in rational mode, whether the
+other agent has peaked. So the worst case is a forward walk over those
+reachable states, one iteration at a time and with no recursion
+(``_Reach``); the optimality sweep and the single-agent audit are searches
+over rules on the same walk.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DEFAULT_ENUM_CAP, ContractError, InputError, check_mode, check_size
 from .rational import coerce_rational, format_rational, strict_int, strict_list
@@ -102,29 +103,38 @@ class TradingOutcome:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TradingStrategy:
-    """A per-iteration take/pass rule for one agent.
+    """A per-iteration threshold rule for one agent.
 
-    ``rule(iteration, (a_0, a_1), taken)`` must return TAKE or PASS; once any
-    agent has taken, PASS is the only legal answer.
+    ``schedule`` holds one ``(threshold, trigger)`` entry per iteration.
+    While nobody has taken, the agent takes at iteration j when its own
+    announcement is at least ``threshold`` (None: never), or when
+    ``trigger`` holds and the other agent's announcement is at that agent's
+    cap in the spec the strategy is played in. After a take it passes.
     """
 
     player: int
     kind: str
-    rule: Callable[[int, tuple, bool], str]
+    schedule: tuple
     params: dict | None = None
 
     def __post_init__(self):
         _check_player(self.player)
-
-    def action(self, iteration: int, pair, taken: bool) -> str:
-        result = self.rule(iteration, tuple(pair), taken)
-        if result not in (TAKE, PASS):
-            raise ContractError(
-                f"strategy {self.kind!r} returned {result!r}; must be {TAKE!r} or {PASS!r}"
-            )
-        return result
+        entries = strict_list(self.schedule, "a schedule must list one entry per iteration")
+        for j, entry in enumerate(entries, start=1):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise InputError(
+                    f"schedule entry {j} must be a (threshold, trigger) pair, got {entry!r}")
+            threshold, trigger = entry
+            if threshold is not None and (
+                    isinstance(threshold, bool) or not isinstance(threshold, (int, Fraction))):
+                raise InputError(f"schedule entry {j}: threshold must be None, an int or a "
+                                 f"Fraction, got {threshold!r}")
+            if type(trigger) is not bool:
+                raise InputError(f"schedule entry {j}: trigger must be True or False, "
+                                 f"got {trigger!r}")
+        object.__setattr__(self, "schedule", tuple(map(tuple, entries)))
 
     def describe(self) -> dict:
         out = {"player": self.player, "kind": self.kind}
@@ -137,20 +147,12 @@ class TradingStrategy:
 
 def competitive_trading_strategy(spec: TradingSpec, player: int) -> TradingStrategy:
     """Threshold rule: take early iff the own announcement reaches
-    (2*cap + floor) / 4; always take at the last iteration."""
+    (2*cap + floor) / 4; always take at the last iteration, where the
+    threshold is the floor, which every announcement reaches."""
     floor, cap = spec.bounds(player)
-    threshold = Fraction(2 * cap + floor, 4)
-    last = spec.iterations
-
-    def rule(iteration, pair, taken):
-        _check_iteration(iteration, last)
-        if taken:
-            return PASS
-        if iteration == last:
-            return TAKE
-        return TAKE if pair[player] >= threshold else PASS
-
-    return TradingStrategy(player, "competitive-threshold", rule, {"early_threshold": threshold})
+    early = Fraction(2 * cap + floor, 4)
+    schedule = [(early, False)] * (spec.iterations - 1) + [(floor, False)]
+    return TradingStrategy(player, "competitive-threshold", schedule, {"early_threshold": early})
 
 
 def rational_trading_strategy(spec: TradingSpec, player: int) -> TradingStrategy:
@@ -158,28 +160,15 @@ def rational_trading_strategy(spec: TradingSpec, player: int) -> TradingStrategy
     announcement hits its cap (it will take), use the usual threshold up to
     t-2, a laxer (cap + floor) / 4 threshold at t-1, and take at t."""
     floor, cap = spec.bounds(player)
-    other = 1 - player
-    other_cap = spec.price_caps[other]
     early = Fraction(2 * cap + floor, 4)
     late = Fraction(cap + floor, 4)
-    last = spec.iterations
-
-    def rule(iteration, pair, taken):
-        _check_iteration(iteration, last)
-        if taken:
-            return PASS
-        if iteration == last:
-            return TAKE
-        if pair[other] == other_cap:
-            return TAKE
-        threshold = late if iteration == last - 1 else early
-        return TAKE if pair[player] >= threshold else PASS
-
+    schedule = [(early, True)] * (spec.iterations - 2) + [(late, True), (floor, True)]
     return TradingStrategy(
         player,
         "rational-threshold",
-        rule,
-        {"early_threshold": early, "final_threshold": late, "opponent_peak": other_cap},
+        schedule,
+        {"early_threshold": early, "final_threshold": late,
+         "opponent_peak": spec.price_caps[1 - player]},
     )
 
 
@@ -198,15 +187,27 @@ def _check_player(player) -> int:
     return player
 
 
-def _check_strategy(strategy) -> TradingStrategy:
+def _check_strategy(strategy, spec: TradingSpec) -> TradingStrategy:
     if not isinstance(strategy, TradingStrategy):
         raise InputError(f"a strategy must be a TradingStrategy, got {strategy!r}")
+    if len(strategy.schedule) != spec.iterations:
+        raise InputError(f"the strategy's schedule has {len(strategy.schedule)} entries, "
+                         f"but the game has {spec.iterations} iterations")
     return strategy
 
 
-def _check_iteration(iteration, last):
-    if not 1 <= strict_int(iteration, "iteration") <= last:
-        raise InputError(f"iteration {iteration!r} outside 1..{last}")
+def _step(spec: TradingSpec, player: int, pair) -> tuple:
+    """The step ``(own value, other at cap, pair)`` of ``player`` on an
+    announcement pair."""
+    return pair[player], pair[1 - player] == spec.price_caps[1 - player], pair
+
+
+def _take_row(entry, steps) -> tuple:
+    """The take row of the schedule entry ``(threshold, trigger)`` over
+    ``steps``: whether the rule takes on each step while nobody has taken."""
+    threshold, trigger = entry
+    return tuple((trigger and peak) or (threshold is not None and value >= threshold)
+                 for value, peak, _ in steps)
 
 
 def _validate_announcements(spec: TradingSpec, announcements) -> list[tuple]:
@@ -276,26 +277,25 @@ def simulate(spec: TradingSpec, strategies, announcements):
     """Play a strategy pair against a fixed announcement sequence.
 
     Returns ``(outcome, trace)`` where the trace lists one record per
-    iteration. Strategies are consulted even after a take so that contract
-    violations (anything but PASS) surface as errors.
+    iteration. Each announcement pair is one step of each strategy's take
+    row; after the first take both agents pass.
     """
     needs = "simulate needs one strategy for player 0 and one for player 1"
-    strategies = [_check_strategy(s) for s in strict_list(strategies, needs)]
+    strategies = [_check_strategy(s, spec) for s in strict_list(strategies, needs)]
     if len(strategies) != 2 or {s.player for s in strategies} != {0, 1}:
         raise InputError(needs)
     by_player = sorted(strategies, key=lambda s: s.player)
     rows = _validate_announcements(spec, announcements)
     taken = False
     actions = []
-    for j, pair in enumerate(rows, start=1):
-        current = tuple(by_player[i].action(j, pair, taken) for i in range(2))
-        if taken and current != (PASS, PASS):
-            raise ContractError(
-                f"iteration {j}: strategy produced {current} after an earlier take"
-            )
+    for j, pair in enumerate(rows):
+        current = tuple(
+            TAKE if not taken and _take_row(s.schedule[j], [_step(spec, s.player, pair)])[0]
+            else PASS
+            for s in by_player
+        )
         actions.append(current)
-        if TAKE in current:
-            taken = True
+        taken = taken or TAKE in current
     outcome = trading_payoff(spec, rows, actions)
     trace = []
     running = [Fraction(0), Fraction(0)]
@@ -461,10 +461,9 @@ def _steps(spec: TradingSpec, player: int, grid_step, signature: bool, enum_cap:
     agent only at its floor or its cap. The ``len(steps) ** t`` announcement
     sequences they stand for are checked against ``enum_cap`` first.
 
-    Regret is measurable with respect to (own value, other at cap) for any
-    rule that reads only those, so maxima over the quotient equal maxima over
-    the full grid for such rules; the representative pairs keep the ordinary
-    (iteration, pair) interface.
+    Regret is measurable with respect to (own value, other at cap), and so
+    is every schedule's take row, so maxima over the quotient equal maxima
+    over the full grid; a witness names the representative pairs.
     """
     other = 1 - player
     grids = [None, None]
@@ -472,8 +471,7 @@ def _steps(spec: TradingSpec, player: int, grid_step, signature: bool, enum_cap:
     grids[other] = (2, spec.bounds(other)) if signature else _grid(*spec.bounds(other), grid_step)
     check_size("the oracle would enumerate {} announcement sequences", enum_cap,
                (grids[0][0] * grids[1][0], spec.iterations))
-    other_cap = spec.price_caps[other]
-    return [(pair[player], pair[other] == other_cap, pair)
+    return [_step(spec, player, pair)
             for pair in itertools.product(*(values for _, values in grids))]
 
 
@@ -636,15 +634,6 @@ class _Reach:
                 stack.append((choice + (k,), after, max(worst, now)))
 
 
-def _strategy_takes(strategy: TradingStrategy, steps, t: int) -> tuple:
-    """The stop rule of ``strategy`` as a take table: row j - 1, column s
-    says whether it takes at iteration j on step s when nobody has taken."""
-    return tuple(
-        tuple(strategy.action(j, pair, False) == TAKE for _, _, pair in steps)
-        for j in range(1, t + 1)
-    )
-
-
 def trading_oracle(
     spec: TradingSpec,
     player: int,
@@ -677,13 +666,13 @@ def trading_oracle_report(
     opponent stop.
     """
     spec.bounds(player)
-    if _check_strategy(strategy).player != player:
+    if _check_strategy(strategy, spec).player != player:
         raise InputError(f"the strategy is for player {strategy.player}, not player {player}")
     check_mode(mode)
     steps = _steps(spec, player, grid_step, signature=False, enum_cap=enum_cap)
     t = spec.iterations
     reach = _Reach(steps, t, mode)
-    takes = _strategy_takes(strategy, steps, t)
+    takes = [_take_row(entry, steps) for entry in strategy.schedule]
     worst = reach.worst(takes)
     value = spec.half_supply * Fraction(worst)
     witness = None
@@ -767,18 +756,17 @@ def minimal_regret_sweep(
 
     The rules run over the signature quotient of the sequence space (own
     announcement plus opponent-at-cap flags), which is exact for every
-    candidate and for the built-in reference strategies. Candidates are
-    built iteration by iteration on the reachability recurrence, and a
-    prefix is dropped with all its completions once its regret so far
-    reaches the reference's worst case, so only rules that beat the
-    reference are scored in full. The sequence and candidate counts are
-    still checked against ``enum_cap``.
+    schedule. Candidates are built iteration by iteration on the
+    reachability recurrence, and a prefix is dropped with all its
+    completions once its regret so far reaches the reference's worst case,
+    so only rules that beat the reference are scored in full. The sequence
+    and candidate counts are still checked against ``enum_cap``.
     """
     reference = reference_strategy(spec, player, mode)
     steps = _steps(spec, player, grid_step, signature=True, enum_cap=enum_cap)
     t = spec.iterations
     reach = _Reach(steps, t, mode)
-    reference_worst = reach.worst(_strategy_takes(reference, steps, t))
+    reference_worst = reach.worst([_take_row(entry, steps) for entry in reference.schedule])
 
     options = [
         (threshold, trigger)
@@ -788,14 +776,7 @@ def minimal_regret_sweep(
     candidate_count = check_size(
         "the sweep would score {} candidate rules", enum_cap, (len(options), t)
     )
-    # the take row of each per-iteration option; None never reaches
-    rows = [
-        tuple(
-            (trigger and peak) or (threshold is not None and value >= threshold)
-            for value, peak, _ in steps
-        )
-        for threshold, trigger in options
-    ]
+    rows = [_take_row(option, steps) for option in options]
 
     half = spec.half_supply
     violations = [

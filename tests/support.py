@@ -21,15 +21,13 @@ from regretgames import (
     SizeError,
     SweepResult,
     TradingSpec,
-    competitive_trading_strategy,
     make_dense_game,
     minimal_regret_sweep,
     payoff_extremes,
-    rational_trading_strategy,
     single_agent_threshold,
     trading_payoff,
 )
-from regretgames.trading import SweepViolation, _steps, _strategy_takes
+from regretgames.trading import SweepViolation, _steps
 
 
 def game_from_cells(counts, cells, labels=None) -> Game:
@@ -359,13 +357,77 @@ def trading_grid(floor: int, cap: int, step) -> list:
     return [int(v) if v.denominator == 1 else v for v in values]
 
 
-def strategy_stop(strategy, announcements):
+def strategy_stop(spec, strategy, announcements):
     """The first iteration at which ``strategy`` takes while nobody has
-    taken, or None."""
+    taken, or None, read off its schedule entry by entry."""
+    player, other = strategy.player, 1 - strategy.player
     return next(
-        (j for j, pair in enumerate(announcements, start=1)
-         if strategy.action(j, pair, False) == TAKE),
+        (j for j, ((threshold, trigger), pair)
+         in enumerate(zip(strategy.schedule, announcements), start=1)
+         if (threshold is not None and pair[player] >= threshold)
+         or (trigger and pair[other] == spec.price_caps[other])),
         None,
+    )
+
+
+# -- the stated trading rules as closures ---------------------------------------
+#
+# The two stated strategies written as rules ``rule(iteration, (a_0, a_1),
+# taken)`` returning TAKE or PASS, straight from their statements: the
+# reference the library's schedules are checked against.
+
+
+def competitive_rule(spec, player: int):
+    """Take early iff the own announcement reaches (2*cap + floor) / 4;
+    always take at the last iteration."""
+    floor, cap = spec.bounds(player)
+    threshold = Fraction(2 * cap + floor, 4)
+    last = spec.iterations
+
+    def rule(iteration, pair, taken):
+        if taken:
+            return PASS
+        if iteration == last:
+            return TAKE
+        return TAKE if pair[player] >= threshold else PASS
+
+    return rule
+
+
+def rational_rule(spec, player: int):
+    """Take when the other agent's announcement hits its cap, at the usual
+    threshold up to t-2, at (cap + floor) / 4 at t-1, and at t."""
+    floor, cap = spec.bounds(player)
+    other = 1 - player
+    other_cap = spec.price_caps[other]
+    early = Fraction(2 * cap + floor, 4)
+    late = Fraction(cap + floor, 4)
+    last = spec.iterations
+
+    def rule(iteration, pair, taken):
+        if taken:
+            return PASS
+        if iteration == last:
+            return TAKE
+        if pair[other] == other_cap:
+            return TAKE
+        threshold = late if iteration == last - 1 else early
+        return TAKE if pair[player] >= threshold else PASS
+
+    return rule
+
+
+def reference_rule(spec, player: int, mode: str):
+    """The stated rule of a solve mode as a closure."""
+    return (competitive_rule if mode == "full" else rational_rule)(spec, player)
+
+
+def rule_takes(rule, steps, t: int) -> tuple:
+    """The take table of a closure rule: row j - 1, column s says whether it
+    takes at iteration j on step s when nobody has taken."""
+    return tuple(
+        tuple(rule(j, pair, False) == TAKE for _, _, pair in steps)
+        for j in range(1, t + 1)
     )
 
 
@@ -415,7 +477,7 @@ def trading_reference(spec, player: int, strategy, mode: str, grid_step) -> Frac
     ))
     worst = Fraction(0)
     for announcements in itertools.product(pairs, repeat=spec.iterations):
-        own_stop = strategy_stop(strategy, announcements)
+        own_stop = strategy_stop(spec, strategy, announcements)
         for opponent_stop in opponent_stops(spec, player, announcements, mode):
             worst = max(worst, stop_regret(spec, player, announcements, own_stop, opponent_stop))
     return worst
@@ -624,15 +686,11 @@ def witness_reference(reach, takes, worst) -> tuple:
 def sweep_reference(spec, player: int, mode: str = "full", grid_step=1) -> SweepResult:
     """The optimality sweep as a plain loop: every candidate rule, in
     product order, scored in full over every signature record."""
-    reference = (
-        competitive_trading_strategy(spec, player)
-        if mode == "full"
-        else rational_trading_strategy(spec, player)
-    )
     steps = _steps(spec, player, grid_step, signature=True, enum_cap=10**6)
     t = spec.iterations
     records = _records(steps, t, mode, float("inf"))
-    reference_worst, _ = _worst_regret(records, _strategy_takes(reference, steps, t))
+    reference_worst, _ = _worst_regret(
+        records, rule_takes(reference_rule(spec, player, mode), steps, t))
     options = [
         (threshold, trigger)
         for threshold in trading_grid(*spec.bounds(player), grid_step) + [None]
@@ -655,7 +713,7 @@ def sweep_reference(spec, player: int, mode: str = "full", grid_step=1) -> Sweep
     return SweepResult(
         player=player,
         mode=mode,
-        reference_kind=reference.kind,
+        reference_kind="competitive-threshold" if mode == "full" else "rational-threshold",
         reference_regret=reference_regret,
         candidate_count=len(options) ** t,
         best_regret=min([reference_regret] + [v.worst_regret for v in violations]),

@@ -5,11 +5,12 @@ player's payoffs are stored over a scale larger than one; the reference
 below works on the drawn Fractions directly and imports neither the solver
 nor the dominance module. The trading oracle is checked against the
 stop-time reference in ``support``, which scores explicit stop times with
-``trading_payoff`` only, and its reachability kernel, sweep and audit against
-the enumerating references there; the kernel's closed-form tail after the
-rule's own take is checked against a brute-force maximum below, and its
-per-row ``advance`` and its walk over step kinds in ``witness`` against the
-per-edge loops they replaced.
+``trading_payoff`` only, its reachability kernel, sweep and audit against
+the enumerating references there, and the stated schedules' take tables and
+``simulate`` against the stated rules kept there as closures; the kernel's
+closed-form tail after the rule's own take is checked against a brute-force
+maximum below, and its per-row ``advance`` and its walk over step kinds in
+``witness`` against the per-edge loops they replaced.
 """
 
 import itertools
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretgames import (
-    PASS,
     TAKE,
     BiddingSpec,
     GameSequence,
@@ -41,11 +41,14 @@ from regretgames import (
     rational_restriction,
     rational_set,
     rational_trading_strategy,
+    reference_strategy,
+    simulate,
     trading_oracle,
     trading_oracle_report,
+    trading_payoff,
 )
 from regretgames.rational import parse_rational
-from regretgames.trading import _Reach, _steps
+from regretgames.trading import _Reach, _steps, _take_row
 from support import (
     _records,
     _worst_regret,
@@ -55,7 +58,9 @@ from support import (
     history_strategies,
     opponent_stops,
     payoffs,
+    reference_rule,
     replay,
+    rule_takes,
     stop_regret,
     strategy_stop,
     sweep_reference,
@@ -287,20 +292,10 @@ def test_expansion_sums_stages_over_unrelated_scales(stages):
 # -- trading oracle against the stop-time reference -----------------------------
 
 
-def threshold_strategy(spec, player, thresholds, triggers):
+def threshold_strategy(player, thresholds, triggers):
     """Take at iteration j when the own announcement reaches thresholds[j - 1]
     (None: never) or, if triggers[j - 1], when the other agent is at its cap."""
-    other_cap = spec.price_caps[1 - player]
-
-    def rule(iteration, pair, taken):
-        if taken:
-            return PASS
-        threshold = thresholds[iteration - 1]
-        if threshold is not None and pair[player] >= threshold:
-            return TAKE
-        return TAKE if triggers[iteration - 1] and pair[1 - player] == other_cap else PASS
-
-    return TradingStrategy(player, "random-thresholds", rule)
+    return TradingStrategy(player, "random-thresholds", tuple(zip(thresholds, triggers)))
 
 
 @st.composite
@@ -327,7 +322,7 @@ def trading_cases(draw):
         grid = trading_grid(floors[player], spec.price_caps[player], step)
         thresholds = [draw(st.sampled_from([None] + grid)) for _ in range(3)]
         triggers = [draw(st.booleans()) for _ in range(3)]
-        strategy = threshold_strategy(spec, player, thresholds, triggers)
+        strategy = threshold_strategy(player, thresholds, triggers)
     return spec, player, strategy, mode, step
 
 
@@ -346,7 +341,7 @@ def assert_witness_replays(spec, player, strategy, mode, step, report):
             assert v in trading_grid(spec.price_floors[i], spec.price_caps[i], step)
     own_stop = witness["strategy_take_iteration"]
     opponent_stop = witness["opponent_take_iteration"]
-    assert own_stop == strategy_stop(strategy, announcements)
+    assert own_stop == strategy_stop(spec, strategy, announcements)
     assert opponent_stop in opponent_stops(spec, player, announcements, mode)
     assert stop_regret(spec, player, announcements, own_stop, opponent_stop) \
         == Fraction(witness["regret"]) == value
@@ -371,7 +366,7 @@ def test_trading_witnesses_replay_on_fixed_bands(mode):
         for player in (0, 1):
             for strategy in (competitive_trading_strategy(spec, player),
                              rational_trading_strategy(spec, player),
-                             threshold_strategy(spec, player, [None] * 3, [False] * 3)):
+                             threshold_strategy(player, [None] * 3, [False] * 3)):
                 report = trading_oracle_report(spec, player, strategy, mode)
                 assert_witness_replays(spec, player, strategy, mode, 1, report)
 
@@ -390,12 +385,76 @@ def test_sweep_agrees_with_the_full_grid_oracle():
                    for trigger in (False, True)]
         sample = [tuple(zip(*(rng.choice(options) for _ in range(3)))) for _ in range(60)]
         for thresholds, triggers in list(found) + sample:
-            strategy = threshold_strategy(spec, 0, thresholds, triggers)
+            strategy = threshold_strategy(0, thresholds, triggers)
             value = trading_oracle(spec, 0, strategy, "rational")
             if (thresholds, triggers) in found:
                 assert value == found[thresholds, triggers] < result.reference_regret
             else:
                 assert value >= result.reference_regret
+
+
+# -- the stated schedules against the closures they replaced ------------------
+
+#: One agent's (floor, cap): every floor 1-3 with every cap up to 7.
+_SIDES = [(floor, cap) for floor in (1, 2, 3) for cap in range(floor + 1, 8)]
+#: Bands (floors, caps) in which each side above is agent 0's twice and
+#: agent 1's twice, each time against another side.
+SCHEDULE_BANDS = [tuple(zip(*pair)) for pair in
+                  [*zip(_SIDES, _SIDES[::-1]), *zip(_SIDES, _SIDES[5:] + _SIDES[:5])]]
+
+
+def test_stated_take_tables_match_the_closures():
+    """The take table the oracle and the sweep build from a stated schedule
+    equals the stated closure's, on the full grid and the signature
+    quotient, in both modes, for both players, at t = 3-6 and grid steps 1
+    and 1/2."""
+    cases = itertools.product(SCHEDULE_BANDS, range(3, 7), (1, Fraction(1, 2)), (False, True))
+    for (floors, caps), t, step, signature in cases:
+        spec = TradingSpec(floors, caps, t, 1)
+        for player, mode in itertools.product((0, 1), ("full", "rational")):
+            steps = _steps(spec, player, step, signature, 10**20)
+            schedule = reference_strategy(spec, player, mode).schedule
+            assert tuple(_take_row(entry, steps) for entry in schedule) \
+                == rule_takes(reference_rule(spec, player, mode), steps, t)
+
+
+def test_simulate_replays_the_stated_closures():
+    """``simulate`` on seeded announcements, off-grid Fractions included,
+    acts as the stated closures replayed iteration by iteration, in both
+    modes, and scores their actions as ``trading_payoff`` does."""
+    rng = random.Random(11)
+    seen = {"full": set(), "rational": set()}
+    for _ in range(400):
+        floors = (rng.randint(1, 3), rng.randint(1, 3))
+        spec = TradingSpec(floors, tuple(f + rng.randint(1, 6) for f in floors),
+                           rng.randint(3, 6), rng.randint(1, 2))
+        mode = rng.choice(("full", "rational"))
+        announcements = []
+        for _ in range(spec.iterations):
+            q = rng.choice((0, 1, 2, 4, 7))  # 0: the floor
+            announcements.append(tuple(
+                floor + Fraction(rng.randint(0, (cap - floor) * q), q) if q > 1
+                else rng.randint(floor, cap) if q else floor
+                for floor, cap in zip(spec.price_floors, spec.price_caps)))
+        rules = [reference_rule(spec, player, mode) for player in (0, 1)]
+        actions, taken = [], False
+        for j, pair in enumerate(announcements, start=1):
+            actions.append(tuple(rule(j, pair, taken) for rule in rules))
+            taken = taken or TAKE in actions[-1]
+        strategies = [reference_strategy(spec, player, mode) for player in (1, 0)]
+        outcome, trace = simulate(spec, strategies, announcements)
+        assert [tuple(row["actions"]) for row in trace] == actions
+        assert outcome == trading_payoff(spec, announcements, actions)
+        for player, stop in enumerate(outcome.take_iterations):
+            early = strategies[1 - player].params["early_threshold"]
+            if stop == spec.iterations:
+                seen[mode].add("last")
+            elif stop is not None:
+                own = announcements[stop - 1][player]
+                seen[mode].add("early" if own >= early else "below early")
+    # takes at the last iteration and at the early threshold in both modes,
+    # and below it before the last only in rational mode (at t - 1 or a peak)
+    assert seen == {"full": {"early", "last"}, "rational": {"early", "below early", "last"}}
 
 
 # -- the reachability kernel against the enumerating reference -----------------

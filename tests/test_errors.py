@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from regretgames import (
     SequenceAnalysis,
     SizeError,
     TradingSpec,
+    TradingStrategy,
     all_player_reports,
     bidding_utility,
     closed_form_competitive,
@@ -100,8 +102,6 @@ _PLAYER_SITES = {
 _INTEGER_SITES = {
     "Restriction": lambda value: minimax_regret(_STAGE, 0, Restriction(((0, 1), (value,)))),
     "iterated_rational_sets": lambda value: iterated_rational_sets(_STAGE, value),
-    "trading iteration": lambda value: competitive_trading_strategy(_SPEC, 0).action(
-        value, (2, 2), False),
     **_PLAYER_SITES,
 }
 
@@ -126,6 +126,12 @@ _MALFORMED_ENTRIES = {
     "GameSequence": (lambda: GameSequence([_STAGE, 3]), "stage 1 must be a Game, got int"),
     "RandomGameSpec": (lambda: RandomGameSpec((_STAGE, "g"), 2),
                        "pool game 1 must be a Game, got str"),
+    "TradingStrategy": (
+        lambda: TradingStrategy(0, "x", [(None, False), 5, (None, False)]),
+        re.escape("schedule entry 2 must be a (threshold, trigger) pair, got 5")),
+    "TradingStrategy-short": (
+        lambda: TradingStrategy(0, "x", [(None,)]),
+        re.escape("schedule entry 1 must be a (threshold, trigger) pair, got (None,)")),
 }
 
 _PASSES = [(PASS, PASS)] * 3
@@ -163,6 +169,9 @@ _MALFORMED_ARGUMENTS = {
     "simulate-strategies": (
         lambda: simulate(_SPEC, 4, _ANNOUNCED),
         "simulate needs one strategy for player 0 and one for player 1, got 4"),
+    "TradingStrategy": (
+        lambda: TradingStrategy(0, "x", 5),
+        "a schedule must list one entry per iteration, got 5"),
 }
 
 
@@ -216,6 +225,21 @@ _WRONG_TYPES = {
                             "the restriction must be a Restriction or None, got 'full'"),
     "minimax_regret-int": (lambda: minimax_regret(_STAGE, 0, 5),
                            "the restriction must be a Restriction or None, got 5"),
+    "TradingStrategy-float-threshold": (
+        lambda: TradingStrategy(0, "x", [(None, False), (1.5, False)]),
+        "schedule entry 2: threshold must be None, an int or a Fraction, got 1.5"),
+    "TradingStrategy-bool-threshold": (
+        lambda: TradingStrategy(0, "x", [(True, False)]),
+        "schedule entry 1: threshold must be None, an int or a Fraction, got True"),
+    "TradingStrategy-str-threshold": (
+        lambda: TradingStrategy(0, "x", [("3", False)]),
+        "schedule entry 1: threshold must be None, an int or a Fraction, got '3'"),
+    "TradingStrategy-int-trigger": (
+        lambda: TradingStrategy(0, "x", [(3, 1)]),
+        "schedule entry 1: trigger must be True or False, got 1"),
+    "TradingStrategy-None-trigger": (
+        lambda: TradingStrategy(0, "x", [(Fraction(5, 2), None)]),
+        "schedule entry 1: trigger must be True or False, got None"),
 }
 
 

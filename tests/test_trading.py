@@ -24,7 +24,7 @@ from regretgames import (
     trading_oracle_report,
     trading_payoff,
 )
-from regretgames.trading import _steps, _strategy_takes
+from regretgames.trading import _steps, _take_row
 from support import _records, _worst_regret
 
 
@@ -100,24 +100,39 @@ def test_announcement_bounds():
         trading_payoff(spec26(), [(3, 2), (7, 6), (4, 3)], [(PASS, PASS)] * 3)
 
 
+def takes(spec, strategy, iteration, pair) -> bool:
+    """Whether ``strategy`` takes at ``iteration`` on ``pair`` while nobody
+    has taken, read off its schedule entry."""
+    player = strategy.player
+    step = (pair[player], pair[1 - player] == spec.price_caps[1 - player], pair)
+    return _take_row(strategy.schedule[iteration - 1], [step]) == (True,)
+
+
 def test_competitive_strategy_rules():
-    s = competitive_trading_strategy(spec26(), 0)
+    spec = spec26()
+    s = competitive_trading_strategy(spec, 0)
     assert s.params["early_threshold"] == Fraction(7, 2)
-    assert s.action(1, (4, 2), False) == TAKE
-    assert s.action(1, (3, 2), False) == PASS
-    assert s.action(3, (2, 2), False) == TAKE
-    assert s.action(2, (6, 6), True) == PASS
+    assert s.schedule == ((Fraction(7, 2), False), (Fraction(7, 2), False), (2, False))
+    assert takes(spec, s, 1, (4, 2))
+    assert not takes(spec, s, 1, (3, 2))
+    assert takes(spec, s, 3, (2, 2))
+    # after a take at iteration 1 the strategy passes, even at (6, 6)
+    pair = (s, competitive_trading_strategy(spec, 1))
+    _, trace = simulate(spec, pair, [(6, 6)] * 3)
+    assert [row["actions"] for row in trace] == [[TAKE, TAKE], [PASS, PASS], [PASS, PASS]]
 
 
 def test_rational_strategy_rules():
-    s = rational_trading_strategy(spec26(), 0)
+    spec = spec26()
+    s = rational_trading_strategy(spec, 0)
+    assert s.schedule == ((Fraction(7, 2), True), (2, True), (2, True))
     # rule 1: the other agent's announcement at its cap forces a grab
-    assert s.action(1, (2, 6), False) == TAKE
+    assert takes(spec, s, 1, (2, 6))
     # rule 3: laxer threshold (6+2)/4 = 2 at the second-to-last iteration
-    assert s.action(2, (2, 5), False) == TAKE
+    assert takes(spec, s, 2, (2, 5))
     # rule 2: ordinary threshold earlier
-    assert s.action(1, (3, 5), False) == PASS
-    assert s.action(3, (2, 2), False) == TAKE
+    assert not takes(spec, s, 1, (3, 5))
+    assert takes(spec, s, 3, (2, 2))
 
 
 def test_reference_strategy_is_the_stated_rule_of_each_mode():
@@ -132,8 +147,8 @@ def test_threshold_ordering_and_take_set_containment():
     assert late < early
     s = rational_trading_strategy(spec, 0)
     for a in range(2, 7):
-        if s.action(1, (a, 5), False) == TAKE:
-            assert s.action(2, (a, 5), False) == TAKE
+        if takes(spec, s, 1, (a, 5)):
+            assert takes(spec, s, 2, (a, 5))
 
 
 def test_simulate_competitive_pair():
@@ -169,16 +184,21 @@ def test_simulate_rational_rule_one_fires():
     assert outcome.take_iterations == (1, 1)
 
 
-def test_simulate_contract_violation_surfaces():
-    spec = spec26()
-
-    def stubborn(iteration, pair, taken):
-        return TAKE
-
-    bad = TradingStrategy(1, "always-take", stubborn)
-    good = competitive_trading_strategy(spec, 0)
-    with pytest.raises(ContractError):
-        simulate(spec, (good, bad), [(6, 6), (5, 5), (4, 3)])
+@pytest.mark.parametrize("built, played", [(4, 3), (3, 4)], ids=["longer", "shorter"])
+def test_a_strategy_for_another_horizon_is_rejected(built, played):
+    """A t = 4 schedule in a t = 3 game would never take at the last
+    iteration; a t = 3 schedule in a t = 4 game has no entry for the last."""
+    spec = TradingSpec((1, 1), (4, 4), played, 1)
+    other = TradingSpec((1, 1), (4, 4), built, 1)
+    message = (f"the strategy's schedule has {built} entries, "
+               f"but the game has {played} iterations")
+    for build in (competitive_trading_strategy, rational_trading_strategy):
+        with pytest.raises(InputError) as raised:
+            trading_oracle_report(spec, 0, build(other, 0))
+        assert str(raised.value) == message
+        with pytest.raises(InputError) as raised:
+            simulate(spec, (build(other, 0), build(spec, 1)), [(1, 1)] * played)
+        assert str(raised.value) == message
 
 
 def test_single_agent_threshold_values():
@@ -218,7 +238,7 @@ def test_oracle_scales_with_supply():
 
 def test_oracle_passive_strategy_is_weakly_worse():
     spec = TradingSpec((1, 1), (4, 4), 3, 1)
-    passive = TradingStrategy(0, "always-pass", lambda j, pair, taken: PASS)
+    passive = TradingStrategy(0, "always-pass", ((None, False),) * 3)
     active = competitive_trading_strategy(spec, 0)
     for mode in ("full", "rational"):
         assert trading_oracle(spec, 0, passive, mode) >= trading_oracle(spec, 0, active, mode)
@@ -290,7 +310,7 @@ def test_player_must_be_an_int_not_a_bool():
 @pytest.mark.parametrize("player", [True, 1.0, 2], ids=["bool", "float", "out-of-range"])
 def test_strategy_player_must_be_an_exact_int_0_or_1(player):
     with pytest.raises(InputError, match=re.escape(f"player must be 0 or 1, got {player!r}")):
-        TradingStrategy(player, "always-pass", lambda j, pair, taken: PASS)
+        TradingStrategy(player, "always-pass", ((None, False),) * 3)
 
 
 def test_oracle_report_witness():
@@ -318,11 +338,11 @@ def test_monotone_in_announcement():
         s = build(spec, 0)
         for j in (1, 2, 3):
             for other in (2, 6):
-                previous = None
+                previous = False
                 for a in range(2, 7):
-                    action = s.action(j, (a, other), False)
-                    if previous == TAKE:
-                        assert action == TAKE
+                    action = takes(spec, s, j, (a, other))
+                    if previous:
+                        assert action
                     previous = action
 
 
@@ -352,7 +372,7 @@ def test_collapsed_records_agree_with_full_enumeration():
         for signature in (False, True):
             steps = _steps(spec, 0, 1, signature, 10**6)
             records = _records(steps, 3, mode, 10**6)
-            value, _ = _worst_regret(records, _strategy_takes(strategy, steps, 3))
+            value, _ = _worst_regret(records, [_take_row(e, steps) for e in strategy.schedule])
             values.append(value)
         value_full, value_collapsed = values
         assert value_full == value_collapsed
