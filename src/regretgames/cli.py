@@ -13,9 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-# Only the modules every subcommand needs load with the CLI. Each handler
-# imports its kernel names when it runs, so a call loads only the modules its
-# subcommand uses, and the names are read from their modules at call time.
+# lazy modules of the package: each loads when a handler first reads from it
+from . import bidding, dominance, repeated, solver, trading
 from .errors import (DEFAULT_DENSE_CAP, DEFAULT_ENUM_CAP, DEFAULT_REALIZATION_CAP, InputError,
                      SizeError)
 from .game import Game, game_from_json, game_to_json, json_text, load_game, read_json
@@ -140,18 +139,14 @@ def _load_games(entries, base_dir: Path, what: str) -> tuple[Game, ...]:
 
 
 def _load_sequence(path):
-    from .repeated import GameSequence
-
     obj = read_json(path)
     if not isinstance(obj, dict) or "stages" not in obj:
         raise InputError(f"{path}: sequence files need a 'stages' array")
     base = Path(path).parent
-    return GameSequence(_load_games(obj["stages"], base, "stages"))
+    return repeated.GameSequence(_load_games(obj["stages"], base, "stages"))
 
 
 def _load_random_spec(path):
-    from .repeated import RandomGameSpec
-
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: random game files must hold an object")
@@ -160,7 +155,7 @@ def _load_random_spec(path):
         raise InputError(f"{path}: missing keys {sorted(missing)}")
     base = Path(path).parent
     pool = _load_games(obj["pool"], base, "pool")
-    return RandomGameSpec(
+    return repeated.RandomGameSpec(
         pool=pool,
         length=obj["length"],
         mode=obj["mode"],
@@ -227,8 +222,6 @@ def _render_text(payload, depth=0) -> str:
 
 
 def _cmd_solve(args) -> int:
-    from .solver import all_player_reports
-
     game = load_game(args.game)
     players = range(game.player_count) if args.player is None else [
         game._validate_player(args.player)
@@ -236,7 +229,7 @@ def _cmd_solve(args) -> int:
     reports = []
     picks = []
     for mode in _MODES[args.mode]:
-        per_mode = all_player_reports(game, mode)
+        per_mode = solver.all_player_reports(game, mode)
         for p in players:
             report = per_mode[p]
             reports.append(report.to_json())
@@ -262,10 +255,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dominance(args) -> int:
-    from .dominance import iterated_rational_sets
-
     game = load_game(args.game)
-    sets = iterated_rational_sets(game, args.rounds)
+    sets = dominance.iterated_rational_sets(game, args.rounds)
     payload = {
         "command": "dominance",
         "input": {"game": game_to_json(game), "rounds": args.rounds},
@@ -282,26 +273,20 @@ def _cmd_dominance(args) -> int:
 
 
 def _parse_bidding_spec(args):
-    from .bidding import BiddingSpec
-
     try:
         valuations = tuple(int(v) for v in args.l.split(","))
     except ValueError as exc:
         raise InputError(f"--l must be a comma-separated list of integers, got {args.l!r}") from exc
-    return BiddingSpec(valuations, args.T, args.k)
+    return bidding.BiddingSpec(valuations, args.T, args.k)
 
 
 def _cmd_bidding(args) -> int:
-    from .bidding import (closed_form_competitive, closed_form_rational, make_bidding_game,
-                          verify_claims)
-    from .solver import all_player_reports
-
     spec = _parse_bidding_spec(args)
     payload = {"command": "bidding", "input": spec.to_json()}
     rows = None
     exit_code = EXIT_OK
     if args.verify:
-        report = verify_claims(spec)
+        report = bidding.verify_claims(spec)
         payload["verification"] = report.to_json()
         if args.format == "text":
             payload["verification_table"] = report.to_text().splitlines()
@@ -318,13 +303,14 @@ def _cmd_bidding(args) -> int:
         if args.strict and not report.all_match:
             exit_code = EXIT_DIVERGENCE
     else:
-        game = make_bidding_game(spec)
+        game = bidding.make_bidding_game(spec)
         payload["reports"] = [
-            r.to_json() for mode in _MODES[args.mode] for r in all_player_reports(game, mode)
+            r.to_json() for mode in _MODES[args.mode]
+            for r in solver.all_player_reports(game, mode)
         ]
         predictions = []
         for player in range(spec.player_count):
-            for fn in (closed_form_competitive, closed_form_rational):
+            for fn in (bidding.closed_form_competitive, bidding.closed_form_rational):
                 prediction = fn(spec, player)
                 if prediction is not None:
                     predictions.append(prediction.to_json())
@@ -340,8 +326,6 @@ def _cmd_bidding(args) -> int:
 
 
 def _cmd_repeated(args) -> int:
-    from .repeated import verify_folk_theorem
-
     if (args.sequence is None) == (args.random is None):
         raise InputError("exactly one of --sequence or --random is required")
     if args.sequence is not None:
@@ -358,7 +342,7 @@ def _cmd_repeated(args) -> int:
         }
         if spec.mode == "sampled":
             subject_json["seed"] = spec.seed
-    report = verify_folk_theorem(
+    report = repeated.verify_folk_theorem(
         subject, args.mode, dense_cap=args.dense_cap, realization_cap=args.realization_cap
     )
     payload = {
@@ -379,10 +363,6 @@ def _cmd_repeated(args) -> int:
 
 
 def _cmd_trading(args) -> int:
-    from .trading import (TradingSpec, audit_single_agent, minimal_regret_sweep,
-                          reference_strategy, simulate, single_agent_threshold,
-                          trading_oracle_report)
-
     if args.sweep and not args.oracle:
         raise InputError("--sweep needs --oracle")
     # each of these picks the whole output, so a second one would be dropped
@@ -395,7 +375,7 @@ def _cmd_trading(args) -> int:
     if args.audit_single:
         if args.m1 is None or args.M1 is None:
             raise InputError("--audit-single needs --m1 and --M1 (and optionally --t)")
-        audit = audit_single_agent(
+        audit = trading.audit_single_agent(
             args.M1, args.m1, 3 if args.t is None else args.t, args.enum_cap
         )
         payload = {
@@ -409,7 +389,7 @@ def _cmd_trading(args) -> int:
     for name in ("m1", "M1", "m2", "M2", "t", "K"):
         if getattr(args, name) is None:
             raise InputError(f"--{name} is required for this trading command")
-    spec = TradingSpec((args.m1, args.m2), (args.M1, args.M2), args.t, args.K)
+    spec = trading.TradingSpec((args.m1, args.m2), (args.M1, args.M2), args.t, args.K)
     modes = _MODES[args.mode]
     payload = {"command": "trading", "input": spec.to_json()}
     rows = None
@@ -419,8 +399,8 @@ def _cmd_trading(args) -> int:
             raise InputError(f"{args.simulate}: announcements must be a list of pairs")
         announcements = [[parse_rational(v) for v in pair] for pair in pairs]
         mode = modes[0]
-        strategies = [reference_strategy(spec, player, mode) for player in (0, 1)]
-        outcome, trace = simulate(spec, strategies, announcements)
+        strategies = [trading.reference_strategy(spec, player, mode) for player in (0, 1)]
+        outcome, trace = trading.simulate(spec, strategies, announcements)
         payload["mode"] = mode
         payload["outcome"] = outcome.to_json()
         payload["trace"] = trace
@@ -441,12 +421,12 @@ def _cmd_trading(args) -> int:
         results = []
         for mode in modes:
             for player in (0, 1):
-                entry = trading_oracle_report(
-                    spec, player, reference_strategy(spec, player, mode), mode,
+                entry = trading.trading_oracle_report(
+                    spec, player, trading.reference_strategy(spec, player, mode), mode,
                     grid_step=args.grid_step, enum_cap=args.enum_cap,
                 )
                 if args.sweep:
-                    sweep = minimal_regret_sweep(
+                    sweep = trading.minimal_regret_sweep(
                         spec, player, mode, grid_step=args.grid_step, enum_cap=args.enum_cap
                     )
                     entry["sweep"] = sweep.to_json()
@@ -459,11 +439,11 @@ def _cmd_trading(args) -> int:
         rows = (["player", "mode", "strategy", "worst_case_regret", "optimal"], oracle_rows)
     else:
         payload["strategies"] = [
-            reference_strategy(spec, player, mode).describe()
+            trading.reference_strategy(spec, player, mode).describe()
             for mode in modes for player in (0, 1)
         ]
         payload["single_agent_thresholds"] = [
-            str(single_agent_threshold(spec.price_caps[i], spec.price_floors[i]))
+            str(trading.single_agent_threshold(spec.price_caps[i], spec.price_floors[i]))
             for i in (0, 1)
         ]
         payload["single_agent_threshold_note"] = (
@@ -475,8 +455,6 @@ def _cmd_trading(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .bidding import BiddingSpec, verify_claims
-
     manifest = read_json(args.manifest)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("specs"), list):
         raise InputError(f"{args.manifest}: manifest files need a 'specs' array")
@@ -485,8 +463,8 @@ def _cmd_verify(args) -> int:
     for i, entry in enumerate(manifest["specs"]):
         if not isinstance(entry, dict) or not {"l", "T", "k"} <= set(entry):
             raise InputError(f"manifest spec {i} needs keys l, T, k")
-        spec = BiddingSpec(entry["l"], entry["T"], entry["k"])
-        report = verify_claims(spec)
+        spec = bidding.BiddingSpec(entry["l"], entry["T"], entry["k"])
+        report = bidding.verify_claims(spec)
         mismatch_count += len(report.mismatches())
         reports.append(report.to_json())
     payload = {

@@ -78,11 +78,7 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
         new_allowed = []
         new_eliminated = []
         for player in range(n):
-            rows = game._opponent_classes(player)[0]
-            columns = game._class_columns(player, allowed)
-            if len(columns) < len(rows[0]):
-                rows = [[row[c] for c in columns] for row in rows]
-            kept, removed = _surviving(rows, allowed[player])
+            kept, removed = _surviving(game._class_rows(player, allowed), allowed[player])
             new_allowed.append(kept)
             new_eliminated.append(removed)
         if new_allowed == allowed:
@@ -99,9 +95,8 @@ def iterated_rational_sets(game: Game, rounds: int) -> list[RationalSet]:
 def rational_restriction(game: Game) -> Restriction:
     """Package every player's surviving set for the solver's RATIONAL mode.
 
-    Kept on the game object, like its payoff matrices. An expansion's is
-    filled by ``repeated.expand_sequence``, which derives it from the rest's;
-    any other game's is computed here by :func:`rational_set` on first use.
+    Computed by :func:`rational_set` on first use and kept on the game
+    object, like its payoff matrices.
     """
     if game._rational_restriction is None:
         game._rational_restriction = Restriction(

@@ -57,8 +57,13 @@ def check_size(what: str, cap: int, *powers) -> int:
 
     Once the partial product passes the cap by ``2 ** _MARGIN_BITS`` it stops:
     the message then names ``at least 2**k`` and ``count`` is ``None``, so a
-    huge exponent costs no time or memory.
+    huge exponent costs no time or memory. A cap other than a non-negative
+    int raises :class:`InputError`; so does a bool.
     """
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise InputError(f"a size cap must be an integer, got {cap!r}")
+    if cap < 0:
+        raise InputError(f"a size cap must be non-negative, got {cap}")
     limit = max(cap, 1) << _MARGIN_BITS
     count = 1
     for base, exponent in powers:

@@ -77,7 +77,7 @@ _GCD_CHUNK = 256
 
 def _reduced(column, scale: int) -> tuple[list[int], int]:
     """Numerators and their denominator divided by their gcd."""
-    if scale < 1:
+    if strict_int(scale, "a payoff denominator") < 1:
         raise InputError(f"payoff denominators must be positive, got {scale}")
     divisor = scale
     for start in range(0, len(column), _GCD_CHUNK):
@@ -115,10 +115,8 @@ class Game:
         self._columns, self._scales = zip(*map(_reduced, columns, scales))
         self._matrix_cache: dict[int, tuple] = {}
         self._class_cache: dict[int, tuple] = {}
-        # filled by expand_sequence for an expansion, else by rational_restriction
+        # filled by rational_restriction on first use
         self._rational_restriction: Restriction | None = None
-        # an expansion's per-player (full-mode worst regrets, scale), from expand_sequence
-        self._full_regrets: list[tuple[list[int], int]] | None = None
 
     @staticmethod
     def _check_labels(labels, counts):
@@ -231,15 +229,17 @@ class Game:
             cached = self._class_cache[player] = (rows, keys, scale)
         return cached
 
-    def _class_columns(self, player: int, allowed) -> list[int]:
-        """The classes of :meth:`_opponent_classes` that the opponent profiles
-        with choices in ``allowed`` (one set per player) fall in, ascending."""
-        keys = self._opponent_classes(player)[1]
+    def _class_rows(self, player: int, allowed):
+        """The rows of :meth:`_opponent_classes` cut to the classes that the
+        opponent profiles with choices in ``allowed`` (one set per player)
+        fall in, ascending; the cached rows themselves when that is every class."""
+        rows, keys, _ = self._opponent_classes(player)
         positions = [0]  # in player's lexicographic opponent enumeration
         for j, count in enumerate(self._counts):
             if j != player:
                 positions = [p * count + c for p in positions for c in allowed[j]]
-        return sorted(set(map(keys.__getitem__, positions)))
+        columns = sorted(set(map(keys.__getitem__, positions)))
+        return rows if len(columns) == len(rows[0]) else [[row[c] for c in columns] for row in rows]
 
     def _column(self, player: int) -> tuple[list[int], int]:
         """``player``'s numerators over all profiles in lex order, and their scale."""

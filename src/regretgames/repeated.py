@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DEFAULT_DENSE_CAP, DEFAULT_REALIZATION_CAP, AssumptionError, InputError,
@@ -114,11 +114,16 @@ def _fixed_index(sequence: GameSequence, player: int, picks) -> int:
 class ExpandedGame:
     """A sequence flattened to normal form; ``rest`` is the expansion from its
     second stage (None for one stage). A strategy's index reads its decisions
-    at :func:`decision_points` as a mixed-radix number, first point most significant."""
+    at :func:`decision_points` as a mixed-radix number, first point most significant.
+    ``rational`` and ``full_regrets``, the game's rational restriction and each
+    player's full-mode (worst regrets, scale), are derived from the rest's; ``==``
+    ignores them, since a suffix on a chain has the whole sequence's scale."""
 
     sequence: GameSequence
     game: Game
     rest: ExpandedGame | None
+    rational: Restriction = field(compare=False)
+    full_regrets: list[tuple[list[int], int]] = field(compare=False)
 
     def index_of_tuple(self, player: int, decisions: tuple[int, ...]) -> int:
         player, decisions, index = self.game._validate_player(player), tuple(decisions), 0
@@ -147,7 +152,7 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     run is gathered from the rest's columns at once.
     Each game's rational restriction and full-mode worst regrets are derived
     from the rest's at the same step by :func:`_rational_step` and kept on the
-    game, so no weak-dominance scan and no full-mode solve runs on an expansion.
+    expansion, so no weak-dominance scan and no full-mode solve runs on it.
     Raises :class:`SizeError` before allocating when a player's strategy space
     or the joint profile space exceeds the cap.
     """
@@ -210,9 +215,9 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                 values = gather(tail)  # one index gives the item, not a 1-tuple
                 column.extend(map(head[at].__add__, values if run > 1 else (values,)))
         game = Game(tuple(map(len, strategies)), columns=columns, scales=scales)
-        game._rational_restriction = Restriction(tuple(step[0] for step in derived), "rational")
-        game._full_regrets = [(step[3], scale) for step, scale in zip(derived, scales)]
-        expansion = ExpandedGame(sequence.suffix(start), game, expansion)
+        expansion = ExpandedGame(sequence.suffix(start), game, expansion,
+                                 Restriction(tuple(step[0] for step in derived), "rational"),
+                                 [(step[3], scale) for step, scale in zip(derived, scales)])
     return expansion
 
 
@@ -364,13 +369,12 @@ def folk_strategy(sequence: GameSequence, player: int) -> tuple[int, ...]:
 
 
 class SequenceAnalysis:
-    """Caches suffix expansions and their worst regrets across subgame checks."""
+    """Caches suffix expansions across subgame checks."""
 
     def __init__(self, sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP):
         self.sequence = sequence
         self.dense_cap = dense_cap
         self._expansions: dict[int, ExpandedGame] = {}
-        self._regrets: dict[tuple, list[tuple[list[int], int]]] = {}
 
     def expansion(self, start: int) -> ExpandedGame:
         """The suffix from ``start``; building it caches every later suffix too."""
@@ -380,22 +384,20 @@ class SequenceAnalysis:
                 self._expansions[later], chain = chain, chain.rest
         return self._expansions[start]
 
-    def _worst(self, start: int, mode: str) -> list[tuple[list[int], int]]:
-        """Every player's int worst regrets on the suffix from ``start`` under
-        ``mode``, each with its scale: full mode reads those the expansion
+    def _worst(self, start: int, player: int, mode: str) -> tuple[list[int], int]:
+        """``player``'s int worst regrets on the suffix from ``start`` under
+        ``mode``, with their scale: full mode reads those the expansion
         derived, rational mode solves the expansion against its rational set."""
-        if (start, mode) not in self._regrets:
-            game = self.expansion(start).game
-            self._regrets[start, mode] = game._full_regrets if mode == "full" else [
-                _worst_regrets(game, player, game._rational_restriction)
-                for player in range(game.player_count)]
-        return self._regrets[start, mode]
+        expansion = self.expansion(start)
+        if mode == "full":
+            return expansion.full_regrets[player]
+        return _worst_regrets(expansion.game, player, expansion.rational)
 
     def report(self, start: int, player: int, mode: str) -> RegretReport:
         """``player``'s report on the suffix from ``start``, solved under ``mode``."""
         player = self.sequence.stages[0]._validate_player(player)
         check_mode(mode)
-        return _report(player, mode, *self._worst(start, mode)[player])
+        return _report(player, mode, *self._worst(start, player, mode))
 
 
 # -- random pools --------------------------------------------------------------
@@ -587,7 +589,7 @@ def verify_folk_theorem(
             for start in range(1, len(sequence) + 1):
                 index = _fixed_index(analysis.expansion(start).sequence, player,
                                      picks[start - 1:])
-                full, rational = (_argmin(analysis._worst(start, m)[player][0])
+                full, rational = (_argmin(analysis._worst(start, player, m)[0])
                                   for m in ("full", "rational"))
                 member = index in (full if mode == "full" else rational)
                 details.append(SubgameDetail(start, index, full, rational, member))

@@ -54,9 +54,7 @@ def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
         if not isinstance(restriction, Restriction):
             raise InputError(f"the restriction must be a Restriction or None, got {restriction!r}")
         restriction.validate_for(game)
-        columns = game._class_columns(player, restriction.allowed)
-        if len(columns) < len(rows[0]):  # a restriction keeping every class changes nothing
-            rows = [[row[c] for c in columns] for row in rows]
+        rows = game._class_rows(player, restriction.allowed)
     best = list(map(max, zip(*rows)))
     return [max(map(operator.sub, best, row)) for row in rows], scale
 

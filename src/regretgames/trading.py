@@ -135,6 +135,8 @@ class TradingStrategy:
                 raise InputError(f"schedule entry {j}: trigger must be True or False, "
                                  f"got {trigger!r}")
         object.__setattr__(self, "schedule", tuple(map(tuple, entries)))
+        if self.params is not None and not isinstance(self.params, dict):
+            raise InputError(f"params must be None or a dict, got {self.params!r}")
 
     def describe(self) -> dict:
         out = {"player": self.player, "kind": self.kind}
@@ -394,15 +396,14 @@ def audit_single_agent(
     check_size("the audit would enumerate {} threshold profiles", enum_cap,
                (len(values) + 1, iterations - 1))
     options = [None, *values]
-    reach = _Reach([(value, False, None) for value in values], iterations, "single")
-    forced = (True,) * len(values)
-
-    def row(threshold) -> tuple:
-        return tuple(threshold is not None and value >= threshold for value in values)
+    steps = [(value, False, None) for value in values]
+    reach = _Reach(steps, iterations, "single")
+    forced = _take_row((floor, False), steps)  # every announcement reaches the floor
 
     def worst_regret(profile) -> Fraction:
         # the recurrence counts regret twice, as in half-supply units
-        return Fraction(reach.worst([row(x) for x in profile] + [forced]), 2)
+        takes = [_take_row((x, False), steps) for x in profile]
+        return Fraction(reach.worst(takes + [forced]), 2)
 
     early = iterations - 1
     stationary = tuple(
@@ -413,7 +414,7 @@ def audit_single_agent(
 
     best = None
     best_profiles = []
-    rows = [[row(x) for x in options]] * early + [[forced]]
+    rows = [[_take_row((x, False), steps) for x in options]] * early + [[forced]]
     for choice, worst in reach.search(rows, lambda worst: best is None or worst <= best):
         profile = tuple(options[k] for k in choice[:early])
         if best is None or worst < best:

@@ -17,11 +17,13 @@ from regretgames import (
     TradingSpec,
     TradingStrategy,
     all_player_reports,
+    audit_single_agent,
     bidding_utility,
     closed_form_competitive,
     closed_form_rational,
     competitive_trading_strategy,
     decision_points,
+    expand_sequence,
     iterated_rational_sets,
     make_dense_game,
     minimal_regret_sweep,
@@ -52,6 +54,12 @@ def test_size_check_base_one_and_empty_product():
     with pytest.raises(SizeError) as info:
         check_size("{} cells", 0, (1, 10**100))
     assert info.value.count == 1
+
+
+def test_size_check_refuses_a_negative_cap():
+    with pytest.raises(InputError) as info:
+        check_size("{} cells", -1, (2, 3))
+    assert str(info.value) == "a size cap must be non-negative, got -1"
 
 
 def test_size_check_huge_exponent_reports_a_lower_bound():
@@ -102,6 +110,11 @@ _PLAYER_SITES = {
 _INTEGER_SITES = {
     "Restriction": lambda value: minimax_regret(_STAGE, 0, Restriction(((0, 1), (value,)))),
     "iterated_rational_sets": lambda value: iterated_rational_sets(_STAGE, value),
+    "check_size": lambda value: check_size("{} cells", value, (2, 3)),
+    "expand_sequence-dense_cap": lambda value: expand_sequence(_SEQUENCE, value),
+    "trading_oracle_report-enum_cap": lambda value: trading_oracle_report(
+        _SPEC, 0, competitive_trading_strategy(_SPEC, 0), enum_cap=value),
+    "audit_single_agent-enum_cap": lambda value: audit_single_agent(4, 1, 3, value),
     **_PLAYER_SITES,
 }
 
@@ -240,6 +253,18 @@ _WRONG_TYPES = {
     "TradingStrategy-None-trigger": (
         lambda: TradingStrategy(0, "x", [(Fraction(5, 2), None)]),
         "schedule entry 1: trigger must be True or False, got None"),
+    "TradingStrategy-params": (
+        lambda: TradingStrategy(0, "x", [(None, False)], params=5),
+        "params must be None or a dict, got 5"),
+    "Game-str-scale": (
+        lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=["1", 1]),
+        "a payoff denominator must be an integer, got '1'"),
+    "Game-bool-scale": (
+        lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=[True, 1]),
+        "a payoff denominator must be an integer, got True"),
+    "Game-float-scale": (
+        lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=[1, 2.0]),
+        "a payoff denominator must be an integer, got 2.0"),
 }
 
 

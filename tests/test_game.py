@@ -140,6 +140,24 @@ def assert_view_quotients_the_matrix(game):
         game._opponent_classes(True)
 
 
+def assert_class_rows_cut_the_matrix(game, rng):
+    """``_class_rows`` against the distinct ``payoff_matrix`` columns of the
+    allowed opponent profiles, in first-seen order, over random allowed sets."""
+    counts = game.strategy_counts
+    for player in range(game.player_count):
+        matrix = game.payoff_matrix(player)[0]
+        others = [j for j in range(len(counts)) if j != player]
+        for _ in range(4):
+            allowed = [sorted(rng.sample(range(c), rng.randint(1, c))) for c in counts]
+            profiles = itertools.product(*(range(counts[j]) for j in others))
+            kept = {column for column, profile in zip(zip(*matrix), profiles)
+                    if all(c in allowed[j] for j, c in zip(others, profile))}
+            expected = [column for column in dict.fromkeys(zip(*matrix)) if column in kept]
+            assert list(zip(*game._class_rows(player, allowed))) == expected
+        full = game._class_rows(player, [range(c) for c in counts])
+        assert full is game._opponent_classes(player)[0]  # every class: the cached rows
+
+
 def test_opponent_classes_keep_each_distinct_column_once():
     # player 0's opponent columns are the 9 profiles of players 1 and 2; its
     # payoff depends only on player 1's choice, so 3 columns are distinct
@@ -172,7 +190,9 @@ def test_opponent_classes_match_the_matrix_on_random_games(case):
     values = rng.choice([(0, 1), (-1, -2, 3), tuple(range(-9, 10))])
     cells = [tuple(rng.choice(values) for _ in counts)
              for _ in itertools.product(*map(range, counts))]
-    assert_view_quotients_the_matrix(game_from_cells(counts, cells))
+    game = game_from_cells(counts, cells)
+    assert_view_quotients_the_matrix(game)
+    assert_class_rows_cut_the_matrix(game, rng)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

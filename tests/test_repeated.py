@@ -19,7 +19,7 @@ from regretgames import (
     minimax_regret,
     payoff_extremes,
     random_realizations,
-    rational_set,
+    rational_restriction,
     verify_folk_theorem,
 )
 from regretgames import dominance, repeated, solver
@@ -212,10 +212,8 @@ def assert_rational_sets_derived(expansion) -> int:
     checked = 0
     while expansion is not None:
         game = expansion.game
-        derived = game._rational_restriction  # filled by the expansion, not by a scan
-        assert derived is not None and derived.label == "rational"
-        assert derived.allowed == tuple(rational_set(game, player).allowed
-                                        for player in range(game.player_count))
+        assert game._rational_restriction is None  # the expansion writes nothing into its game
+        assert expansion.rational == rational_restriction(game)  # the scan, kept on the game
         expansion, checked = expansion.rest, checked + 1
     return checked
 
@@ -255,7 +253,7 @@ def assert_full_regrets_derived(expansion) -> int:
     while expansion is not None:
         game = expansion.game
         for player in range(game.player_count):
-            worst, scale = game._full_regrets[player]  # filled by the expansion, not a solve
+            worst, scale = expansion.full_regrets[player]  # derived, not solved
             assert tuple(Fraction(w, scale) for w in worst) \
                 == minimax_regret(game, player).worst_regret_per_strategy
         expansion, checked = expansion.rest, checked + 1
