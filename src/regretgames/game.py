@@ -71,6 +71,11 @@ def _checked_counts(strategy_counts) -> tuple[int, ...]:
     return counts
 
 
+def _check_listed(value, what: str) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {value!r}")
+
+
 #: Cells per ``math.gcd`` call in :func:`_reduced`, which stops at gcd 1.
 _GCD_CHUNK = 256
 
@@ -81,7 +86,12 @@ def _reduced(column, scale: int) -> tuple[list[int], int]:
         raise InputError(f"payoff denominators must be positive, got {scale}")
     divisor = scale
     for start in range(0, len(column), _GCD_CHUNK):
-        divisor = math.gcd(divisor, *column[start:start + _GCD_CHUNK])
+        chunk = column[start:start + _GCD_CHUNK]
+        try:
+            divisor = math.gcd(divisor, *chunk)
+        except TypeError:
+            bad = next(v for v in chunk if not isinstance(v, int))
+            raise InputError(f"a payoff numerator must be an integer, got {bad!r}") from None
         if divisor == 1:  # no later cell can raise it again
             return column, scale
     return [v // divisor for v in column], scale // divisor
@@ -105,6 +115,10 @@ class Game:
         for i in range(len(counts) - 2, -1, -1):
             strides[i] = strides[i + 1] * counts[i + 1]
         self._strides = tuple(strides)
+        _check_listed(columns, "payoff columns")
+        _check_listed(scales, "payoff scales")
+        for column in columns:
+            _check_listed(column, "a payoff column")
         if len(columns) != len(counts) or len(scales) != len(counts) or any(
             len(column) != self.profile_count for column in columns
         ):

@@ -17,6 +17,7 @@ is consistent with the strategy under test; that is the strictest reading.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -28,7 +29,7 @@ from .errors import (DEFAULT_DENSE_CAP, DEFAULT_REALIZATION_CAP, AssumptionError
                      check_mode, check_size)
 from .game import Game, Restriction
 from .rational import strict_int, strict_list
-from .solver import (RegretReport, _argmin, _report, _worst_regrets, minimax_regret,
+from .solver import (RegretReport, _argmin, _regrets, _report, minimax_regret,
                      mode_restriction)
 
 
@@ -117,16 +118,42 @@ class ExpandedGame:
     at :func:`decision_points` as a mixed-radix number, first point most significant.
     ``rational`` and ``full_regrets``, the game's rational restriction and each
     player's full-mode (worst regrets, scale), are derived from the rest's; ``==``
-    ignores them, since a suffix on a chain has the whole sequence's scale."""
+    ignores them, since a suffix on a chain has the whole sequence's scale.
+    Player ``p``'s strategy ``a * len(_continuations[p]) + k`` plays the stage
+    choice ``a`` and then ``_continuations[p][k][o]`` of the rest after the
+    others' stage choices ``o``; ``_heads[p]`` are p's stage payoffs on the
+    scale of ``full_regrets``. The payoff ``game`` is built on first read."""
 
     sequence: GameSequence
-    game: Game
     rest: ExpandedGame | None
     rational: Restriction = field(compare=False)
     full_regrets: list[tuple[list[int], int]] = field(compare=False)
+    _continuations: list[list[tuple[int, ...]]] = field(compare=False, repr=False)
+    _heads: list[list[int]] = field(compare=False, repr=False)
+    _gathered: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @functools.cached_property
+    def game(self) -> Game:
+        """The expanded payoff matrices, gathered by :func:`_gather` against
+        every opponent profile."""
+        rows = [list(zip(*_gather(self, player, False)))
+                for player in range(self.sequence.player_count)]
+        return Game._from_rows(tuple(map(len, rows)), rows,
+                               [scale for _, scale in self.full_regrets])
+
+    def _allowed(self, rational: bool):
+        """Each player's rational set, or all its strategies."""
+        return self.rational.allowed if rational else \
+            [range(len(worst)) for worst, _ in self.full_regrets]
+
+    def _narrowed(self, player: int) -> bool:
+        """Whether the rational set of some opponent of ``player`` leaves out a strategy."""
+        return any(len(rational) < len(every) for j, (rational, every) in
+                   enumerate(zip(self.rational.allowed, self._allowed(False))) if j != player)
 
     def index_of_tuple(self, player: int, decisions: tuple[int, ...]) -> int:
-        player, decisions, index = self.game._validate_player(player), tuple(decisions), 0
+        player = self.sequence.stages[0]._validate_player(player)
+        decisions, index = tuple(decisions), 0
         counts = [count for count, histories in _strategy_factors(self.sequence, player)
                   for _ in range(histories)]
         if len(decisions) != len(counts) or not all(
@@ -139,20 +166,16 @@ class ExpandedGame:
 
 
 def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) -> ExpandedGame:
-    """Build the normal-form game over history strategies, putting one stage
-    at a time, from the last, in front of the expansion of the stages after it.
+    """Expand a sequence over history strategies, putting one stage at a
+    time, from the last, in front of the expansion of the stages after it.
 
-    Payoff of a strategy tuple is the stage payoff at the first decisions plus
-    the rest's payoff at the continuations: after the others' first-stage
-    choice ``o``, a strategy plays its ``o``-th block of decisions in each later
-    iteration, that iteration's share of the rest's decision points. In lex
-    order the last player's strategies are the fastest axis, so cells come in
-    runs, one per profile of the others' strategies and the last player's
-    first decision, in which only the last player's continuation moves; each
-    run is gathered from the rest's columns at once.
-    Each game's rational restriction and full-mode worst regrets are derived
-    from the rest's at the same step by :func:`_rational_step` and kept on the
-    expansion, so no weak-dominance scan and no full-mode solve runs on it.
+    A strategy is a first decision and, after the others' first-stage
+    choice ``o``, its ``o``-th block of decisions in each later iteration,
+    that iteration's share of the rest's decision points: the continuation
+    the expansion keeps per strategy. Each suffix's rational restriction and
+    full-mode worst regrets are derived from the rest's at the same step by
+    :func:`_rational_step`, so no weak-dominance scan and no full-mode solve
+    runs on it, and no payoff cell is filled until ``game`` is read.
     Raises :class:`SizeError` before allocating when a player's strategy space
     or the joint profile space exceeds the cap.
     """
@@ -161,18 +184,17 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     for player, powers in enumerate(factors):
         check_size(f"player {player} would have {{}} history strategies", dense_cap, *powers)
     check_size("expansion would need {} payoff cells", dense_cap, *itertools.chain(*factors))
-    # one denominator per player for all stages; the unreduced ``columns`` stay over it
+    # one denominator per player for all stages; the unreduced ``heads`` stay over it
     scales = [math.lcm(*(stage._column(player)[1] for stage in sequence.stages))
               for player in range(n)]
 
     # the empty suffix: one strategy per player, no decision points, payoff 0
-    columns, expansion = [[0]] * n, None
-    game = Game((1,) * n, columns=columns, scales=[1] * n)
+    expansion = None
     # per player: the rest's rational set, highs, lows and worst regrets
     derived = [((0,), [0], [0], [0])] * n
     for start in range(len(sequence), 0, -1):
         stage = sequence.stages[start - 1]
-        strategies, seen, heads = [], [], []
+        strategies, heads = [], []
         for player in range(n):
             others = others_choice_tuples(stage, player)
             # the rest's strategy index after each first-stage choice of the
@@ -188,37 +210,85 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                     for continuation in continuations
                     for block in itertools.product(range(size), repeat=len(others))
                 ]
-            count, stride, after = stage.strategy_counts[player], stage._strides[player], \
-                game._strides[player]
-            strategies.append([(choice * stride, tuple(c * after for c in continuation))
-                               for choice in range(count) for continuation in continuations])
-            # the index in ``others`` of what the others play at each stage profile
-            seen.append([f // (count * stride) * stride + f % stride
-                         for f in range(stage.profile_count)])
+            strategies.append(continuations)
             head, scale = stage._column(player)
             heads.append([v * (scales[player] // scale) for v in head])
             derived[player] = _rational_step(stage._split_rows(heads[-1], player),
                                              continuations, *derived[player])
-
-        # along a run the stage profile ``at`` and the others' share ``base`` of
-        # the rest's index stay fixed; ``offsets[o]`` lists the last player's
-        # share after the others' first-stage choice ``o``, in run order
-        run = len(strategies[-1]) // stage.strategy_counts[-1]
-        offsets = list(zip(*(c for _, c in strategies[-1][:run])))
-        seen_at, tails, columns = list(zip(*seen)), columns, [[] for _ in range(n)]
-        for *combo, choice in itertools.product(*strategies[:-1],
-                                                range(stage.strategy_counts[-1])):
-            at = sum(first for first, _ in combo) + choice
-            base = sum(c[o] for (_, c), o in zip(combo, seen_at[at]))
-            gather = operator.itemgetter(*map(base.__add__, offsets[seen_at[at][-1]]))
-            for column, head, tail in zip(columns, heads, tails):
-                values = gather(tail)  # one index gives the item, not a 1-tuple
-                column.extend(map(head[at].__add__, values if run > 1 else (values,)))
-        game = Game(tuple(map(len, strategies)), columns=columns, scales=scales)
-        expansion = ExpandedGame(sequence.suffix(start), game, expansion,
+        expansion = ExpandedGame(sequence.suffix(start), expansion,
                                  Restriction(tuple(step[0] for step in derived), "rational"),
-                                 [(step[3], scale) for step, scale in zip(derived, scales)])
+                                 [(step[3], scale) for step, scale in zip(derived, scales)],
+                                 strategies, heads)
     return expansion
+
+
+def _gather(expansion: ExpandedGame, player: int, rational: bool) -> list[tuple[int, ...]]:
+    """``player``'s payoffs in ``expansion`` against every opponent profile,
+    or against every profile of rational opponents when ``rational``: its
+    rows over all own strategies, kept column by column, one column per
+    allowed opponent profile in lex order, on the scale of ``full_regrets``.
+
+    Each suffix's columns come from the rest's of the same kind, so the
+    chain is walked down for the kind of each suffix and built back up.
+    Rows against rational opponents who leave out no strategy are the full
+    ones, and so are the rest's below them. Memoized per (expansion, player,
+    kind) and built on first use.
+    """
+    chain = []
+    while expansion is not None:
+        rational = rational and expansion._narrowed(player)
+        chain.append((expansion, rational))
+        expansion = expansion.rest
+    columns = [(0,)]  # the empty suffix: one strategy per player, payoff 0
+    for expansion, rational in reversed(chain):
+        if (player, rational) not in expansion._gathered:
+            expansion._gathered[player, rational] = _gather_step(expansion, player, rational,
+                                                                 columns)
+        columns = expansion._gathered[player, rational]
+    return columns
+
+
+def _gather_step(expansion: ExpandedGame, player: int, rational: bool, rest_columns):
+    """The columns of :func:`_gather` from ``rest_columns``, the rest's of the same kind.
+
+    Against a profile in which the others play the stage choices ``o`` and
+    each opponent ``j`` plays the continuation ``q_j`` after the stage
+    choices of j's others, the strategy (a, r) earns its stage payoff plus
+    the rest's payoff of ``r_o`` against the ``q_j``. Every continuation of
+    a rational strategy is rational in the rest (``docs/DECISIONS.md``), so
+    that payoff is an entry of the rest's columns against rational opponents.
+    """
+    stage, rest = expansion.sequence.stages[0], expansion.rest
+    others = [j for j in range(stage.player_count) if j != player]
+    rest_sets = [(0,)] * stage.player_count if rest is None else rest._allowed(rational)
+    # the stride of each opponent's rest strategy in the rest's column index
+    strides, stride = {}, 1
+    for j in reversed(others):
+        strides[j], stride = stride, stride * len(rest_sets[j])
+    # the index of the others' stage choices, per stage profile and player
+    seen = [[f // (count * step) * step + f % step for f in range(stage.profile_count)]
+            for count, step in zip(stage.strategy_counts, stage._strides)]
+    # per opponent and allowed strategy: its stage choice's share of the
+    # stage profile index, and its continuations' shares of the rest's column
+    entries, allowed = [], expansion._allowed(rational)
+    for j in others:
+        blocks = expansion._continuations[j]
+        position = {r: i * strides[j] for i, r in enumerate(rest_sets[j])}
+        entries.append([(s // len(blocks) * stage._strides[j],
+                         [position[r] for r in blocks[s % len(blocks)]]) for s in allowed[j]])
+    # the own continuation after each of the others' stage choices, in strategy order
+    picks = list(zip(*expansion._continuations[player]))
+    head, seen_own, seen_others = expansion._heads[player], seen[player], [seen[j] for j in others]
+    count, step = stage.strategy_counts[player], stage._strides[player]
+    columns = []
+    for combo in itertools.product(*entries):
+        base, column = sum(first for first, _ in combo), []
+        for at in range(base, base + count * step, step):
+            rest_column = rest_columns[sum(shares[seen_j[at]] for (_, shares), seen_j
+                                           in zip(combo, seen_others))]
+            column += map(head[at].__add__, map(rest_column.__getitem__, picks[seen_own[at]]))
+        columns.append(tuple(column))
+    return columns
 
 
 def _rational_step(gains, continuations, allowed, highs, lows, regrets):
@@ -386,12 +456,15 @@ class SequenceAnalysis:
 
     def _worst(self, start: int, player: int, mode: str) -> tuple[list[int], int]:
         """``player``'s int worst regrets on the suffix from ``start`` under
-        ``mode``, with their scale: full mode reads those the expansion
-        derived, rational mode solves the expansion against its rational set."""
+        ``mode``, with their scale: full mode, and rational mode when every
+        opponent's rational set is its whole set, reads those the expansion
+        derived; rational mode otherwise solves the player's rows against the
+        rational opponents, which :func:`_gather` builds."""
         expansion = self.expansion(start)
-        if mode == "full":
-            return expansion.full_regrets[player]
-        return _worst_regrets(expansion.game, player, expansion.rational)
+        worst, scale = expansion.full_regrets[player]
+        if mode == "full" or not expansion._narrowed(player):
+            return worst, scale
+        return _regrets(list(zip(*_gather(expansion, player, True)))), scale
 
     def report(self, start: int, player: int, mode: str) -> RegretReport:
         """``player``'s report on the suffix from ``start``, solved under ``mode``."""

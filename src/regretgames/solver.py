@@ -55,8 +55,13 @@ def _worst_regrets(game: Game, player: int, restriction: Restriction | None):
             raise InputError(f"the restriction must be a Restriction or None, got {restriction!r}")
         restriction.validate_for(game)
         rows = game._class_rows(player, restriction.allowed)
+    return _regrets(rows), scale
+
+
+def _regrets(rows) -> list[int]:
+    """Each row's worst regret: the largest shortfall from a column's best entry."""
     best = list(map(max, zip(*rows)))
-    return [max(map(operator.sub, best, row)) for row in rows], scale
+    return [max(map(operator.sub, best, row)) for row in rows]
 
 
 def minimax_regret(

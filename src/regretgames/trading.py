@@ -324,6 +324,7 @@ def single_agent_threshold(cap: int, floor: int) -> Fraction:
     Reported verbatim; the exact audit may disagree, and reports print
     the two side by side without taking a side.
     """
+    cap, floor = strict_int(cap, "price cap"), strict_int(floor, "price floor")
     if not floor > 0 or not cap > floor:
         raise InputError(f"need cap > floor > 0, got cap={cap}, floor={floor}")
     return Fraction(cap - floor, 2)

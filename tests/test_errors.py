@@ -30,6 +30,7 @@ from regretgames import (
     minimax_regret,
     reference_strategy,
     simulate,
+    single_agent_threshold,
     trading_oracle,
     trading_oracle_report,
     trading_payoff,
@@ -115,6 +116,8 @@ _INTEGER_SITES = {
     "trading_oracle_report-enum_cap": lambda value: trading_oracle_report(
         _SPEC, 0, competitive_trading_strategy(_SPEC, 0), enum_cap=value),
     "audit_single_agent-enum_cap": lambda value: audit_single_agent(4, 1, 3, value),
+    "single_agent_threshold-cap": lambda value: single_agent_threshold(value, 1),
+    "single_agent_threshold-floor": lambda value: single_agent_threshold(4, value),
     **_PLAYER_SITES,
 }
 
@@ -161,6 +164,12 @@ _MALFORMED_ARGUMENTS = {
     "RandomGameSpec": (lambda: RandomGameSpec(3, 2), "the game pool must list Games, got 3"),
     "make_dense_game": (lambda: make_dense_game(5, []), "strategy counts must be a list, got 5"),
     "Game": (lambda: Game(5, columns=[], scales=[]), "strategy counts must be a list, got 5"),
+    "Game-columns": (lambda: Game((2, 2), columns=5, scales=[1, 1]),
+                     "payoff columns must be a list, got 5"),
+    "Game-scales": (lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=1),
+                    "payoff scales must be a list, got 1"),
+    "Game-column": (lambda: Game((2, 2), columns=[[0] * 4, 7], scales=[1, 1]),
+                    "a payoff column must be a list, got 7"),
     "trading_payoff-announcements": (
         lambda: trading_payoff(_SPEC, 5, _PASSES),
         "announcements must list one pair per iteration, got 5"),
@@ -265,6 +274,12 @@ _WRONG_TYPES = {
     "Game-float-scale": (
         lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=[1, 2.0]),
         "a payoff denominator must be an integer, got 2.0"),
+    "Game-str-numerator": (
+        lambda: Game((2, 2), columns=[["1", 2, 3, 4], [0] * 4], scales=[1, 1]),
+        "a payoff numerator must be an integer, got '1'"),
+    "Game-float-numerator": (
+        lambda: Game((2, 2), columns=[[0] * 4, [2, 4, 6.0, 8]], scales=[1, 2]),
+        "a payoff numerator must be an integer, got 6.0"),
 }
 
 

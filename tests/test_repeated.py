@@ -161,7 +161,8 @@ def assert_chain_replays(sequence, expansion):
         assert payoffs(expansion.game, profile) == expected
     rest = expansion
     for k in range(1, length + 1):
-        assert rest == expand_sequence(sequence.suffix(k))  # sequence, game, rest
+        alone = expand_sequence(sequence.suffix(k))
+        assert rest == alone and rest.game == alone.game  # sequence and rest, then game
         rest = rest.rest
     assert rest is None
 
@@ -279,6 +280,79 @@ def test_expansion_derives_the_full_worst_regrets_of_criterion_6():
         assert assert_full_regrets_derived(expand_sequence(sequence)) == len(sequence)
 
 
+def assert_rational_regrets_gathered(sequence) -> int:
+    """At every suffix on the rest chain, each player's rational worst
+    regrets, solved before anything reads the suffix's ``game``, equal the
+    solver's on that game against the rational sets the dominance scan finds;
+    returns the (suffix, player) cases whose opponents' rational sets leave
+    out a strategy, where the rows against rational opponents are gathered."""
+    analysis, narrowed = SequenceAnalysis(sequence), 0
+    for start in range(1, len(sequence) + 1):
+        expansion = analysis.expansion(start)
+        reports = [analysis.report(start, player, "rational")
+                   for player in range(sequence.player_count)]
+        assert "game" not in vars(expansion)
+        game = expansion.game
+        for player, report in enumerate(reports):
+            expected = minimax_regret(game, player, rational_restriction(game))
+            assert report.worst_regret_per_strategy == expected.worst_regret_per_strategy
+            narrowed += expansion._narrowed(player)
+    return narrowed
+
+
+@pytest.mark.parametrize("players", [2, 3])
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_rational_worst_regrets_of_every_suffix_equal_the_scan(players, length):
+    rng, checked, narrowed = random.Random(f"gather-{players}-{length}"), 0, 0
+    while checked < 20:
+        counts = [tuple(rng.randint(1, 3) for _ in range(players)) for _ in range(length)]
+        sequence = GameSequence([tied_stage(rng, shape) for shape in counts])
+        try:
+            expand_sequence(sequence, 2000)
+        except SizeError:
+            continue
+        narrowed += assert_rational_regrets_gathered(sequence)
+        checked += 1
+    assert narrowed > 0
+
+
+def test_rational_worst_regrets_of_criterion_6_equal_the_scan():
+    assert sum(map(assert_rational_regrets_gathered, criterion6_sequences())) > 0
+
+
+def assert_rational_rows_replay(expansion, rng: random.Random, samples: int) -> None:
+    """Sampled entries of each player's rows against the rational opponents
+    are the play-path replay of the two strategies' decisions."""
+    sequence, players = expansion.sequence, expansion.sequence.player_count
+    lookups = [[dict(zip(points, t)) for t in tuples]
+               for points, tuples in (history_strategies(sequence, p) for p in range(players))]
+    for player in range(players):
+        columns, (_, scale) = repeated._gather(expansion, player, True), \
+            expansion.full_regrets[player]
+        opponents = list(itertools.product(*(allowed for j, allowed in
+                                             enumerate(expansion.rational.allowed)
+                                             if j != player)))
+        assert len(columns) == len(opponents)
+        assert {len(column) for column in columns} == {len(lookups[player])}
+        for _ in range(samples):
+            q, s = rng.randrange(len(columns)), rng.randrange(len(lookups[player]))
+            profile = (*opponents[q][:player], s, *opponents[q][player:])
+            expected = replay(sequence, [lookups[p][c] for p, c in enumerate(profile)])
+            assert Fraction(columns[q][s], scale) == expected[player]
+
+
+def test_rational_rows_equal_the_play_path_replay():
+    rng = random.Random(29)
+    sequences = [*criterion6_sequences(),
+                 *(uneven_sequence(rng, players, length)[0]
+                   for players, length in ((2, 2), (3, 2), (2, 3), (3, 3)) for _ in range(3))]
+    for sequence in sequences:
+        expansion = expand_sequence(sequence)
+        while expansion is not None:
+            assert_rational_rows_replay(expansion, rng, 30)
+            expansion = expansion.rest
+
+
 def test_sequence_reports_equal_the_solver_on_the_expansion():
     """The derived ints sit on the unreduced lcm scale of the stages, the
     expansion's payoffs on its gcd-reduced one: the reports must not differ."""
@@ -326,6 +400,7 @@ def test_index_of_tuple_rejects_invalid_decisions(decisions):
     assert expansion.index_of_tuple(0, (0, 1, 1)) == 3
     with pytest.raises(InputError):
         expansion.index_of_tuple(0, decisions)
+    assert "game" not in vars(expansion)  # the index needs no payoff matrix
 
 
 def test_long_horizon_chain_and_index():
@@ -339,6 +414,9 @@ def test_long_horizon_chain_and_index():
     assert expansion.index_of_tuple(0, (0,) * 300) == 0
     with pytest.raises(InputError, match="not a valid strategy of player 0"):
         expansion.index_of_tuple(0, (0,) * 299)
+    # the payoff matrix is gathered along the chain without recursing per link
+    longer = expand_sequence(GameSequence.repeat(make_dense_game((1, 1), [[[1, 2]]]), 2000))
+    assert payoffs(longer.game, (0, 0)) == (2000, 4000)
 
 
 @pytest.mark.parametrize("times", [2.0, True, "2"])
@@ -365,6 +443,25 @@ def test_folk_verifier_expands_each_suffix_once(monkeypatch):
     assert lengths == [3]
 
 
+@pytest.mark.parametrize("mode", ["full", "rational"])
+def test_folk_verifier_builds_no_expanded_payoff_matrix(monkeypatch, mode):
+    analyses = []
+
+    class Recorded(SequenceAnalysis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            analyses.append(self)
+
+    monkeypatch.setattr(repeated, "SequenceAnalysis", Recorded)
+    stage0 = next(iter(criterion6_sequences())).stages[0]
+    for stage in (condition_game(), stage0):
+        verify_folk_theorem(GameSequence.repeat(stage, 3), mode)
+    assert len(analyses) == 2
+    for analysis in analyses:
+        assert sorted(analysis._expansions) == [1, 2, 3]
+        assert all("game" not in vars(e) for e in analysis._expansions.values())
+
+
 def test_folk_verifier_scans_stage_games_only_for_rational_sets(monkeypatch):
     scan, games = dominance.rational_set, []
 
@@ -380,8 +477,9 @@ def test_folk_verifier_scans_stage_games_only_for_rational_sets(monkeypatch):
 
 
 def test_folk_verifier_solves_no_expansion_in_full_mode(monkeypatch):
-    """Full-mode worst regrets of an expansion are derived with it: the only
-    unrestricted solves are the stage picks', on the stage games themselves."""
+    """Full-mode worst regrets of an expansion are derived with it, and
+    rational ones are solved on gathered rows: the only solves of the
+    solver's kernel are the stage picks', on the stage games themselves."""
     kernel, solved = solver._worst_regrets, []
 
     def counted(game, player, restriction):
@@ -389,14 +487,12 @@ def test_folk_verifier_solves_no_expansion_in_full_mode(monkeypatch):
         return kernel(game, player, restriction)
 
     monkeypatch.setattr(solver, "_worst_regrets", counted)
-    monkeypatch.setattr(repeated, "_worst_regrets", counted)
     stage = condition_game()
     for mode in ("full", "rational"):
         solved.clear()
         verify_folk_theorem(GameSequence.repeat(stage, 3), mode)
         # identity, not equality: the one-stage expansion equals the stage game
-        assert all(game is stage for game, restriction in solved if restriction is None)
-        assert sum(game is not stage for game, _ in solved) == 3 * 2  # rational, per suffix
+        assert solved and all(game is stage for game, _ in solved)
 
 
 def test_suffix_consistency():
