@@ -33,6 +33,14 @@ from .solver import (RegretReport, _argmin, _regrets, _report, minimax_regret,
                      mode_restriction)
 
 
+def _checked(value, types: tuple, what: str):
+    """``value`` if it is one of ``types``; else one :class:`InputError` line naming ``what``."""
+    if not isinstance(value, types):
+        raise InputError(f"{what} must be a {' or '.join(t.__name__ for t in types)}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class GameSequence:
     """Stage games played in order; a repeated game is the all-equal case."""
@@ -70,21 +78,17 @@ class GameSequence:
         return GameSequence(self.stages[start - 1:])
 
 
-def others_choice_tuples(stage: Game, player: int) -> tuple[tuple[int, ...], ...]:
-    """Every combination the other players can play in one stage, lex order."""
-    ranges = [range(c) for i, c in enumerate(stage.strategy_counts) if i != player]
-    return tuple(itertools.product(*ranges))
-
-
 def opponent_histories(sequence: GameSequence, player: int, length: int):
-    """All opponent histories covering iterations 1..length (lex order)."""
-    return itertools.product(*(others_choice_tuples(stage, player)
-                               for stage in sequence.stages[:length]))
+    """All opponent histories covering iterations 1..length (lex order): per
+    iteration, a combination the other players can play in its stage."""
+    return itertools.product(*(
+        itertools.product(*(range(c) for j, c in enumerate(stage.strategy_counts) if j != player))
+        for stage in sequence.stages[:length]))
 
 
 def decision_points(sequence: GameSequence, player: int) -> tuple[tuple[int, tuple], ...]:
     """A history strategy's ``(iteration, others' history)`` keys: iteration-major, history lex."""
-    player = sequence.stages[0]._validate_player(player)
+    player = _checked(sequence, (GameSequence,), "sequence").stages[0]._validate_player(player)
     return tuple((idx, history) for idx in range(1, len(sequence) + 1)
                  for history in opponent_histories(sequence, player, idx - 1))
 
@@ -95,7 +99,7 @@ def _strategy_factors(sequence: GameSequence, player: int) -> list[tuple[int, in
     factors, histories = [], 1
     for stage in sequence.stages:
         factors.append((stage.strategy_counts[player], histories))
-        histories *= len(others_choice_tuples(stage, player))
+        histories *= stage.profile_count // stage.strategy_counts[player]
     return factors
 
 
@@ -117,19 +121,20 @@ class ExpandedGame:
     second stage (None for one stage). A strategy's index reads its decisions
     at :func:`decision_points` as a mixed-radix number, first point most significant.
     ``rational`` and ``full_regrets``, the game's rational restriction and each
-    player's full-mode (worst regrets, scale), are derived from the rest's; ``==``
-    ignores them, since a suffix on a chain has the whole sequence's scale.
+    player's full-mode (worst regrets, scale), are derived from the rest's.
+    ``==`` and ``repr`` read ``sequence`` only: it fixes the whole chain, and
+    a suffix on a chain holds its derived lists on the whole sequence's scale.
     Player ``p``'s strategy ``a * len(_continuations[p]) + k`` plays the stage
     choice ``a`` and then ``_continuations[p][k][o]`` of the rest after the
-    others' stage choices ``o``; ``_heads[p]`` are p's stage payoffs on the
-    scale of ``full_regrets``. The payoff ``game`` is built on first read."""
+    others' stage choices ``o``; ``_heads[p][a][o]`` is p's stage payoff there,
+    on the scale of ``full_regrets``. The payoff ``game`` is built on first read."""
 
     sequence: GameSequence
-    rest: ExpandedGame | None
-    rational: Restriction = field(compare=False)
-    full_regrets: list[tuple[list[int], int]] = field(compare=False)
+    rest: ExpandedGame | None = field(compare=False, repr=False)
+    rational: Restriction = field(compare=False, repr=False)
+    full_regrets: list[tuple[list[int], int]] = field(compare=False, repr=False)
     _continuations: list[list[tuple[int, ...]]] = field(compare=False, repr=False)
-    _heads: list[list[int]] = field(compare=False, repr=False)
+    _heads: list[tuple[tuple[int, ...], ...]] = field(compare=False, repr=False)
     _gathered: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @functools.cached_property
@@ -179,7 +184,7 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
     Raises :class:`SizeError` before allocating when a player's strategy space
     or the joint profile space exceeds the cap.
     """
-    n = sequence.player_count
+    n = _checked(sequence, (GameSequence,), "sequence").player_count
     factors = [_strategy_factors(sequence, player) for player in range(n)]
     for player, powers in enumerate(factors):
         check_size(f"player {player} would have {{}} history strategies", dense_cap, *powers)
@@ -196,11 +201,11 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
         stage = sequence.stages[start - 1]
         strategies, heads = [], []
         for player in range(n):
-            others = others_choice_tuples(stage, player)
-            # the rest's strategy index after each first-stage choice of the
-            # others; a later iteration has ``histories // before`` of its points
-            before = factors[player][start - 1][1] * len(others)
-            continuations = [(0,) * len(others)]
+            # the rest's strategy index after each of the others' ``blocks`` stage
+            # choices; a later iteration has ``histories // before`` of its points
+            blocks = stage.profile_count // stage.strategy_counts[player]
+            before = factors[player][start - 1][1] * blocks
+            continuations = [(0,) * blocks]
             for count, histories in factors[player][start:]:
                 size = count ** (histories // before)
                 if size == 1:  # one block of zeros leaves every index as it is
@@ -208,13 +213,12 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                 continuations = [
                     tuple(c * size + d for c, d in zip(continuation, block))
                     for continuation in continuations
-                    for block in itertools.product(range(size), repeat=len(others))
+                    for block in itertools.product(range(size), repeat=blocks)
                 ]
             strategies.append(continuations)
             head, scale = stage._column(player)
-            heads.append([v * (scales[player] // scale) for v in head])
-            derived[player] = _rational_step(stage._split_rows(heads[-1], player),
-                                             continuations, *derived[player])
+            heads.append(stage._split_rows([v * (scales[player] // scale) for v in head], player))
+            derived[player] = _rational_step(heads[-1], continuations, *derived[player])
         expansion = ExpandedGame(sequence.suffix(start), expansion,
                                  Restriction(tuple(step[0] for step in derived), "rational"),
                                  [(step[3], scale) for step, scale in zip(derived, scales)],
@@ -265,9 +269,9 @@ def _gather_step(expansion: ExpandedGame, player: int, rational: bool, rest_colu
     strides, stride = {}, 1
     for j in reversed(others):
         strides[j], stride = stride, stride * len(rest_sets[j])
-    # the index of the others' stage choices, per stage profile and player
+    # the index of each opponent's others' stage choices, per stage profile
     seen = [[f // (count * step) * step + f % step for f in range(stage.profile_count)]
-            for count, step in zip(stage.strategy_counts, stage._strides)]
+            for count, step in ((stage.strategy_counts[j], stage._strides[j]) for j in others)]
     # per opponent and allowed strategy: its stage choice's share of the
     # stage profile index, and its continuations' shares of the rest's column
     entries, allowed = [], expansion._allowed(rational)
@@ -278,15 +282,15 @@ def _gather_step(expansion: ExpandedGame, player: int, rational: bool, rest_colu
                          [position[r] for r in blocks[s % len(blocks)]]) for s in allowed[j]])
     # the own continuation after each of the others' stage choices, in strategy order
     picks = list(zip(*expansion._continuations[player]))
-    head, seen_own, seen_others = expansion._heads[player], seen[player], [seen[j] for j in others]
-    count, step = stage.strategy_counts[player], stage._strides[player]
+    heads, step = expansion._heads[player], stage._strides[player]
     columns = []
     for combo in itertools.product(*entries):
         base, column = sum(first for first, _ in combo), []
-        for at in range(base, base + count * step, step):
+        o = base // (len(heads) * step) * step + base % step  # the same for each own choice
+        for row, at in zip(heads, range(base, base + len(heads) * step, step)):
             rest_column = rest_columns[sum(shares[seen_j[at]] for (_, shares), seen_j
-                                           in zip(combo, seen_others))]
-            column += map(head[at].__add__, map(rest_column.__getitem__, picks[seen_own[at]]))
+                                           in zip(combo, seen))]
+            column += map(row[o].__add__, map(rest_column.__getitem__, picks[o]))
         columns.append(tuple(column))
     return columns
 
@@ -322,35 +326,29 @@ def _rational_step(gains, continuations, allowed, highs, lows, regrets):
         k = bisect.bisect_left(floors, gains[a][o] + highs[r] - gains[b][o])
         return None if k == len(floors) else gains[b][o] + tops[k] > gains[a][o] + lows[r]
 
-    members, kept = set(allowed), []
+    top, members, kept, maxima, minima, worst = max(highs), set(allowed), [], [], [], []
     for a in choices:
         tables = [[{r: verdict(a, b, o, r) for r in allowed} for o in blocks]
                   for b in choices if b != a]
+        # per block, each rest strategy's highest and lowest payoff and worst regret
+        # after ``a``: the regret is its own in the rest, or the best rival choice's
+        # stage gain over ``a`` with the rest's top payoff after it, less its lowest
+        ups = [[gain + high for high in highs] for gain in gains[a]]
+        downs = [[gain + low for low in lows] for gain in gains[a]]
+        rivals = [max((gains[b][o] for b in choices if b != a), default=None) for o in blocks]
+        regret_tables = [regrets if rival is None else [
+            max(regret, rival - gain + top - low) for regret, low in zip(regrets, lows)]
+            for gain, rival in zip(gains[a], rivals)]
         for index, continuation in enumerate(continuations, a * size):
             if members.issuperset(continuation) and not any(
                     None not in codes and True in codes
                     for codes in (list(map(dict.__getitem__, table, continuation))
                                   for table in tables)):
                 kept.append(index)
-    bounds = [[f(map(operator.add, gains[a], map(extremes.__getitem__, continuation)))
-               for a in choices for continuation in continuations]
-              for f, extremes in ((max, highs), (min, lows))]
-    top, worst = max(highs), []
-    for a in choices:
-        # per block, each rest strategy's worst regret as the continuation after
-        # ``a``: its own in the rest, or the best rival choice's stage gain over
-        # ``a`` with the rest's top payoff after it, against its own lowest
-        tables = []
-        for o in blocks:
-            rival = max((gains[b][o] for b in choices if b != a), default=None)
-            if rival is None:
-                tables.append(regrets)
-                continue
-            reach = rival - gains[a][o] + top
-            tables.append([max(regret, reach - low) for regret, low in zip(regrets, lows)])
-        worst.extend(max(map(operator.getitem, tables, continuation))
-                     for continuation in continuations)
-    return tuple(kept), *bounds, worst
+            maxima.append(max(map(operator.getitem, ups, continuation)))
+            minima.append(min(map(operator.getitem, downs, continuation)))
+            worst.append(max(map(operator.getitem, regret_tables, continuation)))
+    return tuple(kept), maxima, minima, worst
 
 
 # -- payoff extremes and the stage condition ---------------------------------
@@ -389,8 +387,7 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
         firsts.setdefault(id(game), (index, game))
     for stage_index, game in firsts.values():
         for player in range(n):
-            rows, _ = game.payoff_matrix(player)
-            values = list(itertools.chain.from_iterable(rows))
+            values = game._column(player)[0]
             if any(v < 0 for v in values):
                 raise AssumptionError(
                     f"stage {stage_index} has a negative payoff for player {player}"
@@ -398,6 +395,10 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
             if len(set(values)) != len(values):
                 raise AssumptionError(
                     f"stage {stage_index} payoffs are not all distinct for player {player}"
+                )
+            if len(values) < 2:
+                raise AssumptionError(
+                    f"stage {stage_index} has fewer than 2 distinct payoffs for player {player}"
                 )
     read = {key: [payoff_extremes(game, player) for player in range(n)]
             for key, (_, game) in firsts.items()}
@@ -432,7 +433,8 @@ def folk_strategy(sequence: GameSequence, player: int) -> tuple[int, ...]:
     Requires the stage condition for every player; the error names the first
     violating (stage, stage, player) triple.
     """
-    _check_stage_condition(sequence.stages, sequence.player_count, "stage")
+    _check_stage_condition(_checked(sequence, (GameSequence,), "sequence").stages,
+                           sequence.player_count, "stage")
     m = len(sequence)
     return tuple(stage_pick(stage, player, "rational" if idx == m else "full")
                  for idx, stage in enumerate(sequence.stages, start=1))
@@ -442,7 +444,7 @@ class SequenceAnalysis:
     """Caches suffix expansions across subgame checks."""
 
     def __init__(self, sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP):
-        self.sequence = sequence
+        self.sequence = _checked(sequence, (GameSequence,), "sequence")
         self.dense_cap = dense_cap
         self._expansions: dict[int, ExpandedGame] = {}
 
@@ -534,7 +536,7 @@ def random_realizations(
 ) -> list[tuple[tuple[int, ...], GameSequence]]:
     """``(draw, GameSequence)`` pairs, ``draw`` being the pool index of each stage:
     the pinned realization, all draws in lex order, or seeded samples."""
-    if spec.realization is not None:
+    if _checked(spec, (RandomGameSpec,), "spec").realization is not None:
         draws = [spec.realization]
     elif spec.mode == "exhaustive":
         check_size("exhaustive enumeration needs {} realizations", realization_cap,
@@ -637,10 +639,7 @@ def verify_folk_theorem(
     sequence's picks from the suffix start on.
     """
     check_mode(mode)
-    if not isinstance(subject, (GameSequence, RandomGameSpec)):
-        raise InputError(
-            f"subject must be a GameSequence or RandomGameSpec, got {type(subject).__name__}"
-        )
+    _checked(subject, (GameSequence, RandomGameSpec), "subject")
     pool = isinstance(subject, RandomGameSpec)
     n = subject.player_count
     _check_stage_condition(subject.pool if pool else subject.stages, n, "game")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -200,6 +202,76 @@ def folk_failure_row(tag, index, realization, player, check) -> dict:
         "minimax": str(check.minimax),
         "witness_picks": list(check.witness_picks),
     }
+
+
+# -- the expansion step's reference ---------------------------------------------
+#
+# The derivation of one expansion step in three walks over (first choice,
+# continuation): one for the rational set, one for the payoff bounds and one
+# for the worst regrets. ``repeated._rational_step`` reads all four results in
+# one walk and must give the same.
+
+
+def rational_step_reference(gains, continuations, allowed, highs, lows, regrets):
+    """One player's rational set in an expansion, derived from the rest's, and
+    each strategy's highest and lowest payoff and full-mode worst regret.
+
+    ``gains[a][o]`` is the stage payoff of choice ``a`` against the others'
+    choice ``o``. A strategy is a choice ``a`` and, after each ``o``, a rest
+    strategy ``continuation[o]``; the strategies are the choices times
+    ``continuations``, in index order. ``allowed``, ``highs``, ``lows`` and
+    ``regrets`` are the rest's rational set and the highest and lowest payoff
+    and worst regret of each rest strategy, on the scale of ``gains``. The
+    others pick their continuation apart after each first-stage choice of the
+    player and of each of them, so a strategy survives one round of weak
+    dominance exactly when every continuation is rational in the rest, and no
+    other choice ``b`` with the best continuations after it is never worse and
+    somewhere better. For the same reason a strategy's worst regret at block
+    ``o`` is its continuation's worst regret in the rest, or, if some ``b``
+    gains more, ``b``'s stage gain over ``a`` plus the rest's largest payoff
+    less the continuation's lowest; the proofs are in ``docs/DECISIONS.md``.
+    """
+    choices, blocks, size = range(len(gains)), range(len(gains[0])), len(continuations)
+    # rest strategies by lowest payoff, and the largest highest payoff from each on
+    order = sorted(range(len(lows)), key=lows.__getitem__)
+    floors = [lows[r] for r in order]
+    tops = list(itertools.accumulate((highs[r] for r in reversed(order)), max))[::-1]
+
+    def verdict(a, b, o, r):
+        # None when no continuation after b reaches r's highest after a at
+        # block o; else whether the highest such continuation beats r's lowest
+        k = bisect.bisect_left(floors, gains[a][o] + highs[r] - gains[b][o])
+        return None if k == len(floors) else gains[b][o] + tops[k] > gains[a][o] + lows[r]
+
+    members, kept = set(allowed), []
+    for a in choices:
+        tables = [[{r: verdict(a, b, o, r) for r in allowed} for o in blocks]
+                  for b in choices if b != a]
+        for index, continuation in enumerate(continuations, a * size):
+            if members.issuperset(continuation) and not any(
+                    None not in codes and True in codes
+                    for codes in (list(map(dict.__getitem__, table, continuation))
+                                  for table in tables)):
+                kept.append(index)
+    bounds = [[f(map(operator.add, gains[a], map(extremes.__getitem__, continuation)))
+               for a in choices for continuation in continuations]
+              for f, extremes in ((max, highs), (min, lows))]
+    top, worst = max(highs), []
+    for a in choices:
+        # per block, each rest strategy's worst regret as the continuation after
+        # ``a``: its own in the rest, or the best rival choice's stage gain over
+        # ``a`` with the rest's top payoff after it, against its own lowest
+        tables = []
+        for o in blocks:
+            rival = max((gains[b][o] for b in choices if b != a), default=None)
+            if rival is None:
+                tables.append(regrets)
+                continue
+            reach = rival - gains[a][o] + top
+            tables.append([max(regret, reach - low) for regret, low in zip(regrets, lows)])
+        worst.extend(max(map(operator.getitem, tables, continuation))
+                     for continuation in continuations)
+    return tuple(kept), *bounds, worst
 
 
 # -- play-path reference for repeated games ------------------------------------

@@ -24,10 +24,12 @@ from regretgames import (
     competitive_trading_strategy,
     decision_points,
     expand_sequence,
+    folk_strategy,
     iterated_rational_sets,
     make_dense_game,
     minimal_regret_sweep,
     minimax_regret,
+    random_realizations,
     reference_strategy,
     simulate,
     single_agent_threshold,
@@ -280,6 +282,20 @@ _WRONG_TYPES = {
     "Game-float-numerator": (
         lambda: Game((2, 2), columns=[[0] * 4, [2, 4, 6.0, 8]], scales=[1, 2]),
         "a payoff numerator must be an integer, got 6.0"),
+    "expand_sequence-list": (lambda: expand_sequence([_STAGE, _STAGE]),
+                             "sequence must be a GameSequence, got list"),
+    "expand_sequence-Game": (lambda: expand_sequence(_STAGE),
+                             "sequence must be a GameSequence, got Game"),
+    "SequenceAnalysis-list": (lambda: SequenceAnalysis([_STAGE]).report(1, 0, "full"),
+                              "sequence must be a GameSequence, got list"),
+    "folk_strategy-Game": (lambda: folk_strategy(_STAGE, 0),
+                           "sequence must be a GameSequence, got Game"),
+    "decision_points-list": (lambda: decision_points([_STAGE], 0),
+                             "sequence must be a GameSequence, got list"),
+    "random_realizations-str": (lambda: random_realizations("x"),
+                                "spec must be a RandomGameSpec, got str"),
+    "verify_folk_theorem-list": (lambda: verify_folk_theorem([_STAGE]),
+                                 "subject must be a GameSequence or RandomGameSpec, got list"),
 }
 
 

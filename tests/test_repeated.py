@@ -27,7 +27,7 @@ from regretgames.repeated import SequenceAnalysis, stage_pick
 from regretgames.solver import mode_restriction
 from support import (
     anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, game_from_cells,
-    history_strategies, payoffs, random_stage_game, realized, replay,
+    history_strategies, payoffs, random_stage_game, rational_step_reference, realized, replay,
 )
 
 
@@ -280,6 +280,34 @@ def test_expansion_derives_the_full_worst_regrets_of_criterion_6():
         assert assert_full_regrets_derived(expand_sequence(sequence)) == len(sequence)
 
 
+def tied_sequences(rng: random.Random, count: int):
+    """``count`` seeded tie-heavy sequences of 2-3 players, 1-3 stages and
+    1-3 strategies per player, so some stages give a player one choice."""
+    for _ in range(count):
+        players, length = rng.randint(2, 3), rng.randint(1, 3)
+        yield GameSequence([tied_stage(rng, tuple(rng.randint(1, 3) for _ in range(players)))
+                            for _ in range(length)])
+
+
+def test_one_walk_rational_step_equals_the_three_walk_reference(monkeypatch):
+    """Every ``_rational_step`` call made expanding seeded tie-heavy sequences
+    and the criterion-6 ones gives what the three-walk reference gives."""
+    calls, step = [], repeated._rational_step
+    monkeypatch.setattr(repeated, "_rational_step",
+                        lambda *args: calls.append(args) or step(*args))
+    for sequence in itertools.chain(tied_sequences(random.Random("one-walk"), 300),
+                                    criterion6_sequences()):
+        try:
+            expand_sequence(sequence, 2000)
+        except SizeError:
+            pass
+    for args in calls:
+        assert step(*args) == rational_step_reference(*args)
+    # both branches of the regret table: a player with one stage choice, and with rivals
+    assert {len(gains) > 1 for gains, *_ in calls} == {False, True}
+    assert any(len(continuations) > 1 for _, continuations, *_ in calls)
+
+
 def assert_rational_regrets_gathered(sequence) -> int:
     """At every suffix on the rest chain, each player's rational worst
     regrets, solved before anything reads the suffix's ``game``, equal the
@@ -417,6 +445,10 @@ def test_long_horizon_chain_and_index():
     # the payoff matrix is gathered along the chain without recursing per link
     longer = expand_sequence(GameSequence.repeat(make_dense_game((1, 1), [[[1, 2]]]), 2000))
     assert payoffs(longer.game, (0, 0)) == (2000, 4000)
+    # ``==`` and ``repr`` read the sequence, which fixes the chain, not each link
+    assert longer == expand_sequence(GameSequence.repeat(make_dense_game((1, 1), [[[1, 2]]]),
+                                                         2000))
+    assert repr(longer) == f"ExpandedGame(sequence={longer.sequence!r})"
 
 
 @pytest.mark.parametrize("times", [2.0, True, "2"])
@@ -576,6 +608,11 @@ def test_folk_assumption_validation():
     repeated_values = extremes_game((10, 2, 2, 4), (10, 1, 2, 4))
     with pytest.raises(AssumptionError, match="distinct"):
         folk_strategy(GameSequence.repeat(repeated_values, 2), 0)
+    # a one-cell stage names itself, which in a pool is the game to mend
+    single = make_dense_game((1, 1), [[[1, 2]]])
+    with pytest.raises(AssumptionError) as info:
+        verify_folk_theorem(RandomGameSpec((condition_game(), single), 1))
+    assert str(info.value) == "stage 1 has fewer than 2 distinct payoffs for player 0"
 
 
 def test_folk_passes_on_condition_instance_l2():
