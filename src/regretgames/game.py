@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -337,19 +336,20 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
     tuples; the innermost lists hold one exact rational per player (ints,
     Fractions or "p/q" strings). Dimension errors name the offending axis.
 
-    The cells are collected one level at a time and each player's column is
-    parsed at once by :func:`rational_column`. When either fails,
-    :func:`_raise_first_error` names the first bad entry in cell order.
+    The cells are collected one level at a time and the whole table is
+    parsed at once by :func:`rational_column`, in cell order, over one
+    denominator; :class:`Game` then reduces each player's column to its own.
+    When either step fails, :func:`_raise_first_error` names the first bad
+    entry in cell order.
     """
     counts = _checked_counts(strategy_counts)
     cells = _cells(counts, payoff_table)
-    parsed = None if cells is None else [
-        rational_column(list(map(operator.itemgetter(player), cells)))
-        for player in range(len(counts))]
-    if parsed is None or None in parsed:
+    parsed = None if cells is None else rational_column(list(itertools.chain.from_iterable(cells)))
+    if parsed is None:
         _raise_first_error(counts, payoff_table)
-    columns, scales = zip(*parsed)
-    return Game(counts, columns=columns, scales=scales, labels=labels)
+    flat, scale = parsed
+    n = len(counts)
+    return Game(counts, columns=[flat[p::n] for p in range(n)], scales=[scale] * n, labels=labels)
 
 
 def _cells(counts, table):
@@ -398,12 +398,20 @@ def _raise_first_error(counts, table) -> None:
 
 
 def game_to_json(game: Game) -> dict:
-    """Serialize a game to the dense JSON form (bit-exact round trip)."""
+    """Serialize a game to the dense JSON form (bit-exact round trip).
+
+    Each distinct numerator of a scale is formatted once, into that scale's
+    memo, and every cell is read from the memo; players on different scales
+    never share one.
+    """
     counts = game.strategy_counts
-    texts = []
+    texts, memos = [], {}
     for player in range(game.player_count):
         column, scale = game._column(player)
-        texts.append([format_rational(v, scale) for v in column])
+        memo = memos.setdefault(scale, {})
+        unseen = set(column).difference(memo)
+        memo.update(zip(unseen, map(format_rational, unseen, itertools.repeat(scale))))
+        texts.append(list(map(memo.__getitem__, column)))
     # cells in lex order, grouped into nested lists from the last axis out
     payoffs = [list(cell) for cell in zip(*texts)]
     for count in reversed(counts):

@@ -28,20 +28,26 @@ def rational_column(values) -> tuple[list[int], int] | None:
     :class:`~.game.Game` reduces each column by its gcd. Returns ``None``
     when some value is of another type or not in the grammar, without saying
     which: :func:`parse_rational` names a bad value.
+
+    Each distinct value is parsed once and its numerator read back for every
+    repeat. Equal keys such as ``1`` and ``Fraction(1)`` are equal rationals
+    with the same denominator as written, so the result is the one a parse of
+    every value gives.
     """
     kinds = set(map(type, values))
     if kinds <= {int}:
         return list(values), 1
     if not kinds <= {int, str, Fraction}:
         return None
+    distinct = list(dict.fromkeys(values))
     if kinds == {str}:
-        texts = values
-        parts = map(str.partition, values, itertools.repeat("/"))
+        texts = distinct
+        parts = map(str.partition, distinct, itertools.repeat("/"))
     else:
-        texts = [v for v in values if type(v) is str]
+        texts = [v for v in distinct if type(v) is str]
         parts = [v.partition("/") if type(v) is str
                  else (v, "", "") if type(v) is int else (v.numerator, "/", v.denominator)
-                 for v in values]
+                 for v in distinct]
     joined = "\n".join(texts) + "\n"  # "\n" for no texts: one line too many
     if texts and (joined.count("\n") != len(texts) or not _RATIONAL_LINES.fullmatch(joined)):
         return None
@@ -58,7 +64,10 @@ def rational_column(values) -> tuple[list[int], int] | None:
     scale = math.lcm(*denominators)
     factors = dict(zip(keys, map(scale.__floordiv__, denominators)))
     factors[""] = scale
-    return list(map(operator.mul, numerators, map(factors.__getitem__, tails))), scale
+    numerators = list(map(operator.mul, numerators, map(factors.__getitem__, tails)))
+    if len(distinct) < len(values):
+        numerators = list(map(dict(zip(distinct, numerators)).__getitem__, values))
+    return numerators, scale
 
 
 def parse_rational(value) -> Fraction:

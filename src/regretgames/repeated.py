@@ -72,10 +72,14 @@ class GameSequence:
         return len(self.stages)
 
     def suffix(self, start: int) -> "GameSequence":
-        """The subgame starting at iteration ``start`` (1-based)."""
+        """The subgame starting at iteration ``start`` (1-based). Its stages
+        were checked with this sequence's and are not checked again, so
+        taking every suffix costs no check per stage."""
         if not 1 <= strict_int(start, "suffix start") <= len(self.stages):
             raise InputError(f"suffix start {start} outside 1..{len(self.stages)}")
-        return GameSequence(self.stages[start - 1:])
+        suffix = object.__new__(GameSequence)
+        object.__setattr__(suffix, "stages", self.stages[start - 1:])
+        return suffix
 
 
 def opponent_histories(sequence: GameSequence, player: int, length: int):

@@ -29,6 +29,7 @@ from regretgames import (
     single_agent_threshold,
     trading_payoff,
 )
+from regretgames.rational import format_rational
 from regretgames.trading import SweepViolation, _steps
 
 
@@ -70,6 +71,24 @@ def rational_reference(value) -> tuple[int, int]:
     if isinstance(value, (str, bool)):
         raise InputError(f"not a rational number: {value!r}")
     raise InputError(f"not a rational number: {value!r} (floats are not accepted)")
+
+
+def game_to_json_reference(game: Game) -> dict:
+    """The dense JSON form of ``game``, read profile by profile through
+    ``Game.payoff`` with ``format_rational`` called on every value and no
+    memo: the reference the package's ``game_to_json`` is checked against."""
+    counts = game.strategy_counts
+
+    def nested(profile):
+        if len(profile) == len(counts):
+            return [format_rational(v.numerator, v.denominator) for v in payoffs(game, profile)]
+        return [nested(profile + (s,)) for s in range(counts[len(profile)])]
+
+    obj = {"players": game.player_count, "strategy_counts": list(counts)}
+    if game.strategy_labels is not None:
+        obj["labels"] = [list(labels) for labels in game.strategy_labels]
+    obj["payoffs"] = nested(())
+    return obj
 
 
 #: 2x2 payoff tables with more than one bad entry, and the error that names

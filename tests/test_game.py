@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 import sys
 from fractions import Fraction
 
@@ -19,8 +21,8 @@ from regretgames import (
 from regretgames import game as game_module
 from regretgames.game import json_text
 from regretgames.rational import parse_rational, rational_column
-from support import (FIRST_ERRORS, affine_transform, anchor_game, game_from_cells, payoffs,
-                     rational_reference)
+from support import (FIRST_ERRORS, affine_transform, anchor_game, game_from_cells,
+                     game_to_json_reference, payoffs, rational_reference)
 
 
 def test_dense_construction_and_reads():
@@ -106,6 +108,40 @@ def test_equality_is_by_value_however_the_game_was_built():
     assert game_from_json(game_to_json(scaled)) == scaled
     assert scaled == make_dense_game((2, 2), [[["1/2", 0], [1, 1]], [["3/2", 2], [2, 3]]])
     assert scaled != make_dense_game((2, 2), [[["1/2", 0], [1, 1]], [["3/2", 2], [2, 4]]])
+
+
+def _echo_cells(rng, kind, counts):
+    """Seeded payoff cells of one kind, in lex order, for a game whose echo is tested."""
+    players, fresh = len(counts), itertools.count(1)
+    pools = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in range(3)]
+             for _ in range(players)]
+
+    def value(player):
+        if kind == "repeats":  # three values per player, ints and p/q
+            return rng.choice(pools[player])
+        if kind == "distinct":  # no value twice in the whole table
+            return Fraction(next(fresh) * rng.choice((-1, 1)), 11)
+        if kind == "integral":  # ints next to p/q in every column
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 5)))
+        # "scales": the same numerators over a scale per player, players 0 and 2 sharing one
+        return Fraction(rng.randint(-4, 4) * 2 + 1, (2, 3, 2)[player])
+
+    return [tuple(map(value, range(players))) for _ in range(math.prod(counts))]
+
+
+@pytest.mark.parametrize("kind", ["repeats", "distinct", "integral", "scales"])
+def test_game_to_json_writes_what_the_per_value_reference_writes(kind):
+    rng = random.Random(f"echo-{kind}")
+    for round_ in range(12):
+        counts = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        if round_ % 3 == 0:
+            counts[rng.randrange(len(counts))] = 1  # a player with one strategy
+        labels = [[f"s{p}.{s}" for s in range(c)] for p, c in enumerate(counts)] \
+            if round_ % 2 else None
+        game = game_from_cells(counts, _echo_cells(rng, kind, counts), labels)
+        expected = game_to_json_reference(game)
+        assert game_to_json(game) == expected
+        assert json_text(game_to_json(game)) == json.dumps(expected, indent=2)
 
 
 @pytest.mark.parametrize("odd", [0, 255, 256, 257, 511, 599])
@@ -357,10 +393,37 @@ COLUMN_VALUES = st.one_of(
 )
 
 
+#: Equal rationals written differently; as keys, 1 and Fraction(1) are one.
+EQUAL_VALUES = [1, Fraction(1), "1", "+1", "2/2", "-0", 0, Fraction(0), "0/7"]
+#: Columns drawn from a pool of at most four values, so most values repeat.
+REPEATED_COLUMNS = st.lists(
+    st.one_of(st.sampled_from(EQUAL_VALUES), COLUMN_VALUES), min_size=1, max_size=4,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.lists(COLUMN_VALUES, min_size=1, max_size=40))
+@given(st.one_of(st.lists(COLUMN_VALUES, min_size=1, max_size=40), REPEATED_COLUMNS))
 def test_bulk_parse_matches_rational_parts_on_random_columns(values):
     assert _bulk(values) == _reference(values)
+
+
+@pytest.mark.parametrize("denominators", [(3, 7), (7, 1), (3, 7, 1), (1, 3, 1)])
+def test_a_table_over_disjoint_denominators_reads_as_each_value_alone(denominators):
+    """One parse of the whole table over the lcm of every player's
+    denominators, then each column reduced by Game, gives the numerators and
+    scale of each player's values read one at a time."""
+    rng = random.Random(str(denominators))
+    players = len(denominators)
+    for _ in range(10):
+        counts = [rng.randint(1, 4) for _ in range(players)]
+        cells = [tuple(rng.randint(-9, 9) if d == 1 else f"{rng.randint(-9, 9)}/{d}"
+                       for d in denominators) for _ in range(math.prod(counts))]
+        game = game_from_cells(counts, cells)
+        for player, column in enumerate(zip(*cells)):
+            values = [Fraction(*rational_reference(v)) for v in column]
+            scale = math.lcm(*(v.denominator for v in values))
+            assert game._scales[player] == scale
+            assert game._columns[player] == [int(v * scale) for v in values]
 
 
 def test_long_mixed_columns_parse_in_bulk():

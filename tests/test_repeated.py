@@ -451,6 +451,28 @@ def test_long_horizon_chain_and_index():
     assert repr(longer) == f"ExpandedGame(sequence={longer.sequence!r})"
 
 
+def test_expansion_checks_no_stage_of_its_suffixes(monkeypatch):
+    """``expand_sequence`` takes one suffix per stage; checking each suffix's
+    stages again would cost a number of stage checks quadratic in the length."""
+    check, checked = GameSequence.__post_init__, []
+
+    def counted(sequence):
+        check(sequence)
+        checked.append(len(sequence.stages))
+
+    stage = make_dense_game((1, 1), [[[3, 1]]])
+    counts = []
+    for length in (50, 400):
+        sequence = GameSequence.repeat(stage, length)
+        monkeypatch.setattr(GameSequence, "__post_init__", counted)
+        checked.clear()
+        expansion = expand_sequence(sequence)
+        monkeypatch.undo()
+        counts.append(sum(checked))
+        assert expansion.rest.sequence == GameSequence(sequence.stages[1:])
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("times", [2.0, True, "2"])
 def test_repeat_rejects_non_integer_counts(times):
     with pytest.raises(InputError, match="repetition count must be an integer"):
