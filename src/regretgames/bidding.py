@@ -134,7 +134,7 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
     n - 1 bidders on one grid, so the opponent profiles, in lex order, map to
     one key list per spec. Each player gets one payoff column over x per key,
     and row x of its payoff matrix gathers those columns at the key of every
-    opponent profile. :meth:`Game._from_rows` builds the game from the rows.
+    opponent profile. Those rows are the ones the game stores.
     """
     n, grid, k = spec.player_count, spec.grid_size, spec.price_rank
     bids = grid + 1
@@ -151,7 +151,7 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
         ]
         rows.append(tuple(map(gather, zip(*columns))))
     labels = [[str(b) for b in range(bids)]] * n
-    return Game._from_rows((bids,) * n, rows, [common * grid] * n, labels)
+    return Game((bids,) * n, rows=rows, scales=[common * grid] * n, labels=labels)
 
 
 def _order_statistic_keys(others: int, bids: int, k: int):

@@ -229,9 +229,9 @@ def _cmd_solve(args) -> int:
     reports = []
     picks = []
     for mode in _MODES[args.mode]:
-        per_mode = solver.all_player_reports(game, mode)
+        restriction = solver.mode_restriction(game, mode)
         for p in players:
-            report = per_mode[p]
+            report = solver.minimax_regret(game, p, restriction)
             reports.append(report.to_json())
             pick = {"player": p, "restriction": mode, "canonical_pick": report.canonical_pick}
             if game.strategy_labels is not None:

@@ -3,8 +3,9 @@
 Games are immutable once built and hold a dense payoff table. Nothing ever
 rounds. The API takes and returns exact rationals (ints or
 :class:`fractions.Fraction`); inside, a game keeps each player's
-payoffs as Python ``int`` numerators over one positive common denominator per
-player, its *scale*. Regret and dominance only subtract and compare one
+payoffs as Python ``int`` numerators, one row per own strategy over the
+others' profiles, over one positive common denominator per player, its
+*scale*. Regret and dominance only subtract and compare one
 player's payoffs, so the solver and the dominance scans work on those
 numerators and divide by the scale once, when they report.
 """
@@ -15,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -70,63 +72,70 @@ def _checked_counts(strategy_counts) -> tuple[int, ...]:
     return counts
 
 
+def _lex_strides(counts) -> tuple[int, ...]:
+    """Each player's stride in the lex profile index: the product of the later counts."""
+    return tuple(itertools.accumulate(counts[:0:-1], operator.mul, initial=1))[::-1]
+
+
 def _check_listed(value, what: str) -> None:
     if not isinstance(value, (list, tuple)):
         raise InputError(f"{what} must be a list, got {value!r}")
 
 
-#: Cells per ``math.gcd`` call in :func:`_reduced`, which stops at gcd 1.
+#: Cells :func:`_reduced` reads, in whole rows, before it stops at gcd 1.
 _GCD_CHUNK = 256
 
 
-def _reduced(column, scale: int) -> tuple[list[int], int]:
-    """Numerators and their denominator divided by their gcd."""
+def _reduced(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of numerators, as tuples, and their denominator divided by their gcd."""
     if strict_int(scale, "a payoff denominator") < 1:
         raise InputError(f"payoff denominators must be positive, got {scale}")
-    divisor = scale
-    for start in range(0, len(column), _GCD_CHUNK):
-        chunk = column[start:start + _GCD_CHUNK]
+    rows = tuple(map(tuple, rows))  # a tuple row is kept as it is
+    divisor, read = scale, 0
+    for row in rows:
         try:
-            divisor = math.gcd(divisor, *chunk)
+            divisor = math.gcd(divisor, *row)
         except TypeError:
-            bad = next(v for v in chunk if not isinstance(v, int))
+            bad = next(v for v in row if not isinstance(v, int))
             raise InputError(f"a payoff numerator must be an integer, got {bad!r}") from None
-        if divisor == 1:  # no later cell can raise it again
-            return column, scale
-    return [v // divisor for v in column], scale // divisor
+        read += len(row)
+        if divisor == 1 and read >= _GCD_CHUNK:  # no later cell can raise it again
+            break
+    if divisor > 1:
+        rows = tuple(tuple(v // divisor for v in row) for row in rows)
+    return rows, scale // divisor
 
 
 class Game:
     """An n-player finite game (n >= 2) with exact rational utilities.
 
-    A game is built from ``columns`` and ``scales``: ``columns[p]`` lists
-    player ``p``'s int numerators over all profiles in lexicographic order and
-    ``scales[p]`` is their positive denominator. Each pair is stored reduced
-    by its gcd, so equal games have equal numerators however they were built.
+    A game is built from ``rows`` and ``scales``, the layout of
+    :meth:`payoff_matrix`: ``rows[p][s][q]`` is player ``p``'s int numerator
+    for own strategy ``s`` against the ``q``-th profile of the others in
+    lexicographic order, and ``scales[p]`` is their positive denominator.
+    Each player's rows are stored reduced by their gcd, so equal games have
+    equal numerators however they were built.
     """
 
-    def __init__(self, strategy_counts: Sequence[int], *, columns, scales, labels=None):
+    def __init__(self, strategy_counts: Sequence[int], *, rows, scales, labels=None):
         counts = _checked_counts(strategy_counts)
         self._counts = counts
         self._labels = self._check_labels(labels, counts)
-        # strides for flattening profiles in lexicographic order
-        strides = [1] * len(counts)
-        for i in range(len(counts) - 2, -1, -1):
-            strides[i] = strides[i + 1] * counts[i + 1]
-        self._strides = tuple(strides)
-        _check_listed(columns, "payoff columns")
+        self._strides = _lex_strides(counts)
+        _check_listed(rows, "payoff rows")
         _check_listed(scales, "payoff scales")
-        for column in columns:
-            _check_listed(column, "a payoff column")
-        if len(columns) != len(counts) or len(scales) != len(counts) or any(
-            len(column) != self.profile_count for column in columns
-        ):
-            raise InputError(
-                f"a game needs {len(counts)} payoff columns of {self.profile_count} entries "
-                f"and {len(counts)} scales"
-            )
-        self._columns, self._scales = zip(*map(_reduced, columns, scales))
-        self._matrix_cache: dict[int, tuple] = {}
+        if len(rows) != len(counts) or len(scales) != len(counts):
+            raise InputError(f"a game needs the payoff rows of {len(counts)} players "
+                             f"and {len(counts)} scales")
+        total = self.profile_count
+        for player, (count, player_rows) in enumerate(zip(counts, rows)):
+            _check_listed(player_rows, f"the payoff rows of player {player}")
+            for row in player_rows:
+                _check_listed(row, "a payoff row")
+            width = total // count
+            if len(player_rows) != count or any(len(row) != width for row in player_rows):
+                raise InputError(f"player {player} needs {count} payoff rows of {width} entries")
+        self._rows, self._scales = zip(*map(_reduced, rows, scales))
         self._class_cache: dict[int, tuple] = {}
         # filled by rational_restriction on first use
         self._rational_restriction: Restriction | None = None
@@ -200,7 +209,11 @@ class Game:
         """Utility of ``player`` at ``profile``."""
         profile = self.validate_profile(profile)
         player = self._validate_player(player)
-        return Fraction(self._columns[player][self._flat_index(profile)], self._scales[player])
+        # In lex order a profile's index is outer * block + s * stride + inner,
+        # and its opponent index is outer * stride + inner.
+        flat, stride = self._flat_index(profile), self._strides[player]
+        opponents = flat // (self._counts[player] * stride) * stride + flat % stride
+        return Fraction(self._rows[player][profile[player]][opponents], self._scales[player])
 
     def payoff_matrix(self, player: int):
         """``player``'s payoffs as int rows over one denominator.
@@ -208,16 +221,11 @@ class Game:
         Returns ``(rows, scale)``: ``rows[s][q] / scale`` is the payoff of own
         strategy ``s`` against the ``q``-th opponent profile in lexicographic
         order, and ``scale`` is a positive int. Regrets and dominance read off
-        the rows equal the true ones times ``scale``. The rows are built once
-        per player and cached; games are immutable so the cache never
-        invalidates.
+        the rows equal the true ones times ``scale``. These are the rows the
+        game stores.
         """
         player = self._validate_player(player)
-        cached = self._matrix_cache.get(player)
-        if cached is None:
-            column, scale = self._column(player)
-            cached = self._matrix_cache[player] = (self._split_rows(column, player), scale)
-        return cached
+        return self._rows[player], self._scales[player]
 
     def _opponent_classes(self, player: int):
         """``player``'s payoff rows over the distinct columns of :meth:`payoff_matrix`.
@@ -228,8 +236,7 @@ class Game:
         profile, so ``rows[s][keys[q]]`` is ``payoff_matrix(player)[0][s][q]``.
         Worst regrets are maxima over columns and weak dominance compares every
         column, so a repeated column changes neither. When every column is
-        distinct, ``rows`` are ``payoff_matrix``'s own. Cached per player, like
-        the matrix.
+        distinct, ``rows`` are ``payoff_matrix``'s own. Cached per player.
         """
         player = self._validate_player(player)
         cached = self._class_cache.get(player)
@@ -254,61 +261,6 @@ class Game:
         columns = sorted(set(map(keys.__getitem__, positions)))
         return rows if len(columns) == len(rows[0]) else [[row[c] for c in columns] for row in rows]
 
-    def _column(self, player: int) -> tuple[list[int], int]:
-        """``player``'s numerators over all profiles in lex order, and their scale."""
-        return self._columns[player], self._scales[player]
-
-    def _split_rows(self, column, player: int) -> tuple[tuple, ...]:
-        # In lex order a profile's index is outer * block + s * stride + inner,
-        # and its opponent index is outer * stride + inner.
-        count, stride = self._counts[player], self._strides[player]
-        if stride == 1:
-            return tuple(tuple(column[s::count]) for s in range(count))
-        block = count * stride
-        return tuple(
-            tuple(itertools.chain.from_iterable(
-                column[outer + s * stride: outer + (s + 1) * stride]
-                for outer in range(0, len(column), block)
-            ))
-            for s in range(count)
-        )
-
-    @classmethod
-    def _from_rows(cls, strategy_counts, rows, scales, labels=None) -> "Game":
-        """The game whose :meth:`payoff_matrix` of player ``p`` is ``rows[p]``
-        over ``scales[p]``; the inverse of :meth:`_split_rows`.
-
-        The columns are filled from the rows by slice assignments and go
-        through the constructor. The rows, divided as the constructor divided
-        the column, are then kept as the matrix cache.
-        """
-        counts = _checked_counts(strategy_counts)
-        total = math.prod(counts)
-        columns, stride = [], total
-        for player, (count, player_rows) in enumerate(zip(counts, rows)):
-            if len(player_rows) != count or {len(row) for row in player_rows} != {total // count}:
-                raise InputError(
-                    f"player {player} needs {count} payoff rows of {total // count} entries"
-                )
-            stride //= count
-            block = count * stride
-            column = [0] * total
-            for s, row in enumerate(player_rows):
-                if stride == 1:
-                    column[s::count] = row
-                    continue
-                starts = range(s * stride, total, block)
-                for start, outer in zip(starts, range(0, len(row), stride)):
-                    column[start:start + stride] = row[outer:outer + stride]
-            columns.append(column)
-        game = cls(counts, columns=columns, scales=scales, labels=labels)
-        for player, (player_rows, scale) in enumerate(zip(rows, scales)):
-            divisor = scale // game._scales[player]
-            if divisor > 1:
-                player_rows = [[v // divisor for v in row] for row in player_rows]
-            game._matrix_cache[player] = (tuple(map(tuple, player_rows)), game._scales[player])
-        return game
-
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -318,7 +270,7 @@ class Game:
             self._counts == other._counts
             and self._labels == other._labels
             and self._scales == other._scales
-            and self._columns == other._columns
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -338,9 +290,10 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
 
     The cells are collected one level at a time and the whole table is
     parsed at once by :func:`rational_column`, in cell order, over one
-    denominator; :class:`Game` then reduces each player's column to its own.
-    When either step fails, :func:`_raise_first_error` names the first bad
-    entry in cell order.
+    denominator. Each player's numerators are split into its rows by
+    :func:`_split_rows`, and :class:`Game` reduces them to the player's own
+    denominator. When either step fails, :func:`_raise_first_error` names
+    the first bad entry in cell order.
     """
     counts = _checked_counts(strategy_counts)
     cells = _cells(counts, payoff_table)
@@ -349,7 +302,34 @@ def make_dense_game(strategy_counts, payoff_table, labels=None) -> Game:
         _raise_first_error(counts, payoff_table)
     flat, scale = parsed
     n = len(counts)
-    return Game(counts, columns=[flat[p::n] for p in range(n)], scales=[scale] * n, labels=labels)
+    rows = [_split_rows(flat[p::n], count, stride)
+            for p, (count, stride) in enumerate(zip(counts, _lex_strides(counts)))]
+    return Game(counts, rows=rows, scales=[scale] * n, labels=labels)
+
+
+def _split_rows(column, count: int, stride: int) -> tuple[tuple, ...]:
+    """The rows of a player with ``count`` strategies and lex stride ``stride``
+    from its numerators over all profiles in lex order; the inverse of
+    :func:`_joined_rows`.
+
+    In lex order the profiles come in runs of ``stride`` that differ only in
+    the later players' choices, and the player's own choice steps through
+    ``0..count-1`` from one run to the next; row ``s`` joins every
+    ``count``-th run from the ``s``-th.
+    """
+    if stride == 1:
+        return tuple(tuple(column[s::count]) for s in range(count))
+    runs = list(zip(*[iter(column)] * stride))
+    return tuple(tuple(itertools.chain.from_iterable(runs[s::count])) for s in range(count))
+
+
+def _joined_rows(rows, stride: int) -> list:
+    """A player's numerators over all profiles in lex order from its rows and
+    lex stride; the inverse of :func:`_split_rows`."""
+    if stride == 1:
+        return list(itertools.chain.from_iterable(zip(*rows)))
+    runs = [zip(*[iter(row)] * stride) for row in rows]
+    return list(itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*runs))))
 
 
 def _cells(counts, table):
@@ -406,8 +386,8 @@ def game_to_json(game: Game) -> dict:
     """
     counts = game.strategy_counts
     texts, memos = [], {}
-    for player in range(game.player_count):
-        column, scale = game._column(player)
+    for rows, scale, stride in zip(game._rows, game._scales, game._strides):
+        column = _joined_rows(rows, stride)
         memo = memos.setdefault(scale, {})
         unseen = set(column).difference(memo)
         memo.update(zip(unseen, map(format_rational, unseen, itertools.repeat(scale))))

@@ -147,8 +147,8 @@ class ExpandedGame:
         every opponent profile."""
         rows = [list(zip(*_gather(self, player, False)))
                 for player in range(self.sequence.player_count)]
-        return Game._from_rows(tuple(map(len, rows)), rows,
-                               [scale for _, scale in self.full_regrets])
+        return Game(tuple(map(len, rows)), rows=rows,
+                    scales=[scale for _, scale in self.full_regrets])
 
     def _allowed(self, rational: bool):
         """Each player's rational set, or all its strategies."""
@@ -194,7 +194,7 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
         check_size(f"player {player} would have {{}} history strategies", dense_cap, *powers)
     check_size("expansion would need {} payoff cells", dense_cap, *itertools.chain(*factors))
     # one denominator per player for all stages; the unreduced ``heads`` stay over it
-    scales = [math.lcm(*(stage._column(player)[1] for stage in sequence.stages))
+    scales = [math.lcm(*(stage.payoff_matrix(player)[1] for stage in sequence.stages))
               for player in range(n)]
 
     # the empty suffix: one strategy per player, no decision points, payoff 0
@@ -220,8 +220,9 @@ def expand_sequence(sequence: GameSequence, dense_cap: int = DEFAULT_DENSE_CAP) 
                     for block in itertools.product(range(size), repeat=blocks)
                 ]
             strategies.append(continuations)
-            head, scale = stage._column(player)
-            heads.append(stage._split_rows([v * (scales[player] // scale) for v in head], player))
+            rows, scale = stage.payoff_matrix(player)
+            factor = scales[player] // scale
+            heads.append(tuple(tuple(v * factor for v in row) for row in rows))
             derived[player] = _rational_step(heads[-1], continuations, *derived[player])
         expansion = ExpandedGame(sequence.suffix(start), expansion,
                                  Restriction(tuple(step[0] for step in derived), "rational"),
@@ -391,7 +392,7 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
         firsts.setdefault(id(game), (index, game))
     for stage_index, game in firsts.values():
         for player in range(n):
-            values = game._column(player)[0]
+            values = list(itertools.chain.from_iterable(game.payoff_matrix(player)[0]))
             if any(v < 0 for v in values):
                 raise AssumptionError(
                     f"stage {stage_index} has a negative payoff for player {player}"

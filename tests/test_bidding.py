@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from regretgames import (
     AssumptionError,
     BiddingSpec,
-    Game,
     InputError,
     SizeError,
     bidding_utility,
     closed_form_competitive,
     closed_form_rational,
+    game_from_json,
+    game_to_json,
     make_bidding_game,
     minimax_regret,
     rational_restriction,
@@ -94,8 +96,8 @@ def test_integer_builder_matches_utility_on_every_profile(valuations, grid):
         cells = [tuple(bidding_utility(spec, bids, p) for p in range(n)) for bids in profiles]
         assert [payoffs(game, bids) for bids in profiles] == cells
         assert game == game_from_cells(game.strategy_counts, cells, labels=game.strategy_labels)
-        # the builder caches its rows; they must be the rows of its own columns
-        fresh = Game(game.strategy_counts, columns=game._columns, scales=game._scales)
+        # the builder's rows must be those of its own table read back from a file
+        fresh = game_from_json(game_to_json(game))
         for p in range(n):
             assert (game.payoff_matrix(p), game._opponent_classes(p)) == (
                 fresh.payoff_matrix(p), fresh._opponent_classes(p))
@@ -162,6 +164,18 @@ def test_builder_checks_the_cell_count_before_allocating():
     # 11 ** 6 cells; verify_claims builds through the same check
     with pytest.raises(SizeError):
         verify_claims(BiddingSpec((2, 3, 4, 5, 6, 7), 10, 1))
+
+
+def test_builder_keeps_one_copy_of_the_payoffs():
+    # 37 ** 3 cells: about 1.28 MB as each player's rows, 2.45 MB when a
+    # flat lex-order copy was kept beside them
+    tracemalloc.start()
+    try:
+        make_bidding_game(BiddingSpec((7, 19, 30), 36, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * 2**20
 
 
 def test_closed_forms_first_price():

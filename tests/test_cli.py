@@ -63,6 +63,24 @@ def test_solve_canonical_pick_with_labels(tmp_path, capsys):
     ]
 
 
+def test_solve_player_solves_that_player_only(tmp_path, capsys, monkeypatch):
+    from regretgames import make_dense_game, solver
+
+    cells = [[[[a + 2 * b, b * c, a - c] for c in range(2)] for b in range(2)] for a in range(2)]
+    path = tmp_path / "three.json"
+    save_game(make_dense_game((2, 2, 2), cells), path)
+    solved = []
+    minimax_regret = solver.minimax_regret
+    monkeypatch.setattr(solver, "minimax_regret",
+                        lambda game, player, restriction=None: solved.append(player)
+                        or minimax_regret(game, player, restriction))
+    code, out, _ = run_capture(capsys, ["solve", "--game", str(path), "--player", "1",
+                                        "--mode", "both"])
+    assert code == 0 and solved == [1, 1]
+    assert [(r["player"], r["restriction"]) for r in json.loads(out)["reports"]] == [
+        (1, "full"), (1, "rational")]
+
+
 def test_solve_byte_identical_runs(game_file, capsys):
     _, first, _ = run_capture(capsys, ["solve", "--game", str(game_file)])
     _, second, _ = run_capture(capsys, ["solve", "--game", str(game_file)])

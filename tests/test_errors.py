@@ -81,6 +81,8 @@ def test_size_check_huge_exponent_reports_a_lower_bound():
 _STAGE = make_dense_game((2, 2), [[[10, 9], [0, 0]], [[1, 3], [2, 1]]])
 _SEQUENCE = GameSequence.repeat(_STAGE, 2)
 _SPEC = TradingSpec((2, 2), (6, 6), 3, 1)
+#: One player's payoff rows in a 2x2 game, all zero.
+_ZERO_ROWS = [[0, 0], [0, 0]]
 
 _MODE_ENTRIES = {
     "all_player_reports": lambda mode: all_player_reports(_STAGE, mode),
@@ -165,13 +167,15 @@ _MALFORMED_ARGUMENTS = {
     "GameSequence": (lambda: GameSequence(3), "stages must list Games, got 3"),
     "RandomGameSpec": (lambda: RandomGameSpec(3, 2), "the game pool must list Games, got 3"),
     "make_dense_game": (lambda: make_dense_game(5, []), "strategy counts must be a list, got 5"),
-    "Game": (lambda: Game(5, columns=[], scales=[]), "strategy counts must be a list, got 5"),
-    "Game-columns": (lambda: Game((2, 2), columns=5, scales=[1, 1]),
-                     "payoff columns must be a list, got 5"),
-    "Game-scales": (lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=1),
+    "Game": (lambda: Game(5, rows=[], scales=[]), "strategy counts must be a list, got 5"),
+    "Game-rows": (lambda: Game((2, 2), rows=5, scales=[1, 1]),
+                  "payoff rows must be a list, got 5"),
+    "Game-scales": (lambda: Game((2, 2), rows=[_ZERO_ROWS] * 2, scales=1),
                     "payoff scales must be a list, got 1"),
-    "Game-column": (lambda: Game((2, 2), columns=[[0] * 4, 7], scales=[1, 1]),
-                    "a payoff column must be a list, got 7"),
+    "Game-player-rows": (lambda: Game((2, 2), rows=[_ZERO_ROWS, 7], scales=[1, 1]),
+                         "the payoff rows of player 1 must be a list, got 7"),
+    "Game-row": (lambda: Game((2, 2), rows=[_ZERO_ROWS, [[0, 0], 7]], scales=[1, 1]),
+                 "a payoff row must be a list, got 7"),
     "trading_payoff-announcements": (
         lambda: trading_payoff(_SPEC, 5, _PASSES),
         "announcements must list one pair per iteration, got 5"),
@@ -268,20 +272,24 @@ _WRONG_TYPES = {
         lambda: TradingStrategy(0, "x", [(None, False)], params=5),
         "params must be None or a dict, got 5"),
     "Game-str-scale": (
-        lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=["1", 1]),
+        lambda: Game((2, 2), rows=[_ZERO_ROWS] * 2, scales=["1", 1]),
         "a payoff denominator must be an integer, got '1'"),
     "Game-bool-scale": (
-        lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=[True, 1]),
+        lambda: Game((2, 2), rows=[_ZERO_ROWS] * 2, scales=[True, 1]),
         "a payoff denominator must be an integer, got True"),
     "Game-float-scale": (
-        lambda: Game((2, 2), columns=[[0] * 4] * 2, scales=[1, 2.0]),
+        lambda: Game((2, 2), rows=[_ZERO_ROWS] * 2, scales=[1, 2.0]),
         "a payoff denominator must be an integer, got 2.0"),
     "Game-str-numerator": (
-        lambda: Game((2, 2), columns=[["1", 2, 3, 4], [0] * 4], scales=[1, 1]),
+        lambda: Game((2, 2), rows=[[["1", 2], [3, 4]], _ZERO_ROWS], scales=[1, 1]),
         "a payoff numerator must be an integer, got '1'"),
     "Game-float-numerator": (
-        lambda: Game((2, 2), columns=[[0] * 4, [2, 4, 6.0, 8]], scales=[1, 2]),
+        lambda: Game((2, 2), rows=[_ZERO_ROWS, [[2, 4], [6.0, 8]]], scales=[1, 2]),
         "a payoff numerator must be an integer, got 6.0"),
+    # the first row's gcd is 1, and the second row is still read
+    "Game-float-numerator-second-row": (
+        lambda: Game((2, 2), rows=[[[1, 2], [3.5, 4]], _ZERO_ROWS], scales=[1, 1]),
+        "a payoff numerator must be an integer, got 3.5"),
     "expand_sequence-list": (lambda: expand_sequence([_STAGE, _STAGE]),
                              "sequence must be a GameSequence, got list"),
     "expand_sequence-Game": (lambda: expand_sequence(_STAGE),

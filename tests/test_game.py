@@ -51,7 +51,7 @@ def test_cell_must_list_one_payoff_per_player():
     with pytest.raises(InputError, match="floats are not accepted"):
         make_dense_game((2, 2), [[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]])
     with pytest.raises(InputError, match="2 scales"):
-        Game((2, 2), columns=[[1, 2, 3, 4], [1, 2, 3, 4]], scales=[1])
+        Game((2, 2), rows=[[[1, 2], [3, 4]], [[1, 3], [2, 4]]], scales=[1])
 
 
 def test_payoff_validates_ranges():
@@ -103,7 +103,7 @@ def test_json_round_trip_bit_exact(tmp_path):
 
 def test_equality_is_by_value_however_the_game_was_built():
     # player 0's numerators 2, 4, 6, 8 over 4 are 1/2, 1, 3/2, 2
-    scaled = Game((2, 2), columns=[[2, 4, 6, 8], [0, 3, 6, 9]], scales=[4, 3])
+    scaled = Game((2, 2), rows=[[[2, 4], [6, 8]], [[0, 6], [3, 9]]], scales=[4, 3])
     assert scaled.payoff((1, 0), 0) == Fraction(3, 2)
     assert game_from_json(game_to_json(scaled)) == scaled
     assert scaled == make_dense_game((2, 2), [[["1/2", 0], [1, 1]], [["3/2", 2], [2, 3]]])
@@ -144,19 +144,21 @@ def test_game_to_json_writes_what_the_per_value_reference_writes(kind):
         assert json_text(game_to_json(game)) == json.dumps(expected, indent=2)
 
 
-@pytest.mark.parametrize("odd", [0, 255, 256, 257, 511, 599])
+@pytest.mark.parametrize("odd", [0, 255, 256, 257, 299, 300, 511, 599])
 def test_reduction_reads_every_cell_until_the_gcd_is_one(odd):
     # numerators over 12 are multiples of 6 except one multiple of 3, so the
-    # stored scale is 4 wherever that cell sits, chunk boundaries included
-    column = [6 * (i % 5 - 2) for i in range(600)]
-    column[odd] = 3
-    game = Game((2, 300), columns=[column, [12] * 600], scales=[12, 12])
+    # stored scale is 4 wherever that cell sits, in the first row, at the
+    # boundary of player 0's two rows of 300, or in the last cell
+    cells = [6 * (i % 5 - 2) for i in range(600)]
+    cells[odd] = 3
+    game = Game((2, 300), rows=[[cells[:300], cells[300:]], [[12, 12]] * 300], scales=[12, 12])
     rows, scale = game.payoff_matrix(0)
-    assert scale == 4 and [v for row in rows for v in row] == [v // 3 for v in column]
+    assert scale == 4 and [v for row in rows for v in row] == [v // 3 for v in cells]
     rows, scale = game.payoff_matrix(1)
     assert scale == 1 and {v for row in rows for v in row} == {1}
-    column[odd] = 1  # now the gcd is 1 and nothing is divided
-    assert Game((2, 300), columns=[column, column], scales=[12, 12]).payoff_matrix(0)[1] == 12
+    cells[odd] = 1  # now the gcd is 1 and nothing is divided
+    rows = [cells[:300], cells[300:]]
+    assert Game((2, 300), rows=[rows, list(zip(*rows))], scales=[12, 12]).payoff_matrix(0)[1] == 12
 
 
 def assert_view_quotients_the_matrix(game):
@@ -231,25 +233,61 @@ def test_opponent_classes_match_the_matrix_on_random_games(case):
     assert_class_rows_cut_the_matrix(game, rng)
 
 
+def _layout_cases():
+    """Seeded shapes with n = 2..4, each with a player of one strategy, and
+    a lex-order table of distinct cells for each."""
+    rng = random.Random("layout")
+    for n in (2, 3, 4) * 4:
+        counts = [rng.randint(1, 4) for _ in range(n)]
+        counts[rng.randrange(n)] = 1
+        cells = [tuple(rng.randint(-99, 99) for _ in range(n)) for _ in range(math.prod(counts))]
+        yield counts, cells
+
+
+def test_joined_rows_invert_split_rows():
+    for counts, cells in _layout_cases():
+        strides = [math.prod(counts[p + 1:]) for p in range(len(counts))]
+        assert strides[-1] == 1
+        for p, column in enumerate(zip(*cells)):
+            column = list(column)
+            rows = game_module._split_rows(column, counts[p], strides[p])
+            assert len(rows) == counts[p] and {len(row) for row in rows} == {len(column) // counts[p]}
+            assert game_module._joined_rows(rows, strides[p]) == column
+
+
+def test_payoff_reads_the_tables_own_cell_at_every_profile():
+    for counts, cells in _layout_cases():
+        game = game_from_cells(counts, cells)
+        for profile, cell in zip(itertools.product(*map(range, counts)), cells):
+            assert tuple(game.payoff(profile, p) for p in range(len(counts))) == cell
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
     st.lists(st.integers(1, 5), min_size=n, max_size=n), st.randoms(use_true_random=False))))
-def test_from_rows_inverts_split_rows(case):
+def test_rows_over_a_common_factor_are_reduced(case):
     counts, rng = case
     cells = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in counts)
              for _ in itertools.product(*map(range, counts))]
     g = game_from_cells(counts, cells)
-    split = Game(counts, columns=g._columns, scales=g._scales)
     # rows and scales times a common factor, which the constructor divides out
     factor = rng.randint(2, 7)
-    rows = [[[factor * v for v in row] for row in split.payoff_matrix(p)[0]]
-            for p in range(len(counts))]
-    built = Game._from_rows(counts, rows, [factor * s for s in g._scales])
+    matrices = [g.payoff_matrix(p) for p in range(len(counts))]
+    rows = [[[factor * v for v in row] for row in player_rows] for player_rows, _ in matrices]
+    built = Game(counts, rows=rows, scales=[factor * scale for _, scale in matrices])
     assert built == g
     for p in range(len(counts)):
-        assert built.payoff_matrix(p) == split.payoff_matrix(p)
+        assert built.payoff_matrix(p) == g.payoff_matrix(p)
     with pytest.raises(InputError, match="player 0 needs"):
-        Game._from_rows(counts, [rows[0][1:]] + rows[1:], g._scales)
+        Game(counts, rows=[rows[0][1:]] + rows[1:], scales=[scale for _, scale in matrices])
+
+
+def test_rows_whose_gcd_is_one_are_stored_as_given():
+    rows = [((1, 2), (3, 4)), ((5, 6), (7, 9))]
+    game = Game((2, 2), rows=rows, scales=[1, 2])
+    for p in range(2):
+        for s in range(2):
+            assert game.payoff_matrix(p)[0][s] is rows[p][s]
 
 
 def test_game_from_json_validation():
@@ -422,8 +460,10 @@ def test_a_table_over_disjoint_denominators_reads_as_each_value_alone(denominato
         for player, column in enumerate(zip(*cells)):
             values = [Fraction(*rational_reference(v)) for v in column]
             scale = math.lcm(*(v.denominator for v in values))
-            assert game._scales[player] == scale
-            assert game._columns[player] == [int(v * scale) for v in values]
+            rows, stored = game.payoff_matrix(player)
+            assert stored == scale
+            assert game_module._joined_rows(rows, math.prod(counts[player + 1:])) == \
+                [int(v * scale) for v in values]
 
 
 def test_long_mixed_columns_parse_in_bulk():
