@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,15 +131,17 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
     and pays hi, or x itself for k = 1. The k-th highest bid of P never sets
     the price, because a winner bids at least m. Every player's opponents are
     n - 1 bidders on one grid, so the opponent profiles, in lex order, map to
-    one key list per spec. Each player gets one payoff column over x per key,
-    and row x of its payoff matrix gathers those columns at the key of every
-    opponent profile. Those rows are the ones the game stores.
+    one key list per spec. Each player gets one payoff column over x per key.
+    The game is handed each player's rows over those key columns and the key
+    of every opponent profile: it gathers and stores the full rows, and
+    takes the keys as the opponent classes its solves read, so no solve
+    hashes the columns of a full auction matrix.
     """
     n, grid, k = spec.player_count, spec.grid_size, spec.price_rank
     bids = grid + 1
     check_size("the auction would need {} payoff cells", DEFAULT_DENSE_CAP, (bids, n))
     common = math.lcm(*range(1, n + 1))
-    keys, gather = _order_statistic_keys(n - 1, bids, k)
+    keys, key_of = _order_statistic_keys(n - 1, bids, k)
     rows = []
     for v in spec.valuations:
         ladder = [(v - price) * common for price in range(bids)]
@@ -149,15 +150,16 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
             + (ladder[top + 1:] if k == 1 else [ladder[price]] * (grid - top))
             for top, tied, price in keys
         ]
-        rows.append(tuple(map(gather, zip(*columns))))
+        rows.append(tuple(zip(*columns)))
     labels = [[str(b) for b in range(bids)]] * n
-    return Game((bids,) * n, rows=rows, scales=[common * grid] * n, labels=labels)
+    return Game((bids,) * n, rows=rows, scales=[common * grid] * n, labels=labels,
+                keys=[key_of] * n)
 
 
 def _order_statistic_keys(others: int, bids: int, k: int):
     """The distinct keys ``(m, M, price at a tie)`` of the ``others``-bidder
-    profiles on ``0..bids-1``, and an ``itemgetter`` that picks, from one
-    value per key, the value of each profile in lex order.
+    profiles on ``0..bids-1``, and the index in that list of the key of each
+    profile in lex order.
 
     The price at a tie is min(hi, m): m for k = 1, and hi, which is at most
     m, for k >= 2. Profiles with one multiset of bids share a key, so the
@@ -170,7 +172,7 @@ def _order_statistic_keys(others: int, bids: int, k: int):
         top = multiset[-1]
         price = multiset[-(k - 1)] if k > 1 else top
         index[multiset] = keys.setdefault((top, multiset.count(top), price), len(keys))
-    return list(keys), operator.itemgetter(*map(index.__getitem__, profiles))
+    return list(keys), list(map(index.__getitem__, profiles))
 
 
 @dataclass(frozen=True)

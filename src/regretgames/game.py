@@ -106,6 +106,48 @@ def _reduced(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return rows, scale // divisor
 
 
+def _check_keys(keys, player: int, profiles: int, classes: int) -> None:
+    """Check that ``keys`` gives each of ``profiles`` opponent profiles one of
+    ``classes`` classes, and that every class is some profile's."""
+    _check_listed(keys, f"the class keys of player {player}")
+    if len(keys) != profiles:
+        raise InputError(f"player {player} needs {profiles} class keys, got {len(keys)}")
+    if not {int}.issuperset(map(type, keys)):
+        bad = next(key for key in keys if type(key) is not int)
+        raise InputError(f"a class key must be an int, got {bad!r}")
+    used = set(keys)
+    if min(used) < 0 or max(used) >= classes:
+        bad = min(used) if min(used) < 0 else max(used)
+        raise InputError(f"class key {bad} of player {player} is outside 0..{classes - 1}")
+    if len(used) < classes:
+        unused = min(set(range(classes)) - used)
+        raise InputError(f"no class key of player {player} refers to class column {unused}")
+
+
+def _distinct_columns(columns):
+    """The distinct ``columns`` in first-seen order, and the index among them of each column."""
+    classes: dict[tuple, int] = {}
+    ids = [classes.setdefault(column, len(classes)) for column in columns]
+    return list(classes), ids
+
+
+def _keyed_classes(class_rows, keys, scale: int):
+    """The :meth:`Game._opponent_classes` view of the rows that ``class_rows``
+    and ``keys`` describe: the distinct class columns numbered in the order
+    the keys first reach them, and each profile's key renumbered to match."""
+    order = list(dict.fromkeys(keys))
+    columns, ids = _distinct_columns(map(list(zip(*class_rows)).__getitem__, order))
+    renumbered = dict(zip(order, ids))
+    return tuple(zip(*columns)), list(map(renumbered.__getitem__, keys)), scale
+
+
+def _gatherer(keys):
+    """A function from a class row to the full row that ``keys`` selects, as a tuple."""
+    if len(keys) == 1:  # an itemgetter of one index returns the item, not a tuple
+        return lambda row, key=keys[0]: (row[key],)
+    return operator.itemgetter(*keys)
+
+
 class Game:
     """An n-player finite game (n >= 2) with exact rational utilities.
 
@@ -115,9 +157,17 @@ class Game:
     lexicographic order, and ``scales[p]`` is their positive denominator.
     Each player's rows are stored reduced by their gcd, so equal games have
     equal numerators however they were built.
+
+    With ``keys``, ``rows[p][s][c]`` is instead the numerator against the
+    opponent *class* ``c``, and ``keys[p][q]`` is the class of the ``q``-th
+    opponent profile; every class must be the class of some profile. The
+    class rows are reduced, the full rows gathered from them are stored,
+    and the classes seed :meth:`_opponent_classes`, so no solve hashes the
+    full rows.
     """
 
-    def __init__(self, strategy_counts: Sequence[int], *, rows, scales, labels=None):
+    def __init__(self, strategy_counts: Sequence[int], *, rows, scales, labels=None,
+                 keys=None):
         counts = _checked_counts(strategy_counts)
         self._counts = counts
         self._labels = self._check_labels(labels, counts)
@@ -127,16 +177,34 @@ class Game:
         if len(rows) != len(counts) or len(scales) != len(counts):
             raise InputError(f"a game needs the payoff rows of {len(counts)} players "
                              f"and {len(counts)} scales")
+        if keys is not None:
+            _check_listed(keys, "class keys")
+            if len(keys) != len(counts):
+                raise InputError(f"a game needs the class keys of {len(counts)} players, "
+                                 f"got {len(keys)}")
         total = self.profile_count
         for player, (count, player_rows) in enumerate(zip(counts, rows)):
             _check_listed(player_rows, f"the payoff rows of player {player}")
             for row in player_rows:
                 _check_listed(row, "a payoff row")
-            width = total // count
-            if len(player_rows) != count or any(len(row) != width for row in player_rows):
-                raise InputError(f"player {player} needs {count} payoff rows of {width} entries")
-        self._rows, self._scales = zip(*map(_reduced, rows, scales))
+            if keys is None:
+                width = total // count
+                if len(player_rows) != count or any(len(row) != width for row in player_rows):
+                    raise InputError(
+                        f"player {player} needs {count} payoff rows of {width} entries")
+            else:
+                widths = set(map(len, player_rows))
+                if len(player_rows) != count or len(widths) != 1:
+                    raise InputError(f"player {player} needs {count} class rows of one width")
+                _check_keys(keys[player], player, total // count, widths.pop())
+        reduced, self._scales = zip(*map(_reduced, rows, scales))
         self._class_cache: dict[int, tuple] = {}
+        if keys is None:
+            self._rows = reduced
+        else:
+            self._rows = tuple(tuple(map(_gatherer(player_keys), class_rows))
+                               for class_rows, player_keys in zip(reduced, keys))
+            self._class_cache.update(enumerate(map(_keyed_classes, reduced, keys, self._scales)))
         # filled by rational_restriction on first use
         self._rational_restriction: Restriction | None = None
 
@@ -235,17 +303,17 @@ class Game:
         first-seen order, and ``keys[q]`` is the class of the ``q``-th opponent
         profile, so ``rows[s][keys[q]]`` is ``payoff_matrix(player)[0][s][q]``.
         Worst regrets are maxima over columns and weak dominance compares every
-        column, so a repeated column changes neither. When every column is
-        distinct, ``rows`` are ``payoff_matrix``'s own. Cached per player.
+        column, so a repeated column changes neither. Cached per player. A
+        game built with ``keys`` seeds the cache from its class rows; in any
+        other game, when every column is distinct, ``rows`` are
+        ``payoff_matrix``'s own.
         """
-        player = self._validate_player(player)
+        rows, scale = self.payoff_matrix(player)
         cached = self._class_cache.get(player)
         if cached is None:
-            rows, scale = self.payoff_matrix(player)
-            classes: dict[tuple, int] = {}
-            keys = [classes.setdefault(column, len(classes)) for column in zip(*rows)]
-            if len(classes) < len(keys):
-                rows = tuple(zip(*classes))
+            columns, keys = _distinct_columns(zip(*rows))
+            if len(columns) < len(keys):
+                rows = tuple(zip(*columns))
             cached = self._class_cache[player] = (rows, keys, scale)
         return cached
 

@@ -10,6 +10,7 @@ from regretgames import (
     BiddingSpec,
     InputError,
     SizeError,
+    all_player_reports,
     bidding_utility,
     closed_form_competitive,
     closed_form_rational,
@@ -176,6 +177,25 @@ def test_builder_keeps_one_copy_of_the_payoffs():
     finally:
         tracemalloc.stop()
     assert peak < 1.8 * 2**20
+
+
+class _Unreadable:
+    """Stands in for a player's stored full payoff rows; reading them fails."""
+
+    def _read(self, *args):
+        raise AssertionError("a solve read the full payoff rows of an auction")
+
+    __getitem__ = __iter__ = __len__ = __eq__ = __hash__ = _read
+
+
+def test_auction_solves_read_the_classes_the_builder_hands_the_game():
+    game = make_bidding_game(BiddingSpec((7, 19, 30), 36, 1))
+    fresh = game_from_json(game_to_json(game))  # its classes are hashed from the full rows
+    game._rows = tuple(_Unreadable() for _ in game._rows)
+    for mode in ("full", "rational"):
+        assert all_player_reports(game, mode) == all_player_reports(fresh, mode)
+    with pytest.raises(AssertionError, match="read the full payoff rows"):
+        game == fresh
 
 
 def test_closed_forms_first_price():

@@ -313,3 +313,57 @@ def test_arguments_of_the_wrong_type_are_named(site):
     with pytest.raises(InputError) as raised:
         build()
     assert str(raised.value) == message
+
+
+#: Player 0 of a 2x3 game over two opponent classes, player 1 over one.
+_CLASS_ROWS = [[[1, 2], [3, 4]], [[5], [6], [7]]]
+_KEYS = [[0, 1, 0], [0, 0]]
+
+
+def _keyed_game(rows=_CLASS_ROWS, keys=_KEYS):
+    return Game((2, 3), rows=rows, scales=[1, 1], keys=keys)
+
+
+#: Malformed class keys and class rows of a keyed game, each named in one line.
+_MALFORMED_KEYS = {
+    "not-a-list": (lambda: _keyed_game(keys=5), "class keys must be a list, got 5"),
+    "one-list-short": (lambda: _keyed_game(keys=_KEYS[:1]),
+                       "a game needs the class keys of 2 players, got 1"),
+    "player-not-a-list": (lambda: _keyed_game(keys=[_KEYS[0], 0]),
+                          "the class keys of player 1 must be a list, got 0"),
+    "wrong-length": (lambda: _keyed_game(keys=[[0, 1], [0, 0]]),
+                     "player 0 needs 3 class keys, got 2"),
+    "str": (lambda: _keyed_game(keys=[[0, 1, "0"], [0, 0]]),
+            "a class key must be an int, got '0'"),
+    "float": (lambda: _keyed_game(keys=[[0, 1, 0], [0.0, 0]]),
+              "a class key must be an int, got 0.0"),
+    "bool": (lambda: _keyed_game(keys=[[0, True, 0], [0, 0]]),
+             "a class key must be an int, got True"),
+    "negative": (lambda: _keyed_game(keys=[[0, 1, -1], [0, 0]]),
+                 "class key -1 of player 0 is outside 0..1"),
+    "out-of-range": (lambda: _keyed_game(keys=[[0, 1, 0], [0, 1]]),
+                     "class key 1 of player 1 is outside 0..0"),
+    "unequal-widths": (lambda: _keyed_game(rows=[[[1, 2], [3]], _CLASS_ROWS[1]]),
+                       "player 0 needs 2 class rows of one width"),
+    "row-count": (lambda: _keyed_game(rows=[_CLASS_ROWS[0], [[5], [6]]]),
+                  "player 1 needs 3 class rows of one width"),
+    # an unreferenced column would enter every worst-regret maximum and
+    # every dominance test
+    "unreferenced-class": (lambda: _keyed_game(keys=[[1, 1, 1], [0, 0]]),
+                           "no class key of player 0 refers to class column 0"),
+    "numerator": (lambda: _keyed_game(rows=[[[1, 2], [3, 4.5]], _CLASS_ROWS[1]]),
+                  "a payoff numerator must be an integer, got 4.5"),
+}
+
+
+@pytest.mark.parametrize("site", list(_MALFORMED_KEYS))
+def test_malformed_class_keys_are_named(site):
+    build, message = _MALFORMED_KEYS[site]
+    with pytest.raises(InputError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_the_keyed_game_the_malformed_cases_break_is_well_formed():
+    assert _keyed_game() == Game((2, 3), rows=[[[1, 2, 1], [3, 4, 3]], [[5, 5], [6, 6], [7, 7]]],
+                                 scales=[1, 1])

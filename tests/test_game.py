@@ -290,6 +290,62 @@ def test_rows_whose_gcd_is_one_are_stored_as_given():
             assert game.payoff_matrix(p)[0][s] is rows[p][s]
 
 
+def _keyed_cases():
+    """Seeded keyed inputs with n = 2..4: each player's class rows, with
+    duplicate class columns, and keys that reference every class in a
+    shuffled, not first-seen, order. Each shape has a player of one strategy,
+    and every third has a player whose opponents have one profile."""
+    rng = random.Random("keyed")
+    for case in range(36):
+        n = 2 + case % 3
+        counts = [rng.randint(1, 4) for _ in range(n)]
+        counts[rng.randrange(n)] = 1
+        if case % 3 == 0:
+            lone = rng.randrange(n)
+            counts = [c if p == lone else 1 for p, c in enumerate(counts)]
+        total = math.prod(counts)
+        factor = rng.choice([1, 1, 2, 6])
+        class_rows, keys = [], []
+        for count in counts:
+            profiles = total // count
+            classes = rng.randint(1, profiles)
+            columns = [tuple(factor * rng.choice((-3, 0, 1, 5)) for _ in range(count))
+                       for _ in range(classes)]
+            if classes > 1:  # a duplicate column under another class number
+                columns[-1] = columns[0]
+            player_keys = list(range(classes)) + [rng.randrange(classes)
+                                                 for _ in range(profiles - classes)]
+            rng.shuffle(player_keys)
+            class_rows.append([list(row) for row in zip(*columns)])
+            keys.append(player_keys)
+        scales = [factor * rng.randint(1, 5) for _ in counts]
+        yield counts, class_rows, keys, scales, rng
+
+
+def test_keyed_games_equal_the_games_of_their_gathered_rows():
+    shapes = set()
+    for counts, class_rows, keys, scales, rng in _keyed_cases():
+        gathered = [[[row[k] for k in player_keys] for row in player_rows]
+                    for player_rows, player_keys in zip(class_rows, keys)]
+        keyed = Game(counts, rows=class_rows, scales=scales, keys=keys)
+        plain = Game(counts, rows=gathered, scales=scales)
+        assert keyed == plain
+        for p in range(len(counts)):
+            assert keyed.payoff_matrix(p) == plain.payoff_matrix(p)
+            assert keyed._opponent_classes(p) == plain._opponent_classes(p)
+        assert_view_quotients_the_matrix(keyed)
+        assert_class_rows_cut_the_matrix(keyed, rng)
+        assert json_text(game_to_json(keyed)) == json_text(game_to_json(plain))
+        shapes.add(len(counts))
+        if any(len(player_keys) == 1 for player_keys in keys):
+            shapes.add("one profile")
+        if any(len(set(zip(*player_rows))) < len(player_rows[0]) for player_rows in class_rows):
+            shapes.add("duplicate columns")
+        if any(list(dict.fromkeys(k)) != sorted(set(k)) for k in keys):  # not first-seen
+            shapes.add("renumbered")
+    assert shapes == {2, 3, 4, "one profile", "duplicate columns", "renumbered"}
+
+
 def test_game_from_json_validation():
     with pytest.raises(InputError, match="missing keys"):
         game_from_json({"players": 2})
