@@ -110,6 +110,8 @@ def _check_keys(keys, player: int, profiles: int, classes: int) -> None:
     """Check that ``keys`` gives each of ``profiles`` opponent profiles one of
     ``classes`` classes, and that every class is some profile's."""
     _check_listed(keys, f"the class keys of player {player}")
+    if not classes:
+        raise InputError(f"the class rows of player {player} are empty")
     if len(keys) != profiles:
         raise InputError(f"player {player} needs {profiles} class keys, got {len(keys)}")
     if not {int}.issuperset(map(type, keys)):
@@ -124,21 +126,21 @@ def _check_keys(keys, player: int, profiles: int, classes: int) -> None:
         raise InputError(f"no class key of player {player} refers to class column {unused}")
 
 
-def _distinct_columns(columns):
-    """The distinct ``columns`` in first-seen order, and the index among them of each column."""
-    classes: dict[tuple, int] = {}
-    ids = [classes.setdefault(column, len(classes)) for column in columns]
-    return list(classes), ids
-
-
-def _keyed_classes(class_rows, keys, scale: int):
-    """The :meth:`Game._opponent_classes` view of the rows that ``class_rows``
-    and ``keys`` describe: the distinct class columns numbered in the order
-    the keys first reach them, and each profile's key renumbered to match."""
-    order = list(dict.fromkeys(keys))
-    columns, ids = _distinct_columns(map(list(zip(*class_rows)).__getitem__, order))
-    renumbered = dict(zip(order, ids))
-    return tuple(zip(*columns)), list(map(renumbered.__getitem__, keys)), scale
+def _classes(rows, keys):
+    """The :meth:`Game._opponent_classes` ``(rows, keys)`` of ``rows`` over
+    classes and the class ``keys[q]`` of each opponent profile (plain rows have
+    ``keys = range(width)``): the distinct class columns in the order the keys
+    first reach them, as the ``rows`` given when that is every column in order."""
+    columns = list(zip(*rows))
+    numbers: dict[tuple, int] = {}  # each distinct column's class in the view
+    renumbered, picked = {}, []  # picked: each class's first key
+    for key in dict.fromkeys(keys):
+        renumbered[key] = number = numbers.setdefault(columns[key], len(numbers))
+        if number == len(picked):
+            picked.append(key)
+    if picked != list(range(len(columns))):
+        rows = tuple(map(_gatherer(picked), rows))
+    return rows, list(map(renumbered.__getitem__, keys))
 
 
 def _gatherer(keys):
@@ -161,9 +163,9 @@ class Game:
     With ``keys``, ``rows[p][s][c]`` is instead the numerator against the
     opponent *class* ``c``, and ``keys[p][q]`` is the class of the ``q``-th
     opponent profile; every class must be the class of some profile. The
-    class rows are reduced, the full rows gathered from them are stored,
-    and the classes seed :meth:`_opponent_classes`, so no solve hashes the
-    full rows.
+    class rows are reduced and the full rows gathered from them are stored.
+    The constructor derives every :meth:`_opponent_classes` view from the
+    rows it is given, so no solve of a keyed game hashes its full rows.
     """
 
     def __init__(self, strategy_counts: Sequence[int], *, rows, scales, labels=None,
@@ -182,7 +184,7 @@ class Game:
             if len(keys) != len(counts):
                 raise InputError(f"a game needs the class keys of {len(counts)} players, "
                                  f"got {len(keys)}")
-        total = self.profile_count
+        total, checked = self.profile_count, set()
         for player, (count, player_rows) in enumerate(zip(counts, rows)):
             _check_listed(player_rows, f"the payoff rows of player {player}")
             for row in player_rows:
@@ -196,15 +198,19 @@ class Game:
                 widths = set(map(len, player_rows))
                 if len(player_rows) != count or len(widths) != 1:
                     raise InputError(f"player {player} needs {count} class rows of one width")
-                _check_keys(keys[player], player, total // count, widths.pop())
+                shape = (id(keys[player]), total // count, widths.pop())
+                if shape not in checked:  # a key list that players share is checked once
+                    checked.add(shape)
+                    _check_keys(keys[player], player, *shape[1:])
         reduced, self._scales = zip(*map(_reduced, rows, scales))
-        self._class_cache: dict[int, tuple] = {}
         if keys is None:
             self._rows = reduced
+            keys = [range(total // count) for count in counts]
         else:
             self._rows = tuple(tuple(map(_gatherer(player_keys), class_rows))
                                for class_rows, player_keys in zip(reduced, keys))
-            self._class_cache.update(enumerate(map(_keyed_classes, reduced, keys, self._scales)))
+        self._class_views = tuple((*_classes(class_rows, player_keys), scale) for
+                                  class_rows, player_keys, scale in zip(reduced, keys, self._scales))
         # filled by rational_restriction on first use
         self._rational_restriction: Restriction | None = None
 
@@ -303,19 +309,12 @@ class Game:
         first-seen order, and ``keys[q]`` is the class of the ``q``-th opponent
         profile, so ``rows[s][keys[q]]`` is ``payoff_matrix(player)[0][s][q]``.
         Worst regrets are maxima over columns and weak dominance compares every
-        column, so a repeated column changes neither. Cached per player. A
-        game built with ``keys`` seeds the cache from its class rows; in any
-        other game, when every column is distinct, ``rows`` are
-        ``payoff_matrix``'s own.
+        column, so a repeated column changes neither. Derived once, at build,
+        by :func:`_classes`; ``rows`` are the game's rows as given, reduced,
+        when their columns are distinct and in first-seen order.
         """
-        rows, scale = self.payoff_matrix(player)
-        cached = self._class_cache.get(player)
-        if cached is None:
-            columns, keys = _distinct_columns(zip(*rows))
-            if len(columns) < len(keys):
-                rows = tuple(zip(*columns))
-            cached = self._class_cache[player] = (rows, keys, scale)
-        return cached
+        self.payoff_matrix(player)  # checks player; bench/ counts each view read by this call
+        return self._class_views[player]
 
     def _class_rows(self, player: int, allowed):
         """The rows of :meth:`_opponent_classes` cut to the classes that the

@@ -21,6 +21,7 @@ from regretgames import (
     rational_restriction,
     verify_claims,
 )
+from regretgames import game as game_module
 from support import game_from_cells, payoffs, random_bidding_spec
 
 
@@ -196,6 +197,16 @@ def test_auction_solves_read_the_classes_the_builder_hands_the_game():
         assert all_player_reports(game, mode) == all_player_reports(fresh, mode)
     with pytest.raises(AssertionError, match="read the full payoff rows"):
         game == fresh
+
+
+def test_a_key_list_the_players_share_is_checked_once(monkeypatch):
+    checked = []
+    check = game_module._check_keys
+    monkeypatch.setattr(game_module, "_check_keys",
+                        lambda keys, player, *shape: checked.append(player) or check(
+                            keys, player, *shape))
+    make_bidding_game(BiddingSpec((9, 2, 5), 12, 2))
+    assert checked == [0]
 
 
 def test_closed_forms_first_price():

@@ -353,6 +353,9 @@ _MALFORMED_KEYS = {
                            "no class key of player 0 refers to class column 0"),
     "numerator": (lambda: _keyed_game(rows=[[[1, 2], [3, 4.5]], _CLASS_ROWS[1]]),
                   "a payoff numerator must be an integer, got 4.5"),
+    "empty-class-rows": (lambda: _keyed_game(rows=[[[], []], _CLASS_ROWS[1]],
+                                             keys=[[0, 0, 0], [0, 0]]),
+                         "the class rows of player 0 are empty"),
 }
 
 

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -10,11 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretgames import (
+    BiddingSpec,
     Game,
     InputError,
+    all_player_reports,
     game_from_json,
     game_to_json,
+    iterated_rational_sets,
     load_game,
+    make_bidding_game,
     make_dense_game,
     save_game,
 )
@@ -288,6 +294,36 @@ def test_rows_whose_gcd_is_one_are_stored_as_given():
     for p in range(2):
         for s in range(2):
             assert game.payoff_matrix(p)[0][s] is rows[p][s]
+
+
+def test_keyed_class_rows_whose_columns_are_distinct_and_first_seen_are_the_view():
+    # player 0's keys reach its three distinct class columns in order 0, 1, 2
+    class_rows = [((1, 2, 3), (4, 5, 7)), ((5,), (6,), (7,), (8,))]
+    game = Game((2, 4), rows=class_rows, scales=[1, 1], keys=[[0, 1, 0, 2], [0, 0]])
+    assert_view_quotients_the_matrix(game)
+    for player in range(2):
+        rows, _, _ = game._opponent_classes(player)
+        assert all(map(operator.is_, rows, class_rows[player]))  # the rows given
+    assert game._opponent_classes(0)[1] == [0, 1, 0, 2]
+    # reached in order 1, 0, 2, the class columns are gathered into new rows
+    game = Game((2, 4), rows=class_rows, scales=[1, 1], keys=[[1, 0, 1, 2], [0, 0]])
+    assert_view_quotients_the_matrix(game)
+    rows, keys, _ = game._opponent_classes(0)
+    assert rows == ((2, 1, 3), (5, 4, 7)) and keys == [0, 1, 0, 2]
+
+
+def test_solves_and_scans_leave_a_game_as_built_but_for_its_rational_restriction():
+    class_rows = [((1, 2, 1), (4, 5, 7)), ((5,), (6,), (7,), (8,))]
+    for game in (anchor_game(), make_bidding_game(BiddingSpec((4, 2, 3), 5, 2)),
+                 Game((2, 4), rows=class_rows, scales=[2, 1], keys=[[2, 1, 0, 2], [0, 0]])):
+        built = {name: (value, copy.copy(value)) for name, value in vars(game).items()}
+        for mode in ("full", "rational"):
+            all_player_reports(game, mode)
+        iterated_rational_sets(game, 3)
+        after = vars(game)
+        changed = {name for name, (value, copied) in built.items()
+                   if after[name] is not value or after[name] != copied}
+        assert after.keys() == built.keys() and changed == {"_rational_restriction"}
 
 
 def _keyed_cases():
