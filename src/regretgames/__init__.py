@@ -38,9 +38,9 @@ _EXPORTS = {
         "verify_claims",
     ),
     "repeated": (
-        "ExpandedGame", "FolkReport", "GameSequence", "PayoffExtremes", "RandomGameSpec",
-        "SequenceAnalysis", "decision_points", "expand_sequence", "folk_strategy",
-        "payoff_extremes", "random_realizations", "verify_folk_theorem",
+        "ExpandedGame", "FolkReport", "GameSequence", "RandomGameSpec", "SequenceAnalysis",
+        "decision_points", "expand_sequence", "folk_strategy", "random_realizations",
+        "verify_folk_theorem",
     ),
     "trading": (
         "PASS", "TAKE", "SingleAgentAudit", "SweepResult", "TradingOutcome", "TradingSpec",

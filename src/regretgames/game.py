@@ -82,25 +82,19 @@ def _check_listed(value, what: str) -> None:
         raise InputError(f"{what} must be a list, got {value!r}")
 
 
-#: Cells :func:`_reduced` reads, in whole rows, before it stops at gcd 1.
-_GCD_CHUNK = 256
-
-
 def _reduced(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rows of numerators, as tuples, and their denominator divided by their gcd."""
+    """Rows of numerators, as tuples, and their denominator divided by their
+    gcd. The gcd reads every cell, and is what checks that each is an int."""
     if strict_int(scale, "a payoff denominator") < 1:
         raise InputError(f"payoff denominators must be positive, got {scale}")
     rows = tuple(map(tuple, rows))  # a tuple row is kept as it is
-    divisor, read = scale, 0
+    divisor = scale
     for row in rows:
         try:
             divisor = math.gcd(divisor, *row)
         except TypeError:
             bad = next(v for v in row if not isinstance(v, int))
             raise InputError(f"a payoff numerator must be an integer, got {bad!r}") from None
-        read += len(row)
-        if divisor == 1 and read >= _GCD_CHUNK:  # no later cell can raise it again
-            break
     if divisor > 1:
         rows = tuple(tuple(v // divisor for v in row) for row in rows)
     return rows, scale // divisor

@@ -23,7 +23,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (DEFAULT_DENSE_CAP, DEFAULT_REALIZATION_CAP, AssumptionError, InputError,
                      check_mode, check_size)
@@ -356,28 +355,7 @@ def _rational_step(gains, continuations, allowed, highs, lows, regrets):
     return tuple(kept), maxima, minima, worst
 
 
-# -- payoff extremes and the stage condition ---------------------------------
-
-
-@dataclass(frozen=True)
-class PayoffExtremes:
-    """The two largest distinct payoff values a player can see in one game."""
-
-    player: int
-    highest: Fraction
-    second_highest: Fraction
-
-
-def payoff_extremes(game: Game, player: int) -> PayoffExtremes:
-    rows, scale = game.payoff_matrix(player)
-    values = sorted(set(itertools.chain.from_iterable(rows)), reverse=True)
-    if len(values) < 2:
-        raise AssumptionError(
-            f"player {player} has fewer than 2 distinct payoffs; "
-            "the distinctness assumption is violated"
-        )
-    # exact Fractions: stages compared with each other have different scales
-    return PayoffExtremes(player, Fraction(values[0], scale), Fraction(values[1], scale))
+# -- the stage condition -----------------------------------------------------
 
 
 def _check_stage_condition(games, n: int, noun: str) -> None:
@@ -385,15 +363,20 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
     the stage condition; a violation of it names the games by ``noun``.
 
     Stages read from one file share a ``Game``: each distinct one is read
-    once, at its first position, which is the position any error names.
+    once per player, at its first position, which is the position any error
+    names. Stages on different scales are compared in integers with the
+    scales crossed: ``h / s < 2 * t / u`` is ``h * u < 2 * t * s``.
     """
     firsts = {}
     for index, game in enumerate(games):
         firsts.setdefault(id(game), (index, game))
+    # per player, each distinct game's (first position, highest, second highest, scale)
+    extremes = [[] for _ in range(n)]
     for stage_index, game in firsts.values():
         for player in range(n):
-            values = list(itertools.chain.from_iterable(game.payoff_matrix(player)[0]))
-            if any(v < 0 for v in values):
+            rows, scale = game.payoff_matrix(player)
+            values = sorted(itertools.chain.from_iterable(rows), reverse=True)
+            if values[-1] < 0:
                 raise AssumptionError(
                     f"stage {stage_index} has a negative payoff for player {player}"
                 )
@@ -405,17 +388,13 @@ def _check_stage_condition(games, n: int, noun: str) -> None:
                 raise AssumptionError(
                     f"stage {stage_index} has fewer than 2 distinct payoffs for player {player}"
                 )
-    read = {key: [payoff_extremes(game, player) for player in range(n)]
-            for key, (_, game) in firsts.items()}
-    extremes = [read[id(game)] for game in games]
-    for player in range(n):
-        seconds = [row[player].second_highest for row in extremes]
-        bound = 2 * max(seconds)
-        for k, row_k in enumerate(extremes):
-            # below the bound is below twice some game's second highest: name the first
-            if row_k[player].highest < bound:
-                l = next(l for l, second in enumerate(seconds)
-                         if row_k[player].highest < 2 * second)
+            extremes[player].append((stage_index, values[0], values[1], scale))
+    for player, games_read in enumerate(extremes):
+        for k, highest, _, scale_k in games_read:
+            # the first game l whose second highest is more than half game k's highest
+            l = next((l for l, _, second, scale_l in games_read
+                      if highest * scale_l < 2 * second * scale_k), None)
+            if l is not None:
                 raise AssumptionError(
                     f"stage condition fails: highest payoff of {noun} {k} is below "
                     f"twice the second highest of {noun} {l} for player {player}"

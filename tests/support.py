@@ -25,7 +25,6 @@ from regretgames import (
     TradingSpec,
     make_dense_game,
     minimal_regret_sweep,
-    payoff_extremes,
     single_agent_threshold,
     trading_payoff,
 )
@@ -173,10 +172,17 @@ def random_stage_game(rng: random.Random, high=29) -> Game:
             return make_dense_game((2, 2), cells)
 
 
+def stage_extremes(game: Game, player: int) -> tuple[Fraction, Fraction]:
+    """The player's highest and second highest distinct payoffs in ``game``."""
+    rows, scale = game.payoff_matrix(player)
+    highest, second = sorted(set(itertools.chain.from_iterable(rows)), reverse=True)[:2]
+    return Fraction(highest, scale), Fraction(second, scale)
+
+
 def folk_condition_holds(sequence: GameSequence, player: int) -> bool:
     """Worst highest payoff across stages at least twice the best second-highest."""
-    extremes = [payoff_extremes(stage, player) for stage in sequence.stages]
-    return min(e.highest for e in extremes) >= 2 * max(e.second_highest for e in extremes)
+    extremes = [stage_extremes(stage, player) for stage in sequence.stages]
+    return min(high for high, _ in extremes) >= 2 * max(second for _, second in extremes)
 
 
 def random_stage_pair(rng: random.Random) -> tuple[Game, Game]:

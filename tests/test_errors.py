@@ -238,6 +238,13 @@ def test_trading_players_must_be_the_ints_0_or_1(site, value):
     assert str(raised.value) == f"player must be 0 or 1, got {value!r}"
 
 
+def _ones_but_last(value) -> Game:
+    """A 20x20 game: player 0 gets 1 in every cell but the last, which holds
+    ``value``, and player 1 gets 0 everywhere."""
+    return Game((20, 20), rows=[[[1] * 20] * 19 + [[1] * 19 + [value]], [[0] * 20] * 20],
+                scales=[1, 1])
+
+
 #: Arguments of the wrong type where a strategy or a restriction belongs,
 #: each named in one line.
 _WRONG_TYPES = {
@@ -290,6 +297,14 @@ _WRONG_TYPES = {
     "Game-float-numerator-second-row": (
         lambda: Game((2, 2), rows=[[[1, 2], [3.5, 4]], _ZERO_ROWS], scales=[1, 1]),
         "a payoff numerator must be an integer, got 3.5"),
+    # the gcd is 1 after the first row, and the last of 400 cells is still read
+    "Game-float-numerator-last-of-400": (
+        lambda: _ones_but_last(2.5), "a payoff numerator must be an integer, got 2.5"),
+    "Game-Fraction-numerator-last-of-400": (
+        lambda: _ones_but_last(Fraction(5, 2)),
+        "a payoff numerator must be an integer, got Fraction(5, 2)"),
+    "Game-str-numerator-last-of-400": (
+        lambda: _ones_but_last("5/2"), "a payoff numerator must be an integer, got '5/2'"),
     "expand_sequence-list": (lambda: expand_sequence([_STAGE, _STAGE]),
                              "sequence must be a GameSequence, got list"),
     "expand_sequence-Game": (lambda: expand_sequence(_STAGE),

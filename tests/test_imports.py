@@ -30,10 +30,9 @@ EXPORTED = {
     "bidding": ("BiddingSpec", "ClaimPrediction", "DivergenceReport", "bidding_utility",
                 "closed_form_competitive", "closed_form_rational", "make_bidding_game",
                 "verify_claims"),
-    "repeated": ("ExpandedGame", "FolkReport", "GameSequence", "PayoffExtremes",
-                 "RandomGameSpec", "SequenceAnalysis", "decision_points", "expand_sequence",
-                 "folk_strategy", "payoff_extremes", "random_realizations",
-                 "verify_folk_theorem"),
+    "repeated": ("ExpandedGame", "FolkReport", "GameSequence", "RandomGameSpec",
+                 "SequenceAnalysis", "decision_points", "expand_sequence", "folk_strategy",
+                 "random_realizations", "verify_folk_theorem"),
     "trading": ("PASS", "TAKE", "SingleAgentAudit", "SweepResult", "TradingOutcome",
                 "TradingSpec", "TradingStrategy", "audit_single_agent",
                 "competitive_trading_strategy", "minimal_regret_sweep",
@@ -114,3 +113,14 @@ def test_cap_defaults_live_next_to_the_size_check():
     assert repeated.DEFAULT_REALIZATION_CAP is errors.DEFAULT_REALIZATION_CAP == 4096
     assert trading.DEFAULT_ENUM_CAP is errors.DEFAULT_ENUM_CAP == 250_000
     assert errors.DEFAULT_DENSE_CAP == 10**6
+
+
+def test_the_readme_quickstart_runs_and_loads_what_it_says(tmp_path):
+    """README's "Library quickstart" block runs as printed, in a fresh
+    interpreter, and loads the kernels the text after it names."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 1
+    quickstart = blocks[0].split("```", 1)[0]
+    assert loaded_after(quickstart, tmp_path) == {"bidding", "dominance", "repeated", "solver"}

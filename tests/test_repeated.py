@@ -17,7 +17,6 @@ from regretgames import (
     folk_strategy,
     make_dense_game,
     minimax_regret,
-    payoff_extremes,
     random_realizations,
     rational_restriction,
     verify_folk_theorem,
@@ -28,6 +27,7 @@ from regretgames.solver import mode_restriction
 from support import (
     anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, game_from_cells,
     history_strategies, payoffs, random_stage_game, rational_step_reference, realized, replay,
+    stage_extremes,
 )
 
 
@@ -51,18 +51,6 @@ def folk_index_in(expansion, player):
     picks = folk_strategy(expansion.sequence, player)
     return expansion.index_of_tuple(player, tuple(
         picks[idx - 1] for idx, _ in decision_points(expansion.sequence, player)))
-
-
-def test_payoff_extremes():
-    g = extremes_game((10, 1, 2, 4), (9, 0, 3, 4))
-    assert (payoff_extremes(g, 0).highest, payoff_extremes(g, 0).second_highest) == (10, 4)
-    assert (payoff_extremes(g, 1).highest, payoff_extremes(g, 1).second_highest) == (9, 4)
-
-
-def test_payoff_extremes_rejects_constant():
-    g = extremes_game((5, 5, 5, 5), (1, 2, 3, 4))
-    with pytest.raises(AssumptionError):
-        payoff_extremes(g, 0)
 
 
 def test_folk_condition_arithmetic():
@@ -578,10 +566,10 @@ def test_stage_condition_error_names_the_first_failing_pair():
     for _ in range(200):
         pool = [extremes_game(rng.sample(range(30), 4), rng.sample(range(30), 4))
                 for _ in range(rng.randint(1, 4))]
-        extremes = [[payoff_extremes(g, p) for p in (0, 1)] for g in pool]
+        extremes = [[stage_extremes(g, p) for p in (0, 1)] for g in pool]
         first = next(((p, k, l) for p in (0, 1) for k in range(len(pool))
                       for l in range(len(pool))
-                      if extremes[k][p].highest < 2 * extremes[l][p].second_highest), None)
+                      if extremes[k][p][0] < 2 * extremes[l][p][1]), None)
         spec = RandomGameSpec(pool, 1, "exhaustive")
         if first is None:
             verify_folk_theorem(spec)
@@ -597,13 +585,13 @@ def test_stage_condition_error_names_the_first_failing_pair():
 def test_stage_condition_reads_each_distinct_game_once(monkeypatch):
     """A game at several positions is read once, and an error names its first
     position, and the first (k, l) pair, as a read of every position would."""
-    read, extremes = [], repeated.payoff_extremes
+    read, payoff_matrix = [], Game.payoff_matrix
 
     def counted(game, player):
         read.append((id(game), player))
-        return extremes(game, player)
+        return payoff_matrix(game, player)
 
-    monkeypatch.setattr(repeated, "payoff_extremes", counted)
+    monkeypatch.setattr(Game, "payoff_matrix", counted)
     good = condition_game()
     negative = extremes_game((10, -1, 2, 4), (9, 0, 3, 1))
     with pytest.raises(AssumptionError) as info:
@@ -621,6 +609,27 @@ def test_stage_condition_reads_each_distinct_game_once(monkeypatch):
     with pytest.raises(AssumptionError, match="of stage 1 is below twice the second highest "
                                               "of stage 0 for player 0$"):
         folk_strategy(GameSequence((high, low, low, high)), 1)
+
+
+def test_stage_condition_compares_stages_on_unrelated_scales():
+    """Player 0's highest payoff 22/11 in one stage is exactly twice the second
+    highest 7/7 of a stage over sevenths, so the condition holds; one eleventh
+    less, 21/11, breaks it, and the error names the pair in order."""
+    elevenths = extremes_game(("1/11", "2/11", "3/11", "22/11"), (0, 1, 2, 9))
+    sevenths = extremes_game(("1/7", "2/7", "7/7", "16/7"), (0, 1, 2, 9))
+    below = extremes_game(("1/11", "2/11", "3/11", "21/11"), (0, 1, 2, 9))
+    assert [g.payoff_matrix(0)[1] for g in (elevenths, sevenths, below)] == [11, 7, 11]
+    for stages in ((elevenths, sevenths), (sevenths, elevenths)):
+        verify_folk_theorem(GameSequence(stages))
+        assert len(folk_strategy(GameSequence(stages), 0)) == 2
+    for stages, (k, l) in (((below, sevenths), (0, 1)), ((sevenths, below), (1, 0))):
+        for noun, check in (("game", verify_folk_theorem),
+                            ("stage", lambda sequence: folk_strategy(sequence, 1))):
+            with pytest.raises(AssumptionError) as info:
+                check(GameSequence(stages))
+            assert str(info.value) == (
+                f"stage condition fails: highest payoff of {noun} {k} is below "
+                f"twice the second highest of {noun} {l} for player 0")
 
 
 def test_folk_assumption_validation():
