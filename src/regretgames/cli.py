@@ -375,6 +375,9 @@ def _cmd_trading(args) -> int:
     if args.audit_single:
         if args.m1 is None or args.M1 is None:
             raise InputError("--audit-single needs --m1 and --M1 (and optionally --t)")
+        if args.grid_step != 1:
+            raise InputError(
+                f"--audit-single runs on the unit grid, got --grid-step {args.grid_step}")
         audit = trading.audit_single_agent(
             args.M1, args.m1, 3 if args.t is None else args.t, args.enum_cap
         )

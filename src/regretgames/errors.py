@@ -11,8 +11,9 @@ DEFAULT_DENSE_CAP = 10**6
 DEFAULT_REALIZATION_CAP = 4096
 
 #: Cap on the size of every trading search, counted as the enumeration the
-#: recurrence replaces: the announcement sequences of the oracle, the sweep
-#: and the single-agent audit, the sweep's candidates and the audit's profiles.
+#: recurrence replaces: the oracle's announcement sequences on the full grid,
+#: the sweep's on its own value and the other agent's floor or cap, the
+#: single-agent audit's, the sweep's candidates and the audit's profiles.
 #: Each count is checked before any work; one far past the cap, such as the
 #: sequences of a long horizon, is reported as a power-of-two lower bound.
 DEFAULT_ENUM_CAP = 250_000

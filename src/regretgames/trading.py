@@ -457,24 +457,23 @@ def _grid(floor: int, cap: int, step) -> tuple:
                        for k in range(count + 1))
 
 
-def _steps(spec: TradingSpec, player: int, grid_step, signature: bool, enum_cap: int) -> list:
-    """Builder steps ``(own value, other at cap, pair)``: one per announcement
-    pair on the grid, or, for the ``signature`` quotient, with the other
-    agent only at its floor or its cap. The ``len(steps) ** t`` announcement
-    sequences they stand for are checked against ``enum_cap`` first.
+def _steps(spec: TradingSpec, player: int, grid_step, enum_cap: int) -> list:
+    """The steps ``(own value, other at cap, pair)`` of ``player``: the grid's
+    announcement pairs with the other agent at its floor or its cap, in grid
+    order. The grid step must divide both bands, and the ``len(steps) ** t``
+    step sequences are checked against ``enum_cap`` first.
 
-    Regret is measurable with respect to (own value, other at cap), and so
-    is every schedule's take row, so maxima over the quotient equal maxima
-    over the full grid; a witness names the representative pairs.
+    Regret and every schedule's take row read a pair only through (own
+    value, other at cap), and the pair kept for each such signature is the
+    first of the full grid that has it, so the worst regret over these steps
+    and its lex-first witness are the full grid's.
     """
-    other = 1 - player
-    grids = [None, None]
-    grids[player] = _grid(*spec.bounds(player), grid_step)
-    grids[other] = (2, spec.bounds(other)) if signature else _grid(*spec.bounds(other), grid_step)
+    grids = [spec.bounds(0), spec.bounds(1)]
+    count, grids[player] = _grid(*grids[player], grid_step)
+    _grid(*grids[1 - player], grid_step)  # the step must divide the other band too
     check_size("the oracle would enumerate {} announcement sequences", enum_cap,
-               (grids[0][0] * grids[1][0], spec.iterations))
-    return [_step(spec, player, pair)
-            for pair in itertools.product(*(values for _, values in grids))]
+               (2 * count, spec.iterations))
+    return [_step(spec, player, pair) for pair in itertools.product(*grids)]
 
 
 class _Reach:
@@ -494,7 +493,7 @@ class _Reach:
     iteration itself ("rational"); or only never ("single", the one-agent
     problem). Stop ``t + 1`` means never.
 
-    :meth:`witness` walks one step per kind. :meth:`advance` settles an
+    :meth:`witness` walks every step. :meth:`advance` settles an
     iteration for a whole set of running maxima at once, from four numbers
     of the take row (:meth:`summary`, kept per distinct row in
     ``summaries``; rows are tuples of booleans).
@@ -525,22 +524,15 @@ class _Reach:
         reaching ``worst``. Each state keeps the first prefix reaching it,
         its smallest, as parents go in that order and steps ascending; a
         prefix whose step reaches ``worst`` ends there, padded with step 0,
-        and the smallest of those wins, the earlier stop on a tie.
-
-        Steps of one kind ``(own value, peak, take)`` give the same regrets
-        and next state, so each iteration walks the first step of each kind
-        only, in step order. Stop values are positive, so ``or 0`` reads
-        None as no stop."""
+        and the smallest of those wins, the earlier stop on a tie. Stop
+        values are positive, so ``or 0`` reads None as no stop."""
         t, rational, single = self.t, self.mode == "rational", self.mode == "single"
         found = None
         prefixes = {(0, None): ()}
         for j in range(1, t + 1):
-            kinds = {}
-            for s, ((value, peak, _), take) in enumerate(zip(self.steps, takes[j - 1])):
-                kinds.setdefault((value, peak, take), s)
             reached, first = {}, None
             for (high, stop_value), prefix in prefixes.items():
-                for (value, peak, take), s in kinds.items():
+                for s, ((value, peak, _), take) in enumerate(zip(self.steps, takes[j - 1])):
                     if stop_value is None and take:
                         stop, paid = value, value
                     else:
@@ -663,16 +655,19 @@ def trading_oracle_report(
     Maximizes, over every announcement sequence on the grid and every
     admissible opponent stopping behavior, the hindsight-best own payoff
     (against that same opponent behavior) minus the realized payoff. The
-    maximum comes from the reachability recurrence; the witness is the first
-    sequence in lex order that reaches it, with its first maximizing
-    opponent stop.
+    maximum comes from the reachability recurrence over :func:`_steps`; the
+    witness is the first sequence in lex order that reaches it, with its
+    first maximizing opponent stop. The full grid's announcement sequences
+    are still counted against ``enum_cap``.
     """
     spec.bounds(player)
     if _check_strategy(strategy, spec).player != player:
         raise InputError(f"the strategy is for player {strategy.player}, not player {player}")
     check_mode(mode)
-    steps = _steps(spec, player, grid_step, signature=False, enum_cap=enum_cap)
+    own, other = (_grid(*spec.bounds(i), grid_step)[0] for i in (player, 1 - player))
     t = spec.iterations
+    check_size("the oracle would enumerate {} announcement sequences", enum_cap, (own * other, t))
+    steps = _steps(spec, player, grid_step, enum_cap)
     reach = _Reach(steps, t, mode)
     takes = [_take_row(entry, steps) for entry in strategy.schedule]
     worst = reach.worst(takes)
@@ -756,16 +751,15 @@ def minimal_regret_sweep(
 ) -> SweepResult:
     """Check the closed-form strategy against every reduced deterministic rule.
 
-    The rules run over the signature quotient of the sequence space (own
-    announcement plus opponent-at-cap flags), which is exact for every
-    schedule. Candidates are built iteration by iteration on the
+    The rules run over the oracle's steps, one per (own announcement, other
+    at cap), which is exact for every schedule. Candidates are built iteration by iteration on the
     reachability recurrence, and a prefix is dropped with all its
     completions once its regret so far reaches the reference's worst case,
     so only rules that beat the reference are scored in full. The sequence
     and candidate counts are still checked against ``enum_cap``.
     """
     reference = reference_strategy(spec, player, mode)
-    steps = _steps(spec, player, grid_step, signature=True, enum_cap=enum_cap)
+    steps = _steps(spec, player, grid_step, enum_cap)
     t = spec.iterations
     reach = _Reach(steps, t, mode)
     reference_worst = reach.worst([_take_row(entry, steps) for entry in reference.schedule])

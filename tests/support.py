@@ -454,6 +454,15 @@ def trading_grid(floor: int, cap: int, step) -> list:
     return [int(v) if v.denominator == 1 else v for v in values]
 
 
+def grid_steps(spec, player: int, grid_step=1) -> list:
+    """Every announcement pair on the grid, in grid order, as a step ``(own
+    value, other at cap, pair)`` of ``player``: the full grid that the
+    library's ``_steps`` keeps one pair of per (own value, other at cap)."""
+    grids = [trading_grid(*spec.bounds(i), grid_step) for i in (0, 1)]
+    cap = spec.price_caps[1 - player]
+    return [(pair[player], pair[1 - player] == cap, pair) for pair in itertools.product(*grids)]
+
+
 def strategy_stop(spec, strategy, announcements):
     """The first iteration at which ``strategy`` takes while nobody has
     taken, or None, read off its schedule entry by entry."""
@@ -754,10 +763,11 @@ def advance_reference(reach, j, highs, row) -> tuple:
 
 
 def witness_reference(reach, takes, worst) -> tuple:
-    """``_Reach.witness`` as the library had it before it walked step kinds:
-    one :func:`edge_reference` per (state, step). Each state keeps the first
-    prefix reaching it; a prefix whose step reaches ``worst`` ends there,
-    padded with step 0, and the smallest of those wins."""
+    """``_Reach.witness`` as the library had it before it did the arithmetic
+    of each edge inline: one :func:`edge_reference` per (state, step). Each
+    state keeps the first prefix reaching it; a prefix whose step reaches
+    ``worst`` ends there, padded with step 0, and the smallest of those
+    wins."""
     t = reach.t
     found = None
     prefixes = {(0, None): ()}
@@ -783,7 +793,7 @@ def witness_reference(reach, takes, worst) -> tuple:
 def sweep_reference(spec, player: int, mode: str = "full", grid_step=1) -> SweepResult:
     """The optimality sweep as a plain loop: every candidate rule, in
     product order, scored in full over every signature record."""
-    steps = _steps(spec, player, grid_step, signature=True, enum_cap=10**6)
+    steps = _steps(spec, player, grid_step, 10**6)
     t = spec.iterations
     records = _records(steps, t, mode, float("inf"))
     reference_worst, _ = _worst_regret(

@@ -144,6 +144,14 @@ def test_audit_single_rejects_zero_iterations(capsys):
     assert err == "error: need at least 2 iterations, got 0\n"
 
 
+def test_audit_single_refuses_a_grid_step_other_than_one(capsys):
+    # the audit runs on the unit grid only, so it must not drop the flag silently
+    argv = ["trading", "--audit-single", "--m1", "2", "--M1", "4"]
+    assert_one_line_input_error(capsys, argv + ["--grid-step", "1/2"],
+                                "--audit-single runs on the unit grid, got --grid-step 1/2")
+    assert run_capture(capsys, argv + ["--grid-step", "2/2"]) == run_capture(capsys, argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["bidding", "--l", "3,2", "--T", "4", "--k", "1", "--dense-cap", "-5"],
     ["repeated", "--sequence", "unused.json", "--realization-cap", "-1"],

@@ -9,8 +9,9 @@ stop-time reference in ``support``, which scores explicit stop times with
 the enumerating references there, and the stated schedules' take tables and
 ``simulate`` against the stated rules kept there as closures; the kernel's
 closed-form tail after the rule's own take is checked against a brute-force
-maximum below, and its per-row ``advance`` and its walk over step kinds in
-``witness`` against the per-edge loops they replaced.
+maximum below, and its per-row ``advance`` and its inline walk in
+``witness`` against the per-edge loops they replaced. Kernel tests run on the
+library's steps and on the full grid of ``support.grid_steps``.
 """
 
 import itertools
@@ -47,7 +48,7 @@ from regretgames import (
     trading_oracle_report,
     trading_payoff,
 )
-from regretgames.rational import parse_rational
+from regretgames.rational import format_rational, parse_rational
 from regretgames.trading import _Reach, _steps, _take_row
 from support import (
     _records,
@@ -55,6 +56,7 @@ from support import (
     advance_reference,
     audit_reference,
     game_from_cells,
+    grid_steps,
     history_strategies,
     opponent_stops,
     payoffs,
@@ -406,13 +408,14 @@ SCHEDULE_BANDS = [tuple(zip(*pair)) for pair in
 def test_stated_take_tables_match_the_closures():
     """The take table the oracle and the sweep build from a stated schedule
     equals the stated closure's, on the full grid and the signature
-    quotient, in both modes, for both players, at t = 3-6 and grid steps 1
+    steps, in both modes, for both players, at t = 3-6 and grid steps 1
     and 1/2."""
     cases = itertools.product(SCHEDULE_BANDS, range(3, 7), (1, Fraction(1, 2)), (False, True))
     for (floors, caps), t, step, signature in cases:
         spec = TradingSpec(floors, caps, t, 1)
         for player, mode in itertools.product((0, 1), ("full", "rational")):
-            steps = _steps(spec, player, step, signature, 10**20)
+            steps = _steps(spec, player, step, 10**20) if signature \
+                else grid_steps(spec, player, step)
             schedule = reference_strategy(spec, player, mode).schedule
             assert tuple(_take_row(entry, steps) for entry in schedule) \
                 == rule_takes(reference_rule(spec, player, mode), steps, t)
@@ -463,7 +466,7 @@ def test_simulate_replays_the_stated_closures():
 @st.composite
 def take_tables(draw):
     """t = 3-4; bands of width 1-3 on the unit grid, or of width 1 on the
-    half grid; the full grid or the signature quotient; a random take table.
+    half grid; the full grid or the signature steps; a random take table.
     At t = 4 the full grid keeps at most 9 pairs, so the reference
     enumerates at most 6,561 sequences."""
     t = draw(st.integers(3, 4))
@@ -476,7 +479,7 @@ def take_tables(draw):
     spec = TradingSpec(tuple(floors), (floors[0] + first, floors[1] + second), t, 1)
     player = draw(st.integers(0, 1))
     mode = draw(st.sampled_from(("full", "rational")))
-    steps = _steps(spec, player, step, signature, 10**6)
+    steps = _steps(spec, player, step, 10**6) if signature else grid_steps(spec, player, step)
     density = draw(st.sampled_from((0.1, 0.3, 0.6)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     takes = tuple(tuple(rng.random() < density for _ in steps) for _ in range(t))
@@ -499,10 +502,52 @@ def test_kernel_matches_the_enumerating_reference(case):
         assert (tuple(indices_found), stop_found, tau_found) == (indices, stop, tau)
 
 
+def test_oracle_report_matches_a_walk_over_the_full_grid():
+    """The oracle walks one step per (own value, other at cap); its worst
+    regret, witness announcements and both stops are those of the same walk
+    over every announcement pair of the grid. Both players, both modes, grid
+    steps 1 and 1/2, the stated schedule and seeded random ones, t = 3-5."""
+    rng = random.Random(36)
+    witnesses = 0
+    cases = itertools.product((0, 1), ("full", "rational"), (1, Fraction(1, 2)), (False, True))
+    for player, mode, step, stated in cases:
+        for _ in range(12):
+            floors = (rng.randint(1, 3), rng.randint(1, 3))
+            widths = [rng.randint(1, 4 if step == 1 else 2) for _ in floors]
+            spec = TradingSpec(floors, (floors[0] + widths[0], floors[1] + widths[1]),
+                               rng.randint(3, 5), rng.randint(1, 2))
+            t = spec.iterations
+            if stated:
+                strategy = reference_strategy(spec, player, mode)
+            else:
+                floor, cap = spec.bounds(player)
+                thresholds = [None, *(Fraction(k, 4) for k in range(4 * floor, 4 * cap + 1))]
+                strategy = TradingStrategy(player, "random", [
+                    (rng.choice(thresholds), rng.random() < 0.3) for _ in range(t)])
+            report = trading_oracle_report(spec, player, strategy, mode, step, 10**9)
+            steps = grid_steps(spec, player, step)
+            reach = _Reach(steps, t, mode)
+            takes = [_take_row(entry, steps) for entry in strategy.schedule]
+            worst = reach.worst(takes)
+            assert report["worst_case_regret"] == str(spec.half_supply * worst)
+            if worst == 0:
+                assert report["witness"] is None
+                continue
+            indices, stop, tau = reach.witness(takes, worst)
+            witness = report["witness"]
+            assert witness["announcements"] == [
+                [format_rational(v.numerator, v.denominator) for v in steps[s][2]]
+                for s in indices]
+            assert witness["strategy_take_iteration"] == (None if stop > t else stop)
+            assert witness["opponent_take_iteration"] == (None if tau > t else tau)
+            witnesses += 1
+    assert witnesses > 120
+
+
 @st.composite
 def witness_cases(draw):
     """t = 3-5; grids of up to 5 x 5 pairs, on the unit grid or the half
-    grid; the full grid or the signature quotient, in builder order or
+    grid; the full grid or the signature steps, in builder order or
     shuffled (the builder puts a peak step after the other steps of its own
     value, the shuffle also before them); every mode; take rows drawn at
     random, or taking on every step, or on none."""
@@ -513,7 +558,9 @@ def witness_cases(draw):
     caps = [floor + draw(st.integers(1, limit)) for floor in floors]
     spec = TradingSpec(tuple(floors), tuple(caps), t, 1)
     # the walks are polynomial in t, so the enumeration cap does not apply
-    steps = _steps(spec, draw(st.integers(0, 1)), step, draw(st.booleans()), 10**8)
+    player = draw(st.integers(0, 1))
+    steps = _steps(spec, player, step, 10**8) if draw(st.booleans()) \
+        else grid_steps(spec, player, step)
     mode = draw(st.sampled_from(("full", "rational", "single")))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
@@ -528,8 +575,8 @@ def witness_cases(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(witness_cases())
 def test_witness_matches_the_per_edge_walk(case):
-    """The walk over step kinds picks the witness the walk over every step
-    picks: the same sequence, rule stop and opponent stop."""
+    """The inline walk picks the witness the per-edge walk picks: the same
+    sequence, rule stop and opponent stop."""
     steps, t, mode, takes = case
     reach = _Reach(steps, t, mode)
     worst = reach.worst(takes)
@@ -574,7 +621,8 @@ def test_stopped_tail_is_the_maximum_over_every_later_sequence(spec, player, ste
     t = spec.iterations
     values = trading_grid(*spec.bounds(player), step)
     for mode, signature in itertools.product(("full", "rational", "single"), (False, True)):
-        steps = _steps(spec, player, step, signature, 10**6)
+        steps = _steps(spec, player, step, 10**6) if signature \
+            else grid_steps(spec, player, step)
         reach = _Reach(steps, t, mode)
         for j in range(2, t + 1):
             for high in values:
@@ -600,7 +648,8 @@ def test_advance_matches_the_per_edge_loop(spec, player, step, mode):
     t = spec.iterations
     values = [0, *trading_grid(*spec.bounds(player), step)]
     for signature in (False, True):
-        steps = _steps(spec, player, step, signature, 10**6)
+        steps = _steps(spec, player, step, 10**6) if signature \
+            else grid_steps(spec, player, step)
         assert any(peak for _, peak, _ in steps) and not all(peak for _, peak, _ in steps)
         reach = _Reach(steps, t, mode)
         rows = [(True,) * len(steps), (False,) * len(steps)] + [

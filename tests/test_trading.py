@@ -25,7 +25,7 @@ from regretgames import (
     trading_payoff,
 )
 from regretgames.trading import _steps, _take_row
-from support import _records, _worst_regret
+from support import _records, _worst_regret, grid_steps
 
 
 def spec26(t=3, k=1):
@@ -332,6 +332,33 @@ def test_grid_step_validation():
     assert value > 0
 
 
+def test_grid_step_must_divide_both_bands():
+    """The sweep, like the oracle, refuses a grid step that divides the own
+    band but not the other agent's, with the same one line."""
+    spec = TradingSpec((2, 1), (4, 4), 3, 1)
+    for search in (lambda: minimal_regret_sweep(spec, 0, grid_step=2),
+                   lambda: trading_oracle(spec, 0, competitive_trading_strategy(spec, 0),
+                                          grid_step=2)):
+        with pytest.raises(InputError) as info:
+            search()
+        assert str(info.value) == "grid step 2 does not divide the band [1, 4] evenly"
+
+
+def test_steps_keep_the_first_grid_pair_of_each_signature():
+    """``_steps`` keeps, in grid order, the first pair of the full grid with
+    each (own value, other at cap): the other agent at its floor or its cap."""
+    for floors, widths in itertools.product(itertools.product((1, 2, 3), repeat=2),
+                                            itertools.product((1, 2, 4), repeat=2)):
+        spec = TradingSpec(floors, tuple(f + w for f, w in zip(floors, widths)), 3, 1)
+        for player, step in itertools.product((0, 1), (1, Fraction(1, 2))):
+            first = {}
+            for value, peak, pair in grid_steps(spec, player, step):
+                first.setdefault((value, peak), (value, peak, pair))
+            steps = _steps(spec, player, step, 10**6)
+            assert steps == list(first.values())
+            assert {pair[1 - player] for _, _, pair in steps} == set(spec.bounds(1 - player))
+
+
 def test_monotone_in_announcement():
     spec = spec26()
     for build in (competitive_trading_strategy, rational_trading_strategy):
@@ -369,8 +396,7 @@ def test_collapsed_records_agree_with_full_enumeration():
     for mode in ("full", "rational"):
         strategy = rational_trading_strategy(spec, 0)
         values = []
-        for signature in (False, True):
-            steps = _steps(spec, 0, 1, signature, 10**6)
+        for steps in (grid_steps(spec, 0, 1), _steps(spec, 0, 1, 10**6)):
             records = _records(steps, 3, mode, 10**6)
             value, _ = _worst_regret(records, [_take_row(e, steps) for e in strategy.schedule])
             values.append(value)
@@ -382,7 +408,7 @@ def test_sweep_matches_full_markov_enumeration_tiny():
     """The per-iteration threshold/trigger class attains the same minimum as
     the full space of (iteration, own value, other-at-cap) -> action rules."""
     spec = TradingSpec((1, 1), (2, 2), 3, 1)
-    steps = _steps(spec, 0, 1, signature=True, enum_cap=10**6)
+    steps = _steps(spec, 0, 1, 10**6)
     never = 4
     own_values = (1, 2)
     states = [
