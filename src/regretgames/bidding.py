@@ -131,10 +131,10 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
     and pays hi, or x itself for k = 1. The k-th highest bid of P never sets
     the price, because a winner bids at least m. Every player's opponents are
     n - 1 bidders on one grid, so the opponent profiles, in lex order, map to
-    one key list per spec. Each player gets one payoff column over x per key.
-    The game is handed each player's rows over those key columns and the key
-    of every opponent profile: it gathers and stores the full rows, and
-    takes the keys as the opponent classes its solves read, so no solve
+    one key list that every player shares. Each player gets one payoff
+    column over x per key. The game is handed each player's rows over those
+    key columns and that one key list: it gathers and stores the full rows,
+    and takes the keys as the opponent classes its solves read, so no solve
     hashes the columns of a full auction matrix.
     """
     n, grid, k = spec.player_count, spec.grid_size, spec.price_rank
@@ -152,8 +152,7 @@ def make_bidding_game(spec: BiddingSpec) -> Game:
         ]
         rows.append(tuple(zip(*columns)))
     labels = [[str(b) for b in range(bids)]] * n
-    return Game((bids,) * n, rows=rows, scales=[common * grid] * n, labels=labels,
-                keys=[key_of] * n)
+    return Game((bids,) * n, rows=rows, scales=[common * grid] * n, labels=labels, keys=key_of)
 
 
 def _order_statistic_keys(others: int, bids: int, k: int):

@@ -389,6 +389,8 @@ def _cmd_trading(args) -> int:
         }
         _emit(args, payload)
         return EXIT_OK
+    if args.grid_step != 1 and not args.oracle:
+        raise InputError(f"--grid-step needs --oracle, got --grid-step {args.grid_step}")
     for name in ("m1", "M1", "m2", "M2", "t", "K"):
         if getattr(args, name) is None:
             raise InputError(f"--{name} is required for this trading command")
@@ -498,12 +500,6 @@ def _add_output_flags(parser) -> None:
                         help="write to a file instead of stdout")
 
 
-_IGNORED_DENSE_CAP = (
-    "ignored: bidding games are always built dense; the flag is accepted only "
-    "until the benchmark's bid-lazy job stops passing it"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regretgames",
@@ -535,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when a verification entry diverges")
     p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP,
-                   help=_IGNORED_DENSE_CAP)
+                   help="ignored: bidding games are always built dense; the flag is "
+                   "accepted only until the benchmark's bid-lazy job stops passing it")
     _add_output_flags(p)
 
     p = sub.add_parser("repeated", help="verify folk strategies on sequences or pools")
@@ -572,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="batch claim verification over a manifest")
     p.add_argument("--manifest", required=True, metavar="FILE")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--dense-cap", type=_non_negative_int, default=DEFAULT_DENSE_CAP,
-                   help=_IGNORED_DENSE_CAP)
     _add_output_flags(p)
 
     return parser

@@ -100,35 +100,36 @@ def _reduced(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return rows, scale // divisor
 
 
-def _check_keys(keys, player: int, profiles: int, classes: int) -> None:
+def _check_keys(keys, profiles: int, classes: int) -> None:
     """Check that ``keys`` gives each of ``profiles`` opponent profiles one of
     ``classes`` classes, and that every class is some profile's."""
-    _check_listed(keys, f"the class keys of player {player}")
+    _check_listed(keys, "class keys")
     if not classes:
-        raise InputError(f"the class rows of player {player} are empty")
+        raise InputError("the class rows are empty")
     if len(keys) != profiles:
-        raise InputError(f"player {player} needs {profiles} class keys, got {len(keys)}")
+        raise InputError(f"a keyed game needs {profiles} class keys, got {len(keys)}")
     if not {int}.issuperset(map(type, keys)):
         bad = next(key for key in keys if type(key) is not int)
         raise InputError(f"a class key must be an int, got {bad!r}")
     used = set(keys)
     if min(used) < 0 or max(used) >= classes:
         bad = min(used) if min(used) < 0 else max(used)
-        raise InputError(f"class key {bad} of player {player} is outside 0..{classes - 1}")
+        raise InputError(f"class key {bad} is outside 0..{classes - 1}")
     if len(used) < classes:
         unused = min(set(range(classes)) - used)
-        raise InputError(f"no class key of player {player} refers to class column {unused}")
+        raise InputError(f"no class key refers to class column {unused}")
 
 
-def _classes(rows, keys):
+def _classes(rows, keys, reached):
     """The :meth:`Game._opponent_classes` ``(rows, keys)`` of ``rows`` over
-    classes and the class ``keys[q]`` of each opponent profile (plain rows have
-    ``keys = range(width)``): the distinct class columns in the order the keys
-    first reach them, as the ``rows`` given when that is every column in order."""
+    classes, the class ``keys[q]`` of each opponent profile and the classes
+    in the order the keys first reach them, ``reached`` (plain rows have
+    ``keys = reached = range(width)``): the distinct class columns in that
+    order, as the ``rows`` given when that is every column in order."""
     columns = list(zip(*rows))
     numbers: dict[tuple, int] = {}  # each distinct column's class in the view
     renumbered, picked = {}, []  # picked: each class's first key
-    for key in dict.fromkeys(keys):
+    for key in reached:
         renumbered[key] = number = numbers.setdefault(columns[key], len(numbers))
         if number == len(picked):
             picked.append(key)
@@ -155,11 +156,13 @@ class Game:
     equal numerators however they were built.
 
     With ``keys``, ``rows[p][s][c]`` is instead the numerator against the
-    opponent *class* ``c``, and ``keys[p][q]`` is the class of the ``q``-th
-    opponent profile; every class must be the class of some profile. The
-    class rows are reduced and the full rows gathered from them are stored.
-    The constructor derives every :meth:`_opponent_classes` view from the
-    rows it is given, so no solve of a keyed game hashes its full rows.
+    opponent *class* ``c``, and ``keys[q]`` is the class of every player's
+    ``q``-th opponent profile; every class must be the class of some profile.
+    A keyed game gives every player one strategy count and class rows of one
+    width, so one key list serves every player. The class rows are reduced
+    and the full rows gathered from them are stored. The constructor derives
+    every :meth:`_opponent_classes` view from the rows it is given, so no
+    solve of a keyed game hashes its full rows.
     """
 
     def __init__(self, strategy_counts: Sequence[int], *, rows, scales, labels=None,
@@ -173,12 +176,7 @@ class Game:
         if len(rows) != len(counts) or len(scales) != len(counts):
             raise InputError(f"a game needs the payoff rows of {len(counts)} players "
                              f"and {len(counts)} scales")
-        if keys is not None:
-            _check_listed(keys, "class keys")
-            if len(keys) != len(counts):
-                raise InputError(f"a game needs the class keys of {len(counts)} players, "
-                                 f"got {len(keys)}")
-        total, checked = self.profile_count, set()
+        total = self.profile_count
         for player, (count, player_rows) in enumerate(zip(counts, rows)):
             _check_listed(player_rows, f"the payoff rows of player {player}")
             for row in player_rows:
@@ -188,23 +186,25 @@ class Game:
                 if len(player_rows) != count or any(len(row) != width for row in player_rows):
                     raise InputError(
                         f"player {player} needs {count} payoff rows of {width} entries")
-            else:
-                widths = set(map(len, player_rows))
-                if len(player_rows) != count or len(widths) != 1:
-                    raise InputError(f"player {player} needs {count} class rows of one width")
-                shape = (id(keys[player]), total // count, widths.pop())
-                if shape not in checked:  # a key list that players share is checked once
-                    checked.add(shape)
-                    _check_keys(keys[player], player, *shape[1:])
+            elif len(player_rows) != count:
+                raise InputError(f"player {player} needs {count} class rows")
+        if keys is not None:
+            widths = sorted({len(row) for player_rows in rows for row in player_rows})
+            if len(set(counts)) > 1 or len(widths) > 1:
+                raise InputError(f"a keyed game needs one strategy count and one class row "
+                                 f"width, got counts {list(counts)} and widths {widths}")
+            _check_keys(keys, total // counts[0], widths[0])
         reduced, self._scales = zip(*map(_reduced, rows, scales))
         if keys is None:
             self._rows = reduced
-            keys = [range(total // count) for count in counts]
+            player_keys = [(range(total // count),) * 2 for count in counts]
         else:
-            self._rows = tuple(tuple(map(_gatherer(player_keys), class_rows))
-                               for class_rows, player_keys in zip(reduced, keys))
-        self._class_views = tuple((*_classes(class_rows, player_keys), scale) for
-                                  class_rows, player_keys, scale in zip(reduced, keys, self._scales))
+            gather = _gatherer(keys)
+            self._rows = tuple(tuple(map(gather, class_rows)) for class_rows in reduced)
+            player_keys = [(keys, dict.fromkeys(keys))] * len(counts)
+        self._class_views = tuple(
+            (*_classes(class_rows, *keyed), scale)
+            for class_rows, keyed, scale in zip(reduced, player_keys, self._scales))
         # filled by rational_restriction on first use
         self._rational_restriction: Restriction | None = None
 

@@ -172,6 +172,19 @@ def random_stage_game(rng: random.Random, high=29) -> Game:
             return make_dense_game((2, 2), cells)
 
 
+def three_player_stage_game(rng: random.Random) -> Game:
+    """2x2x2 stage game that meets the stage condition by construction: each
+    player's payoffs are seven distinct values from 0..19 and twice their
+    largest, placed at random."""
+    per_player = []
+    for _ in range(3):
+        values = rng.sample(range(20), 7)
+        values.append(2 * max(values))
+        rng.shuffle(values)
+        per_player.append(values)
+    return game_from_cells((2, 2, 2), list(zip(*per_player)))
+
+
 def stage_extremes(game: Game, player: int) -> tuple[Fraction, Fraction]:
     """The player's highest and second highest distinct payoffs in ``game``."""
     rows, scale = game.payoff_matrix(player)

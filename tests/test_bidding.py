@@ -200,13 +200,26 @@ def test_auction_solves_read_the_classes_the_builder_hands_the_game():
 
 
 def test_a_key_list_the_players_share_is_checked_once(monkeypatch):
-    checked = []
-    check = game_module._check_keys
-    monkeypatch.setattr(game_module, "_check_keys",
-                        lambda keys, player, *shape: checked.append(player) or check(
-                            keys, player, *shape))
+    calls = []  # (function name, the argument it was handed at ``position``) per call
+
+    def spy(name, position):
+        function = getattr(game_module, name)
+
+        def wrapper(*args):
+            calls.append((name, args[position]))
+            return function(*args)
+        monkeypatch.setattr(game_module, name, wrapper)
+
+    spy("_check_keys", 0)
+    spy("_gatherer", 0)
+    spy("_classes", 2)  # the classes in the order the keys first reach them
     make_bidding_game(BiddingSpec((9, 2, 5), 12, 2))
-    assert checked == [0]
+    profiles = 13 ** 2  # a 13-bid grid, two opponents
+    keyed = [name for name, keys in calls if len(keys) == profiles]
+    assert keyed == ["_check_keys", "_gatherer"]
+    # every player's view walks one first-reach order of the keys
+    reached = [keys for name, keys in calls if name == "_classes"]
+    assert len(reached) == 3 and all(order is reached[0] for order in reached)
 
 
 def test_closed_forms_first_price():

@@ -645,6 +645,19 @@ def test_trading_takes_one_action(tmp_path, capsys, flags, message):
         assert run_capture(capsys, [f for f in argv if f not in ("--oracle", "--sweep")])[0] == 0
 
 
+@pytest.mark.parametrize("flags", [["--simulate", "ANN"], []], ids=["simulate", "no-action"])
+def test_grid_step_needs_the_oracle(tmp_path, capsys, flags):
+    # only the oracle and its sweep walk a grid, so a step elsewhere is refused, not dropped
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps([[3, 2], [5, 6], [4, 3]]))
+    argv = _BAND + [str(path) if flag == "ANN" else flag for flag in flags]
+    for step in ("2", "3/7"):
+        assert_one_line_input_error(capsys, argv + ["--grid-step", step],
+                                    f"--grid-step needs --oracle, got --grid-step {step}")
+    code, out, _ = run_capture(capsys, argv + ["--grid-step", "2/2"])
+    assert code == 0 and (code, out) == run_capture(capsys, argv)[:2]
+
+
 @pytest.mark.parametrize("text", ["1e-10000000", "0.5"])
 def test_grid_step_takes_only_exact_rationals(capsys, text):
     code, out, err = run_capture(capsys, _BAND + ["--oracle", "--grid-step", text])

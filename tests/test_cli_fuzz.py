@@ -168,7 +168,6 @@ def _argv(data, root):
     elif command == "verify":
         flag("--manifest", file("manifest.json"), optional=False)
         flag("--strict")
-        flag("--dense-cap", lambda: _number(data, 0, 400))
     flag("--format", lambda: _pick(data, st.sampled_from(("json", "csv", "text")),
                                    st.just("xml")))
     flag("--output", lambda: str(root / _pick(

@@ -297,25 +297,26 @@ def test_rows_whose_gcd_is_one_are_stored_as_given():
 
 
 def test_keyed_class_rows_whose_columns_are_distinct_and_first_seen_are_the_view():
-    # player 0's keys reach its three distinct class columns in order 0, 1, 2
-    class_rows = [((1, 2, 3), (4, 5, 7)), ((5,), (6,), (7,), (8,))]
-    game = Game((2, 4), rows=class_rows, scales=[1, 1], keys=[[0, 1, 0, 2], [0, 0]])
+    # the keys reach the three classes in order 0, 1, 2, and each player's
+    # three class columns are distinct
+    class_rows = [((1, 2, 3), (4, 5, 7)), ((5, 6, 7), (8, 9, 9)), ((0, 1, 2), (3, 3, 3))]
+    game = Game((2, 2, 2), rows=class_rows, scales=[1, 1, 1], keys=[0, 1, 0, 2])
     assert_view_quotients_the_matrix(game)
-    for player in range(2):
-        rows, _, _ = game._opponent_classes(player)
+    for player in range(3):
+        rows, keys, _ = game._opponent_classes(player)
         assert all(map(operator.is_, rows, class_rows[player]))  # the rows given
-    assert game._opponent_classes(0)[1] == [0, 1, 0, 2]
+        assert keys == [0, 1, 0, 2]
     # reached in order 1, 0, 2, the class columns are gathered into new rows
-    game = Game((2, 4), rows=class_rows, scales=[1, 1], keys=[[1, 0, 1, 2], [0, 0]])
+    game = Game((2, 2, 2), rows=class_rows, scales=[1, 1, 1], keys=[1, 0, 1, 2])
     assert_view_quotients_the_matrix(game)
     rows, keys, _ = game._opponent_classes(0)
     assert rows == ((2, 1, 3), (5, 4, 7)) and keys == [0, 1, 0, 2]
 
 
 def test_solves_and_scans_leave_a_game_as_built_but_for_its_rational_restriction():
-    class_rows = [((1, 2, 1), (4, 5, 7)), ((5,), (6,), (7,), (8,))]
+    class_rows = [((1, 2, 1), (4, 5, 7)), ((5, 6, 7), (8, 9, 9)), ((0, 1, 0), (3, 3, 3))]
     for game in (anchor_game(), make_bidding_game(BiddingSpec((4, 2, 3), 5, 2)),
-                 Game((2, 4), rows=class_rows, scales=[2, 1], keys=[[2, 1, 0, 2], [0, 0]])):
+                 Game((2, 2, 2), rows=class_rows, scales=[2, 1, 3], keys=[2, 1, 0, 2])):
         built = {name: (value, copy.copy(value)) for name, value in vars(game).items()}
         for mode in ("full", "rational"):
             all_player_reports(game, mode)
@@ -327,33 +328,28 @@ def test_solves_and_scans_leave_a_game_as_built_but_for_its_rational_restriction
 
 
 def _keyed_cases():
-    """Seeded keyed inputs with n = 2..4: each player's class rows, with
-    duplicate class columns, and keys that reference every class in a
-    shuffled, not first-seen, order. Each shape has a player of one strategy,
-    and every third has a player whose opponents have one profile."""
+    """Seeded keyed inputs with n = 2..4 players of one strategy count: each
+    player's class rows, with a duplicate class column when there are two
+    classes or more, and one key list that references every class in a
+    shuffled, not first-seen, order. Every fourth shape gives each player one
+    strategy, so the opponents have one profile."""
     rng = random.Random("keyed")
     for case in range(36):
         n = 2 + case % 3
-        counts = [rng.randint(1, 4) for _ in range(n)]
-        counts[rng.randrange(n)] = 1
-        if case % 3 == 0:
-            lone = rng.randrange(n)
-            counts = [c if p == lone else 1 for p, c in enumerate(counts)]
-        total = math.prod(counts)
+        count = 1 if case % 4 == 0 else rng.randint(2, 3 if n == 4 else 4)
+        counts = [count] * n
+        profiles = count ** (n - 1)
+        classes = rng.randint(1, profiles)
+        keys = list(range(classes)) + [rng.randrange(classes) for _ in range(profiles - classes)]
+        rng.shuffle(keys)
         factor = rng.choice([1, 1, 2, 6])
-        class_rows, keys = [], []
-        for count in counts:
-            profiles = total // count
-            classes = rng.randint(1, profiles)
+        class_rows = []
+        for _ in counts:
             columns = [tuple(factor * rng.choice((-3, 0, 1, 5)) for _ in range(count))
                        for _ in range(classes)]
             if classes > 1:  # a duplicate column under another class number
                 columns[-1] = columns[0]
-            player_keys = list(range(classes)) + [rng.randrange(classes)
-                                                 for _ in range(profiles - classes)]
-            rng.shuffle(player_keys)
             class_rows.append([list(row) for row in zip(*columns)])
-            keys.append(player_keys)
         scales = [factor * rng.randint(1, 5) for _ in counts]
         yield counts, class_rows, keys, scales, rng
 
@@ -361,8 +357,7 @@ def _keyed_cases():
 def test_keyed_games_equal_the_games_of_their_gathered_rows():
     shapes = set()
     for counts, class_rows, keys, scales, rng in _keyed_cases():
-        gathered = [[[row[k] for k in player_keys] for row in player_rows]
-                    for player_rows, player_keys in zip(class_rows, keys)]
+        gathered = [[[row[k] for k in keys] for row in player_rows] for player_rows in class_rows]
         keyed = Game(counts, rows=class_rows, scales=scales, keys=keys)
         plain = Game(counts, rows=gathered, scales=scales)
         assert keyed == plain
@@ -373,11 +368,11 @@ def test_keyed_games_equal_the_games_of_their_gathered_rows():
         assert_class_rows_cut_the_matrix(keyed, rng)
         assert json_text(game_to_json(keyed)) == json_text(game_to_json(plain))
         shapes.add(len(counts))
-        if any(len(player_keys) == 1 for player_keys in keys):
+        if len(keys) == 1:
             shapes.add("one profile")
         if any(len(set(zip(*player_rows))) < len(player_rows[0]) for player_rows in class_rows):
             shapes.add("duplicate columns")
-        if any(list(dict.fromkeys(k)) != sorted(set(k)) for k in keys):  # not first-seen
+        if list(dict.fromkeys(keys)) != sorted(set(keys)):  # not first-seen
             shapes.add("renumbered")
     assert shapes == {2, 3, 4, "one profile", "duplicate columns", "renumbered"}
 

@@ -1,5 +1,6 @@
 """The package and the CLI load a kernel module only when a caller uses it."""
 
+import ast
 import importlib
 import itertools
 import json
@@ -87,6 +88,22 @@ def test_a_subcommand_loads_only_its_own_modules(tmp_path):
                 "assert cli.run(['repeated', '--sequence', 'seq.json', "
                 "'--output', 'folk.json']) == 0")
     assert loaded_after(repeated, tmp_path) == {"dominance", "repeated", "solver"}
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    """No runtime dependencies. Importing the package in a test cannot show a
+    stray third-party import when that package is installed, so the sources
+    are parsed: every import names the package or a standard-library module."""
+    imported = set()  # (file, top-level module)
+    for path in sorted((SRC / "regretgames").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: relative
+                imported.add((path.name, node.module.split(".")[0]))
+    allowed = sys.stdlib_module_names | {"regretgames"}
+    assert {"json", "fractions"} < {module for _, module in imported}
+    assert {(name, module) for name, module in imported if module not in allowed} == set()
 
 
 def test_every_exported_name_resolves_to_its_submodule_object():

@@ -27,7 +27,7 @@ from regretgames.solver import mode_restriction
 from support import (
     anchor_game, criterion6_subjects, folk_condition_holds, folk_reference, game_from_cells,
     history_strategies, payoffs, random_stage_game, rational_step_reference, realized, replay,
-    stage_extremes,
+    stage_extremes, three_player_stage_game,
 )
 
 
@@ -795,3 +795,18 @@ def test_folk_verdicts_match_the_all_histories_check(mode):
             reference = folk_reference(realized(subject, entry.realization), entry.player, mode)
             assert entry.passed == reference.passed, (entry.realization, entry.player)
 
+
+def test_folk_verdicts_with_three_players_match_the_reference():
+    """Criterion 6 has two players only; here two opponents' rational sets
+    meet in one block. The seed gives a failing and two passing players."""
+    sequence = GameSequence.repeat(three_player_stage_game(random.Random(0)), 2)
+    assert all(folk_condition_holds(sequence, player) for player in range(3))
+    entries = verify_folk_theorem(sequence, "rational").entries
+    assert [entry.passed for entry in entries] == [False, True, True]
+    for entry in entries:
+        reference = folk_reference(sequence, entry.player)
+        assert entry.passed == reference.passed, entry.player
+        if not entry.passed:
+            detail = next(d for d in entry.details if not d.member)
+            assert detail.start_iteration == reference.failing_start
+            assert reference.worst[detail.rational_argmin[0]] == reference.minimax
